@@ -6,7 +6,6 @@
 #include <benchmark/benchmark.h>
 
 #include "backend/conv_kernels.hpp"
-#include "backend/conv_kernels_s16.hpp"
 #include "backend/conv_kernels_s8.hpp"
 #include "tensor/gemm.hpp"
 
@@ -62,12 +61,16 @@ void BM_WinogradConv(benchmark::State& state) {
   }
 }
 
+// The int8 rows prepare the weights inside the loop, like the fp32 rows
+// above transform theirs per call, so fp32-vs-int8 ratios compare like with
+// like.
 void BM_Im2RowConvS8(benchmark::State& state) {
   const auto f = make_fixture(state.range(0), state.range(1), state.range(2));
   const auto qin = backend::quantize_s8(f.input);
   const auto qw = backend::quantize_s8(f.weights);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(backend::im2row_conv_s8(qin, qw, f.g));
+    benchmark::DoNotOptimize(
+        backend::im2row_conv_s8_prepared(qin, backend::prepare_im2row_weights_s8(qw), f.g));
   }
 }
 
@@ -76,25 +79,8 @@ void BM_WinogradConvS8(benchmark::State& state) {
   const auto qin = backend::quantize_s8(f.input);
   const auto tr = wino::make_transforms(static_cast<int>(state.range(3)), 3);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(backend::winograd_conv_s8(qin, f.weights, f.g, tr));
-  }
-}
-
-void BM_Im2RowConvS16(benchmark::State& state) {
-  const auto f = make_fixture(state.range(0), state.range(1), state.range(2));
-  const auto qin = backend::quantize_s16(f.input);
-  const auto qw = backend::quantize_s16(f.weights);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(backend::im2row_conv_s16(qin, qw, f.g));
-  }
-}
-
-void BM_WinogradConvS16(benchmark::State& state) {
-  const auto f = make_fixture(state.range(0), state.range(1), state.range(2));
-  const auto qin = backend::quantize_s16(f.input);
-  const auto tr = wino::make_transforms(static_cast<int>(state.range(3)), 3);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(backend::winograd_conv_s16(qin, f.weights, f.g, tr));
+    benchmark::DoNotOptimize(backend::winograd_conv_s8_prepared(
+        qin, backend::prepare_winograd_weights_s8(f.weights, tr), f.g, tr));
   }
 }
 
@@ -138,10 +124,6 @@ BENCHMARK(BM_WinogradConv)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_Im2RowConvS8)->Args({64, 64, 16})->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_WinogradConvS8)->Args({64, 64, 16, 2})->Args({64, 64, 16, 4})
-    ->Unit(benchmark::kMicrosecond);
-// The INT16 deployment path the paper lacked (ACL has no INT16 kernels).
-BENCHMARK(BM_Im2RowConvS16)->Args({64, 64, 16})->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_WinogradConvS16)->Args({64, 64, 16, 2})->Args({64, 64, 16, 4})
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_GemmF32)->Arg(64)->Arg(128)->Arg(256)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_GemmS8)->Arg(64)->Arg(128)->Arg(256)->Unit(benchmark::kMicrosecond);

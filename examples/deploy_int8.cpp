@@ -1,11 +1,14 @@
 // The deployment path: integer-only convolution kernels (the role Arm
 // Compute Library plays in the paper).
 //
-// Quantizes one convolution layer to int8, runs it through
+// Quantizes one convolution layer to int8, prepares its weights once (the
+// repacked GEMM operand, or the transformed Winograd U = Qx(G g Gᵀ)), runs it
+// through
 //  - im2row with an int8 GEMM + fixed-point requantization, and
 //  - Winograd F2/F4 with per-stage int8 requantization (the inference-time
 //    mirror of the training Qx stages),
-// then reports accuracy vs the FP32 reference and host wall-clock times.
+// then reports accuracy vs the FP32 reference and host wall-clock times of
+// the prepared int8 forwards.
 //
 //   build/examples/deploy_int8
 #include <chrono>
@@ -62,7 +65,8 @@ int main() {
   }
   {
     backend::QTensor out;
-    const double ms = time_ms([&] { out = backend::im2row_conv_s8(qin, qw, g); });
+    const auto prepared = backend::prepare_im2row_weights_s8(qw);
+    const double ms = time_ms([&] { out = backend::im2row_conv_s8_prepared(qin, prepared, g); });
     report("im2row int8", backend::dequantize(out), ms);
   }
   for (int m : {2, 4}) {
@@ -74,7 +78,9 @@ int main() {
     }
     {
       backend::QTensor out;
-      const double ms = time_ms([&] { out = backend::winograd_conv_s8(qin, weights, g, tr); });
+      const auto prepared = backend::prepare_winograd_weights_s8(weights, tr);
+      const double ms =
+          time_ms([&] { out = backend::winograd_conv_s8_prepared(qin, prepared, g, tr); });
       report(m == 2 ? "winograd F2 int8" : "winograd F4 int8", backend::dequantize(out), ms);
     }
   }

@@ -45,18 +45,19 @@ while IFS= read -r doc; do
 done < <(find ./docs -name '*.md' | sort)
 
 # Golden fixture drift: every checked-in `.wam` fixture must be exercised by
-# the artifact suite by name. A format bump that adds a fixture without a
-# back-compat test (or orphans an old one) fails here.
+# the artifact suite by name — its quoted stem (the fixture table's form) or
+# its quoted file name. A fixture added without a test, or orphaned by one,
+# fails here.
 while IFS= read -r fixture; do
-  name=$(basename "${fixture}")
-  if ! grep -q "${name}" tests/test_serve_artifact.cpp; then
+  stem=$(basename "${fixture}" .wam)
+  if ! grep -qE "\"${stem}(\.wam)?\"" tests/test_serve_artifact.cpp; then
     echo "error: ${fixture} is never loaded by tests/test_serve_artifact.cpp" >&2
     fail=1
   fi
-done < <(find ./tests/data -name 'golden_v*.wam' | sort)
+done < <(find ./tests/data -name 'golden_*.wam' | sort)
 
 # Format-doc lockstep: artifact.hpp promises WAM_FORMAT.md tracks the writer
-# version, so the current kWamVersion must have its section in the doc.
+# version, so the doc must name the current kWamVersion.
 ver=$(sed -n 's/.*kWamVersion = \([0-9]*\);.*/\1/p' src/serve/artifact.hpp)
 if [ -z "${ver}" ]; then
   echo "error: could not read kWamVersion from src/serve/artifact.hpp" >&2

@@ -64,6 +64,24 @@ std::vector<std::int8_t> take_output_storage(std::vector<std::int8_t>* reuse, st
   return out;
 }
 
+/// Build `u_blocked` from `u_q`: the offset-binary [t², K, Cpad] layout the
+/// fused streaming executor's k4 GEMM consumes.
+void build_blocked_u(WinogradWeightsS8& w) {
+  const std::int64_t t2 = w.tile * w.tile, K = w.out_channels, C = w.in_channels;
+  const std::int64_t cpad =
+      (C + kWinoChannelBlock - 1) / kWinoChannelBlock * kWinoChannelBlock;
+  w.padded_in_channels = cpad;
+  // 128 is offset-binary zero, so pad channels drop out of the GEMM exactly.
+  w.u_blocked.assign(static_cast<std::size_t>(t2 * K * cpad), std::uint8_t{128});
+  for (std::int64_t abk = 0; abk < t2 * K; ++abk) {
+    const std::int8_t* src = w.u_q.data() + abk * C;
+    std::uint8_t* dst = w.u_blocked.data() + abk * cpad;
+    for (std::int64_t c = 0; c < C; ++c) {
+      dst[c] = static_cast<std::uint8_t>(static_cast<std::int32_t>(src[c]) + 128);
+    }
+  }
+}
+
 }  // namespace
 
 Im2rowWeightsS8 prepare_im2row_weights_s8(const QTensor& weights, std::int64_t groups) {
@@ -89,12 +107,6 @@ Im2rowWeightsS8 prepare_im2row_weights_s8(const QTensor& weights, std::int64_t g
             weights.data[static_cast<std::size_t>((gi * w.out_channels + k) * w.patch + p)];
   }
   return w;
-}
-
-QTensor im2row_conv_s8(const QTensor& input, const QTensor& weights, const ConvGeometry& g,
-                       float out_scale, const Tensor* bias) {
-  return im2row_conv_s8_prepared(input, prepare_im2row_weights_s8(weights, g.groups), g,
-                                 out_scale, bias);
 }
 
 QTensor im2row_conv_s8_prepared(const QTensor& input, const Im2rowWeightsS8& weights,
@@ -214,22 +226,6 @@ QTensor im2row_conv_s8_prepared(const QTensor& input, const Im2rowWeightsS8& wei
   return out;
 }
 
-void build_blocked_u(WinogradWeightsS8& w) {
-  const std::int64_t t2 = w.tile * w.tile, K = w.out_channels, C = w.in_channels;
-  const std::int64_t cpad =
-      (C + kWinoChannelBlock - 1) / kWinoChannelBlock * kWinoChannelBlock;
-  w.padded_in_channels = cpad;
-  // 128 is offset-binary zero, so pad channels drop out of the GEMM exactly.
-  w.u_blocked.assign(static_cast<std::size_t>(t2 * K * cpad), std::uint8_t{128});
-  for (std::int64_t abk = 0; abk < t2 * K; ++abk) {
-    const std::int8_t* src = w.u_q.data() + abk * C;
-    std::uint8_t* dst = w.u_blocked.data() + abk * cpad;
-    for (std::int64_t c = 0; c < C; ++c) {
-      dst[c] = static_cast<std::uint8_t>(static_cast<std::int32_t>(src[c]) + 128);
-    }
-  }
-}
-
 WinogradWeightsS8 prepare_winograd_weights_s8(const Tensor& weights_fp32,
                                               const wino::Transforms& tr, float scale,
                                               const std::vector<float>& tap_scales,
@@ -319,10 +315,8 @@ WinogradWeightsS8 prepare_winograd_weights_s8(const Tensor& weights_fp32,
 
 namespace {
 
-std::atomic<bool> g_wino_blocked{[] {
-  const char* env = std::getenv("WA_WINO_BLOCKED");
-  return env == nullptr || std::string(env) != "0";
-}()};
+std::atomic<bool> g_wino_blocked{true};
+std::atomic<StridedPolicy> g_strided_policy{StridedPolicy::kAuto};
 
 }  // namespace
 
@@ -330,18 +324,6 @@ bool winograd_blocked_enabled() { return g_wino_blocked.load(std::memory_order_r
 void set_winograd_blocked_enabled(bool on) {
   g_wino_blocked.store(on, std::memory_order_relaxed);
 }
-
-namespace {
-
-std::atomic<StridedPolicy> g_strided_policy{[] {
-  const char* env = std::getenv("WA_STRIDED_POLY");
-  if (env == nullptr) return StridedPolicy::kAuto;
-  return std::string(env) == "0" ? StridedPolicy::kForceIm2row
-         : std::string(env) == "1" ? StridedPolicy::kForcePolyphase
-                                   : StridedPolicy::kAuto;
-}()};
-
-}  // namespace
 
 StridedPolicy strided_polyphase_policy() {
   return g_strided_policy.load(std::memory_order_relaxed);
@@ -364,16 +346,6 @@ bool strided_polyphase_profitable(std::int64_t in_channels, std::int64_t out_cha
   const double poly = 7.25 * c * k + kJoinOverhead * (c + k);
   const double im2row = 9.0 * c * k + 9.0 * c;
   return poly < im2row;
-}
-
-QTensor winograd_conv_s8(const QTensor& input, const Tensor& weights_fp32, const ConvGeometry& g,
-                         const wino::Transforms& tr, const WinogradStageScales& scales,
-                         const Tensor* bias) {
-  return winograd_conv_s8_prepared(
-      input,
-      prepare_winograd_weights_s8(weights_fp32, tr, scales.weights_transformed,
-                                  scales.weights_transformed_taps, g.groups),
-      g, tr, scales, bias);
 }
 
 namespace {
@@ -697,8 +669,8 @@ QTensor winograd_conv_s8_prepared(const QTensor& input, const WinogradWeightsS8&
   }
   // Frozen internal scales let the stages fuse (no whole-tensor abs-max
   // between them): take the streaming blocked executor. Any dynamic scale —
-  // or the WA_WINO_BLOCKED=0 / set_winograd_blocked_enabled(false) override,
-  // or a hand-built weight cache without the blocked U — runs the flat path.
+  // or the set_winograd_blocked_enabled(false) override, or a hand-built
+  // weight cache without the blocked U — runs the flat path.
   if (scales.input_transformed > 0.F && scales.hadamard > 0.F && scales.output > 0.F &&
       winograd_blocked_enabled() && !weights.u_blocked.empty()) {
     return winograd_conv_s8_blocked(input, weights, g, tr, scales, bias, reuse_storage, phase_ns);

@@ -21,12 +21,6 @@ namespace wa::backend {
 void gemm_s8_s32(std::int64_t m, std::int64_t n, std::int64_t k, const std::int8_t* a,
                  const std::int8_t* b, std::int32_t* c);
 
-/// im2row int8 convolution. Output is int8 at `out_scale` (if > 0) or at the
-/// scale implied by the float result's abs-max computed from a reference
-/// int32 pass (deployment would calibrate this offline).
-QTensor im2row_conv_s8(const QTensor& input, const QTensor& weights, const ConvGeometry& g,
-                       float out_scale = -1.F, const Tensor* bias = nullptr);
-
 /// im2row weights repacked once at load: [K, C*r*r] -> [C*r*r, K] so the
 /// per-forward GEMM consumes them directly. Grouped convolutions repack each
 /// group contiguously: wt is [g][patch_g, K/g] with patch_g = (C/g)*r*r, so
@@ -43,8 +37,10 @@ struct Im2rowWeightsS8 {
 
 Im2rowWeightsS8 prepare_im2row_weights_s8(const QTensor& weights, std::int64_t groups = 1);
 
-/// im2row convolution from prepared weights; the lowered patch matrix and
-/// int32 accumulators live in the calling thread's ScratchArena.
+/// im2row int8 convolution from prepared weights; the lowered patch matrix
+/// and int32 accumulators live in the calling thread's ScratchArena. Output
+/// is int8 at `out_scale` (if > 0) or at the scale implied by the int32
+/// result's abs-max (deployment calibrates this offline).
 ///
 /// `reuse_storage`, when non-null, donates its buffer to the output tensor
 /// instead of a fresh allocation — the memory planner's in-place execution.
@@ -57,10 +53,8 @@ QTensor im2row_conv_s8_prepared(const QTensor& input, const Im2rowWeightsS8& wei
                                 const Tensor* bias = nullptr,
                                 std::vector<std::int8_t>* reuse_storage = nullptr);
 
-/// Winograd int8 convolution: transforms in FP32 with per-stage int8
-/// requantization; Hadamard stage as t² int8 GEMMs with int32 accumulators.
-/// Per-stage scales can be provided (e.g. frozen from winograd-aware
-/// training); non-positive entries are derived on the fly.
+/// Per-stage scales of the Winograd int8 convolution (e.g. frozen from
+/// winograd-aware training); non-positive entries are derived on the fly.
 ///
 /// Each transform-domain stage optionally carries a per-tap scale vector
 /// (t*t entries, tap-major like the executors' [t*t, ...] layouts) in the
@@ -78,10 +72,6 @@ struct WinogradStageScales {
   std::vector<float> input_transformed_taps;    // [t*t] or empty
   std::vector<float> hadamard_taps;             // [t*t] or empty
 };
-
-QTensor winograd_conv_s8(const QTensor& input, const Tensor& weights_fp32, const ConvGeometry& g,
-                         const wino::Transforms& tr, const WinogradStageScales& scales = {},
-                         const Tensor* bias = nullptr);
 
 /// Input-channel block width of the fused Winograd path's GEMM layout: the
 /// blocked U/V interleave groups of 4 channels per column, the granule one
@@ -123,11 +113,6 @@ struct WinogradWeightsS8 {
   bool empty() const { return u_q.empty(); }
 };
 
-/// (Re)build `u_blocked` from `u_q`. prepare_winograd_weights_s8 calls this;
-/// it is exposed for loaders of pre-v3 `.wam` artifacts, whose prepared
-/// caches carry only the flat levels.
-void build_blocked_u(WinogradWeightsS8& weights);
-
 /// Build the cached transformed weights. `scale` <= 0 derives the scale from
 /// the transformed weights' abs-max (what a cold calibration would do);
 /// deployment passes the frozen training-time U-stage scale. `tap_scales`,
@@ -164,10 +149,11 @@ struct WinoPhaseNs {
   }
 };
 
-/// Winograd int8 convolution from cached transformed weights. Identical
-/// numerics to winograd_conv_s8 with the same scales, but U is reused, the
-/// input tiles are dequantized on the fly (no full fp32 copy of the
-/// activation), and V / M / Y intermediates live in the ScratchArena.
+/// Winograd int8 convolution from cached transformed weights: transforms in
+/// FP32 with per-stage int8 requantization, the Hadamard stage as t² int8
+/// GEMMs with int32 accumulators. U is reused, the input tiles are
+/// dequantized on the fly (no full fp32 copy of the activation), and V / M /
+/// Y intermediates live in the ScratchArena.
 ///
 /// `reuse_storage` as in im2row_conv_s8_prepared: an optional donated output
 /// buffer that may alias input.data — the input is fully consumed by the
@@ -180,8 +166,8 @@ struct WinoPhaseNs {
 /// whose V/M intermediates live in an L1/L2-sized ScratchArena slab. Any
 /// dynamic scale forces the flat path (deriving a scale needs the full
 /// tensor's abs-max before the next stage may quantize). Both executions are
-/// bit-identical; set_winograd_blocked_enabled(false) (or WA_WINO_BLOCKED=0)
-/// forces flat for differential tests and benchmarks.
+/// bit-identical; set_winograd_blocked_enabled(false) forces flat for
+/// differential tests and benchmarks.
 QTensor winograd_conv_s8_prepared(const QTensor& input, const WinogradWeightsS8& weights,
                                   const ConvGeometry& g, const wino::Transforms& tr,
                                   const WinogradStageScales& scales = {},
@@ -227,16 +213,15 @@ QTensor strided_winograd_conv_s8_prepared(const QTensor& input,
                                           std::vector<std::int8_t>* reuse_storage = nullptr);
 
 /// Whether winograd_conv_s8_prepared may take the fused blocked path.
-/// Defaults to on unless the WA_WINO_BLOCKED=0 environment override is set.
-/// The setter is a testing/bench hook — like simd::set_backend, do not flip
-/// it while forwards are in flight.
+/// Defaults to on. The setter is a testing/bench hook — like
+/// simd::set_backend, do not flip it while forwards are in flight.
 bool winograd_blocked_enabled();
 void set_winograd_blocked_enabled(bool on);
 
 /// Prepare-time policy for stride-2 Winograd stages: whether the polyphase
 /// lowering or the strided-im2row fallback executes the stage.
-/// kAuto consults strided_polyphase_profitable; the force values are the
-/// bench/test hook (WA_STRIDED_POLY=0 forces im2row, =1 forces polyphase).
+/// kAuto (the default) consults strided_polyphase_profitable; the force
+/// values are the bench/test hook.
 enum class StridedPolicy : std::uint8_t { kAuto = 0, kForceIm2row = 1, kForcePolyphase = 2 };
 StridedPolicy strided_polyphase_policy();
 void set_strided_polyphase_policy(StridedPolicy p);

@@ -99,8 +99,8 @@ void ConvStage::prepare() {
     // volume (7.25·C·K vs im2row's 9·C·K per output pixel) for a multi-pass
     // fp32 join, which loses below C=K≈288 (bench/zoo_deploy measured it at
     // 0.60x at C=K=64), and it cannot run grouped at all. The cost model
-    // picks the winner at prepare time; WA_STRIDED_POLY / the policy setter
-    // force either path for differential tests and benches.
+    // picks the winner at prepare time; the policy setter forces either path
+    // for differential tests and benches.
     const auto policy = backend::strided_polyphase_policy();
     const bool use_poly =
         groups == 1 &&

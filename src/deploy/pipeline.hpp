@@ -177,8 +177,6 @@ struct RequantStage {
   void prepare();
 };
 
-// ConcatStage appends at the END: the variant tag order is the .wam wire
-// contract for pre-v5 readers of the earlier kinds.
 using Stage = std::variant<ConvStage, PoolStage, FlattenStage, AvgPoolStage, LinearStage,
                            BnStage, AddStage, ReluStage, RequantStage, ConcatStage>;
 

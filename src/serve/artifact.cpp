@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "tensor/io.hpp"
+#include "winograd/small_mat.hpp"
 
 namespace wa::serve {
 
@@ -37,9 +38,9 @@ enum class Tag : std::uint8_t {
   kLinear = 4,
   kBn = 5,
   kAdd = 6,
-  kRelu = 7,     // v2
-  kRequant = 8,  // v2
-  kConcat = 9,   // v5
+  kRelu = 7,
+  kRequant = 8,
+  kConcat = 9,
 };
 
 std::uint64_t fnv1a64(const char* data, std::size_t n) {
@@ -105,8 +106,8 @@ void save_conv(std::ostream& os, const ConvStage& st) {
   save_pod(os, st.out_channels);
   save_pod(os, st.kernel);
   save_pod(os, st.pad);
-  save_pod(os, st.groups);  // v5
-  save_pod(os, st.stride);  // v5
+  save_pod(os, st.groups);
+  save_pod(os, st.stride);
   save_pod(os, st.input_scale);
   save_pod(os, st.output_scale);
   save_pod(os, static_cast<std::uint8_t>(st.relu_after ? 1 : 0));
@@ -115,9 +116,7 @@ void save_conv(std::ostream& os, const ConvStage& st) {
   save_pod(os, st.stage_scales.hadamard);
   save_pod(os, st.stage_scales.output);
 
-  // v5 widened the v1-v4 "is winograd" bool byte into a cache-kind byte:
-  // 0 = im2row, 1 = winograd, 2 = strided polyphase winograd. Pre-v5
-  // payloads only ever contain 0/1, so old semantics are preserved.
+  // Cache kind: 0 = im2row, 1 = winograd, 2 = strided polyphase winograd.
   const std::uint8_t kind = !st.strided_cache.empty() ? 2 : (!st.wino_cache.empty() ? 1 : 0);
   save_pod(os, kind);
   if (kind == 1) {
@@ -132,24 +131,23 @@ void save_conv(std::ostream& os, const ConvStage& st) {
     save_pod(os, st.wino_cache.out_channels);
     save_pod(os, st.wino_cache.in_channels);
     save_pod(os, st.wino_cache.tile);
-    // v3: the pre-blocked offset-binary U the fused streaming executor
-    // consumes (backend/conv_kernels_s8.hpp). Stored so a load lands on the
-    // blocked hot path without re-packing; pre-v3 readers never see it.
+    // The pre-blocked offset-binary U the fused streaming executor consumes
+    // (backend/conv_kernels_s8.hpp). Stored so a load lands on the blocked
+    // hot path without re-packing.
     save_vector(os, st.wino_cache.u_blocked);
     save_pod(os, st.wino_cache.padded_in_channels);
-    // v4: per-tap scale vectors for the transform-domain stages plus the
-    // per-tap scales the U cache was baked at. Empty = per-tensor (the
-    // scalar stage_scales fields rule), so legacy stages cost four empty
-    // counts and nothing else.
+    // Per-tap scale vectors for the transform-domain stages plus the per-tap
+    // scales the U cache was baked at. Empty = per-tensor (the scalar
+    // stage_scales fields rule).
     save_vector(os, st.stage_scales.weights_transformed_taps);
     save_vector(os, st.stage_scales.input_transformed_taps);
     save_vector(os, st.stage_scales.hadamard_taps);
     save_vector(os, st.wino_cache.tap_scales);
-    // v5: whole-tap-zero skip flags from winograd_prune ([t*t] or empty =
+    // Whole-tap-zero skip flags from winograd_prune ([t*t] or empty =
     // dense). Carried so a pruned model skips its tap GEMMs after load too.
     save_vector(os, st.wino_cache.tap_mask);
   } else if (kind == 2) {
-    // v5: strided polyphase cache — an F(m,2) Winograd sub-problem over the
+    // Strided polyphase cache — an F(m,2) Winograd sub-problem over the
     // even/even weight phase plus one im2row GEMM over the rect phases.
     save_pod(os, static_cast<std::int32_t>(st.transforms.m));
     save_pod(os, static_cast<std::int32_t>(st.transforms.r));
@@ -175,7 +173,40 @@ void save_conv(std::ostream& os, const ConvStage& st) {
   save_optional_tensor(os, st.bias);
 }
 
-ConvStage load_conv(std::istream& is, std::uint32_t version) {
+/// Reads a Winograd stage's transform set. The executors size stack buffers
+/// by wino::kMaxTile, divide the output extent by m and index G, Bᵀ and Aᵀ as
+/// [t, r], [t, t] and [m, t] unchecked, so a checksum-valid artifact whose
+/// set breaks any of those is rejected here, before a forward can run.
+wino::Transforms load_transforms(std::istream& is) {
+  wino::Transforms tr;
+  tr.m = static_cast<int>(load_pod<std::int32_t>(is));
+  tr.r = static_cast<int>(load_pod<std::int32_t>(is));
+  tr.tile = static_cast<int>(load_pod<std::int32_t>(is));
+  tr.g_mat = load_tensor(is);
+  tr.bt_mat = load_tensor(is);
+  tr.at_mat = load_tensor(is);
+  const std::string f = "F(" + std::to_string(tr.m) + ", " + std::to_string(tr.r) + ")";
+  if (tr.m < 1 || tr.r < 1) {
+    throw std::runtime_error("load_pipeline: Winograd transform " + f + " needs m >= 1 and r >= 1");
+  }
+  const std::int64_t t = tr.tile, m = tr.m, r = tr.r;
+  if (t != m + r - 1) {
+    throw std::runtime_error("load_pipeline: Winograd tile " + std::to_string(t) +
+                             " is not m + r - 1 for " + f);
+  }
+  if (t > wino::kMaxTile) {
+    throw std::runtime_error("load_pipeline: Winograd tile " + std::to_string(t) +
+                             " exceeds the supported maximum " + std::to_string(wino::kMaxTile));
+  }
+  if (tr.g_mat.shape() != Shape{t, r} || tr.bt_mat.shape() != Shape{t, t} ||
+      tr.at_mat.shape() != Shape{m, t}) {
+    throw std::runtime_error("load_pipeline: Winograd transform matrices disagree with " + f +
+                             " (G must be [t, r], Bt [t, t], At [m, t])");
+  }
+  return tr;
+}
+
+ConvStage load_conv(std::istream& is) {
   ConvStage st;
   const auto algo = load_pod<std::uint8_t>(is);
   if (algo > static_cast<std::uint8_t>(nn::ConvAlgo::kWinograd6)) {
@@ -186,16 +217,12 @@ ConvStage load_conv(std::istream& is, std::uint32_t version) {
   st.out_channels = load_pod<std::int64_t>(is);
   st.kernel = load_pod<std::int64_t>(is);
   st.pad = load_pod<std::int64_t>(is);
-  if (version >= 5) {
-    st.groups = load_pod<std::int64_t>(is);
-    st.stride = load_pod<std::int64_t>(is);
-    if (st.groups < 1 || st.in_channels % st.groups != 0 ||
-        st.out_channels % st.groups != 0) {
-      throw std::runtime_error("load_pipeline: conv groups must divide both channel counts");
-    }
-    if (st.stride < 1) throw std::runtime_error("load_pipeline: conv stride must be >= 1");
+  st.groups = load_pod<std::int64_t>(is);
+  st.stride = load_pod<std::int64_t>(is);
+  if (st.groups < 1 || st.in_channels % st.groups != 0 || st.out_channels % st.groups != 0) {
+    throw std::runtime_error("load_pipeline: conv groups must divide both channel counts");
   }
-  // Pre-v5 stages are always dense stride-1 ungrouped (the defaults).
+  if (st.stride < 1) throw std::runtime_error("load_pipeline: conv stride must be >= 1");
   st.input_scale = load_pod<float>(is);
   st.output_scale = load_pod<float>(is);
   st.relu_after = load_pod<std::uint8_t>(is) != 0;
@@ -204,12 +231,9 @@ ConvStage load_conv(std::istream& is, std::uint32_t version) {
   st.stage_scales.hadamard = load_pod<float>(is);
   st.stage_scales.output = load_pod<float>(is);
 
-  // v1-v4 wrote a 0/1 "is winograd" bool here; v5 widened the same byte into
-  // a cache-kind: 0 = im2row, 1 = winograd, 2 = strided polyphase winograd.
+  // Cache kind: 0 = im2row, 1 = winograd, 2 = strided polyphase winograd.
   const auto kind = load_pod<std::uint8_t>(is);
-  if (kind > (version >= 5 ? 2 : 1)) {
-    throw std::runtime_error("load_pipeline: unknown conv cache kind");
-  }
+  if (kind > 2) throw std::runtime_error("load_pipeline: unknown conv cache kind");
   if ((kind != 0) != nn::is_winograd(st.algo)) {
     throw std::runtime_error("load_pipeline: conv cache kind disagrees with its algorithm");
   }
@@ -221,12 +245,7 @@ ConvStage load_conv(std::istream& is, std::uint32_t version) {
     throw std::runtime_error("load_pipeline: dense Winograd cache requires stride 1");
   }
   if (kind == 1) {
-    st.transforms.m = static_cast<int>(load_pod<std::int32_t>(is));
-    st.transforms.r = static_cast<int>(load_pod<std::int32_t>(is));
-    st.transforms.tile = static_cast<int>(load_pod<std::int32_t>(is));
-    st.transforms.g_mat = load_tensor(is);
-    st.transforms.bt_mat = load_tensor(is);
-    st.transforms.at_mat = load_tensor(is);
+    st.transforms = load_transforms(is);
     st.wino_cache.u_q = load_vector<std::int8_t>(is);
     st.wino_cache.scale = load_pod<float>(is);
     st.wino_cache.out_channels = load_pod<std::int64_t>(is);
@@ -238,87 +257,62 @@ ConvStage load_conv(std::istream& is, std::uint32_t version) {
     st.wino_cache.groups = st.groups;
     const std::int64_t t = st.wino_cache.tile;
     // Grouped stages cache U as [t*t, K, C/g]: in_channels is per-group.
-    if (st.wino_cache.empty() || t != st.transforms.tile ||
-        st.transforms.tile != st.transforms.m + st.transforms.r - 1 ||
-        st.transforms.r != st.kernel ||
+    if (st.wino_cache.empty() || t != st.transforms.tile || st.transforms.r != st.kernel ||
         st.wino_cache.out_channels != st.out_channels ||
         st.wino_cache.in_channels * st.groups != st.in_channels ||
         static_cast<std::int64_t>(st.wino_cache.u_q.size()) !=
             t * t * st.out_channels * st.wino_cache.in_channels) {
       throw std::runtime_error("load_pipeline: Winograd cache disagrees with its stage geometry");
     }
-    if (version >= 3) {
-      st.wino_cache.u_blocked = load_vector<std::uint8_t>(is);
-      st.wino_cache.padded_in_channels = load_pod<std::int64_t>(is);
-      // Same philosophy as the u_q check above: the fused executor indexes
-      // u_blocked by [t², K, Cpad] unchecked, so the dimensions must agree
-      // before any forward runs. Values are the writer's responsibility
-      // (covered by the payload checksum), exactly like u_q's levels.
-      const std::int64_t cpad =
-          (st.wino_cache.in_channels + backend::kWinoChannelBlock - 1) /
-          backend::kWinoChannelBlock * backend::kWinoChannelBlock;
-      if (st.wino_cache.padded_in_channels != cpad ||
-          static_cast<std::int64_t>(st.wino_cache.u_blocked.size()) !=
-              t * t * st.out_channels * cpad) {
-        throw std::runtime_error(
-            "load_pipeline: blocked Winograd cache disagrees with its stage geometry");
-      }
-    } else {
-      // v1/v2 artifacts predate the blocked layout; rebuild it from the flat
-      // levels so old models still land on the fused hot path after load.
-      backend::build_blocked_u(st.wino_cache);
+    st.wino_cache.u_blocked = load_vector<std::uint8_t>(is);
+    st.wino_cache.padded_in_channels = load_pod<std::int64_t>(is);
+    // Same for the fused executor, which indexes u_blocked by [t², K, Cpad]
+    // unchecked. Values are the writer's responsibility (covered by the
+    // payload checksum), exactly like u_q's levels.
+    const std::int64_t cpad = (st.wino_cache.in_channels + backend::kWinoChannelBlock - 1) /
+                              backend::kWinoChannelBlock * backend::kWinoChannelBlock;
+    if (st.wino_cache.padded_in_channels != cpad ||
+        static_cast<std::int64_t>(st.wino_cache.u_blocked.size()) !=
+            t * t * st.out_channels * cpad) {
+      throw std::runtime_error(
+          "load_pipeline: blocked Winograd cache disagrees with its stage geometry");
     }
-    if (version >= 4) {
-      st.stage_scales.weights_transformed_taps = load_vector<float>(is);
-      st.stage_scales.input_transformed_taps = load_vector<float>(is);
-      st.stage_scales.hadamard_taps = load_vector<float>(is);
-      st.wino_cache.tap_scales = load_vector<float>(is);
-      // Same philosophy as the cache checks above: the executor indexes the
-      // tap vectors by [t²] unchecked and trusts U levels to match the
-      // recorded tap scales, so shape and consistency must hold before any
-      // forward runs.
-      const auto check_taps = [&](const std::vector<float>& v, const char* name) {
-        if (v.empty()) return;
-        if (static_cast<std::int64_t>(v.size()) != t * t) {
+    st.stage_scales.weights_transformed_taps = load_vector<float>(is);
+    st.stage_scales.input_transformed_taps = load_vector<float>(is);
+    st.stage_scales.hadamard_taps = load_vector<float>(is);
+    st.wino_cache.tap_scales = load_vector<float>(is);
+    // The executor indexes the tap vectors by [t²] unchecked and trusts the
+    // U levels to match the recorded tap scales.
+    const auto check_taps = [&](const std::vector<float>& v, const char* name) {
+      if (v.empty()) return;
+      if (static_cast<std::int64_t>(v.size()) != t * t) {
+        throw std::runtime_error("load_pipeline: " + std::string(name) +
+                                 " tap-scale vector disagrees with the stage's t*t");
+      }
+      for (const float s : v) {
+        if (!(s > 0.F)) {
           throw std::runtime_error("load_pipeline: " + std::string(name) +
-                                   " tap-scale vector disagrees with the stage's t*t");
+                                   " tap-scale vector has a non-positive entry");
         }
-        for (const float s : v) {
-          if (!(s > 0.F)) {
-            throw std::runtime_error("load_pipeline: " + std::string(name) +
-                                     " tap-scale vector has a non-positive entry");
-          }
-        }
-      };
-      check_taps(st.stage_scales.weights_transformed_taps, "weights_transformed");
-      check_taps(st.stage_scales.input_transformed_taps, "input_transformed");
-      check_taps(st.stage_scales.hadamard_taps, "hadamard");
-      check_taps(st.wino_cache.tap_scales, "U-cache");
-      if (st.stage_scales.weights_transformed_taps != st.wino_cache.tap_scales) {
-        throw std::runtime_error(
-            "load_pipeline: per-tap U stage scales disagree with the cached U's tap scales");
       }
+    };
+    check_taps(st.stage_scales.weights_transformed_taps, "weights_transformed");
+    check_taps(st.stage_scales.input_transformed_taps, "input_transformed");
+    check_taps(st.stage_scales.hadamard_taps, "hadamard");
+    check_taps(st.wino_cache.tap_scales, "U-cache");
+    if (st.stage_scales.weights_transformed_taps != st.wino_cache.tap_scales) {
+      throw std::runtime_error(
+          "load_pipeline: per-tap U stage scales disagree with the cached U's tap scales");
     }
-    if (version >= 5) {
-      // Whole-tap-zero skip flags ([t*t] or empty = dense). Both executors
-      // branch on these unchecked, so the length must agree before a forward.
-      st.wino_cache.tap_mask = load_vector<std::uint8_t>(is);
-      if (!st.wino_cache.tap_mask.empty() &&
-          static_cast<std::int64_t>(st.wino_cache.tap_mask.size()) != t * t) {
-        throw std::runtime_error(
-            "load_pipeline: sparse tap mask disagrees with the stage's t*t");
-      }
+    // Whole-tap-zero skip flags ([t*t] or empty = dense). Both executors
+    // branch on these unchecked.
+    st.wino_cache.tap_mask = load_vector<std::uint8_t>(is);
+    if (!st.wino_cache.tap_mask.empty() &&
+        static_cast<std::int64_t>(st.wino_cache.tap_mask.size()) != t * t) {
+      throw std::runtime_error("load_pipeline: sparse tap mask disagrees with the stage's t*t");
     }
-    // Pre-v4 stages keep empty tap vectors: per-tensor semantics — the
-    // scalar scales widen to constant per-tap vectors only inside kernels
-    // that want one. Pre-v5 stages keep an empty (dense) tap mask.
   } else if (kind == 2) {
-    st.transforms.m = static_cast<int>(load_pod<std::int32_t>(is));
-    st.transforms.r = static_cast<int>(load_pod<std::int32_t>(is));
-    st.transforms.tile = static_cast<int>(load_pod<std::int32_t>(is));
-    st.transforms.g_mat = load_tensor(is);
-    st.transforms.bt_mat = load_tensor(is);
-    st.transforms.at_mat = load_tensor(is);
+    st.transforms = load_transforms(is);
     auto& sc = st.strided_cache;
     sc.u00.u_q = load_vector<std::int8_t>(is);
     sc.u00.scale = load_pod<float>(is);
@@ -338,7 +332,6 @@ ConvStage load_conv(std::istream& is, std::uint32_t version) {
         (st.in_channels + backend::kWinoChannelBlock - 1) / backend::kWinoChannelBlock *
         backend::kWinoChannelBlock;
     if (sc.empty() || st.transforms.r != 2 || t != st.transforms.tile ||
-        st.transforms.tile != st.transforms.m + 1 ||
         sc.u00.out_channels != st.out_channels || sc.u00.in_channels != st.in_channels ||
         static_cast<std::int64_t>(sc.u00.u_q.size()) !=
             t * t * st.out_channels * st.in_channels ||
@@ -356,8 +349,7 @@ ConvStage load_conv(std::istream& is, std::uint32_t version) {
     st.im2row_cache.patch = load_pod<std::int64_t>(is);
     st.im2row_cache.groups = st.groups;
     // Grouped stages pack wt as groups x [patch, K/g]: out_channels and
-    // patch are per-group values (for pre-v5 payloads groups == 1, so these
-    // checks collapse to the original dense ones).
+    // patch are per-group values.
     if (st.im2row_cache.empty() ||
         st.im2row_cache.out_channels * st.groups != st.out_channels ||
         st.im2row_cache.patch != (st.in_channels / st.groups) * st.kernel * st.kernel ||
@@ -535,10 +527,10 @@ void save_stage(std::ostream& os, const Stage& s) {
       s);
 }
 
-Stage load_stage(std::istream& is, std::uint32_t version) {
+Stage load_stage(std::istream& is) {
   switch (static_cast<Tag>(load_pod<std::uint8_t>(is))) {
     case Tag::kConv:
-      return load_conv(is, version);
+      return load_conv(is);
     case Tag::kPool: {
       PoolStage st;
       st.kernel = load_pod<std::int64_t>(is);
@@ -560,15 +552,12 @@ Stage load_stage(std::istream& is, std::uint32_t version) {
     case Tag::kRequant:
       return load_requant(is);
     case Tag::kConcat:
-      if (version < 5) {
-        throw std::runtime_error("load_pipeline: concat stage tag in a pre-v5 artifact");
-      }
       return load_concat(is);
   }
   throw std::runtime_error("load_pipeline: unknown stage tag");
 }
 
-// ---- v2: fused epilogues and the static memory plan -------------------------
+// ---- fused epilogues and the static memory plan -----------------------------
 
 void save_epilogue(std::ostream& os, const std::vector<EpilogueOp>& eps) {
   save_pod(os, static_cast<std::uint32_t>(eps.size()));
@@ -686,9 +675,9 @@ void save_pipeline(std::ostream& os, const Int8Pipeline& pipe) {
   for (const Int8Pipeline::Node& node : pipe.nodes()) {
     save_io(payload, node.io);
     save_stage(payload, node.op);
-    save_epilogue(payload, node.epilogue);  // v2
+    save_epilogue(payload, node.epilogue);
   }
-  save_plan(payload, pipe.plan());  // v2
+  save_plan(payload, pipe.plan());
   const std::string bytes = payload.str();
   save_pod(os, kWamMagic);
   save_pod(os, kWamVersion);
@@ -709,9 +698,9 @@ Int8Pipeline load_pipeline(std::istream& is) {
     throw std::runtime_error("load_pipeline: not a .wam artifact (bad magic)");
   }
   const auto version = load_pod<std::uint32_t>(is);
-  if (version < 1 || version > kWamVersion) {
+  if (version != kWamVersion) {
     throw std::runtime_error("load_pipeline: unsupported .wam version " +
-                             std::to_string(version) + " (this reader handles 1.." +
+                             std::to_string(version) + " (this reader handles only version " +
                              std::to_string(kWamVersion) + ")");
   }
   const auto payload_bytes = load_pod<std::uint64_t>(is);
@@ -736,12 +725,11 @@ Int8Pipeline load_pipeline(std::istream& is) {
     StageIO io = load_io(payload);
     // push() re-validates the graph wiring and — because every stage arrives
     // with its prepared caches — performs no weight transform or repack.
-    Stage stage = load_stage(payload, version);
-    std::vector<EpilogueOp> epilogue;
-    if (version >= 2) epilogue = load_epilogue(payload);
+    Stage stage = load_stage(payload);
+    std::vector<EpilogueOp> epilogue = load_epilogue(payload);
     pipe.push(std::move(stage), std::move(io), std::move(epilogue));
   }
-  if (version >= 2) load_plan(payload, pipe);
+  load_plan(payload, pipe);
   if (payload.peek() != std::char_traits<char>::eof()) {
     throw std::runtime_error("load_pipeline: trailing bytes after last stage");
   }

@@ -17,31 +17,18 @@
 // truncated, corrupted or foreign files are rejected with a clear
 // std::runtime_error instead of materializing a garbage pipeline.
 //
-// Version 2 extends every stage record with its fused epilogue ops and
-// appends the optimizer's static memory plan, so an optimized pipeline
-// round-trips with its plan intact and serves with the planned peak-memory
-// behavior immediately after load. Version 3 extends Winograd conv stages
-// with the channel-blocked offset-binary U cache (u_blocked +
-// padded_in_channels) that the fused streaming executor consumes, so the
-// first forward after load hits the blocked hot path without re-packing.
-// Version 4 appends the per-tap scale vectors of each Winograd stage (U/V/M
-// tap vectors plus the per-tap U-cache scales) — empty vectors mean
-// per-tensor, so legacy scalar stages cost four empty counts. Version 5
-// (the current writer) covers the whole model zoo: conv stages gain groups
-// and stride fields, the old "is winograd" bool byte widens into a
-// cache-kind byte (0 = im2row, 1 = winograd, 2 = strided polyphase
-// winograd — pre-v5 payloads only ever contain 0/1), Winograd bodies append
-// the whole-tap-zero sparse skip mask from winograd_prune, kind-2 bodies
-// carry the F(m,2) u00 cache plus the rect-phase im2row weights, and a new
-// kConcat stage tag serializes channel-concat joins (SqueezeNet fire
-// modules). Version 1-4 artifacts remain loadable bit-for-bit — the
-// checked-in fixtures tests/data/golden_v1.wam, golden_v3.wam and
-// golden_v4.wam lock that promise, the loader rebuilds the blocked U from
-// the flat levels for v1/v2, pre-v4 stages load with empty tap vectors
-// (their scalar scales widen to constant per-tap vectors only inside
-// kernels that want one), and pre-v5 stages load as dense stride-1
-// ungrouped with an empty tap mask — and a plan or cache section that fails
-// validation rejects the artifact instead of executing with corrupt state.
+// Every stage record carries its fused epilogue ops and the payload ends
+// with the optimizer's static memory plan, so an optimized pipeline serves
+// with its planned peak-memory behavior immediately after load. Winograd
+// conv stages carry both the flat U levels and the channel-blocked
+// offset-binary U the fused streaming executor consumes, plus their per-tap
+// scale vectors (empty = per-tensor) and sparse tap mask; conv stages carry
+// groups and stride, a cache-kind byte (0 = im2row, 1 = winograd, 2 =
+// strided polyphase winograd), and a kConcat tag serializes channel-concat
+// joins. The reader accepts exactly kWamVersion: an artifact of any other
+// version is rejected with a message naming it, and a cache, transform set
+// or plan section that fails validation rejects the artifact instead of
+// executing with corrupt state.
 //
 // The byte-level specification of the format — field-by-field stage bodies,
 // integer encodings, evolution rules for new tags and versions — lives in
@@ -56,9 +43,7 @@
 
 namespace wa::serve {
 
-/// Current writer version. Loaders accept this and all older versions
-/// listed in docs/WAM_FORMAT.md (currently v1 through v4), rejecting
-/// anything newer or unknown.
+/// The one format version the writer emits and the reader accepts.
 constexpr std::uint32_t kWamVersion = 5;
 
 void save_pipeline(std::ostream& os, const deploy::Int8Pipeline& pipe);

@@ -1,6 +1,10 @@
-// Equivalence tests across the deployment convolution kernels.
+// Equivalence tests across the deployment convolution kernels, plus the int8
+// bias path and batch-norm folding.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
+#include "backend/bn_fold.hpp"
 #include "backend/conv_kernels.hpp"
 #include "backend/conv_kernels_s8.hpp"
 #include "backend/qtensor.hpp"
@@ -164,7 +168,7 @@ TEST(Im2RowS8, CloseToFloatReference) {
 
   const QTensor qin = quantize_s8(in);
   const QTensor qw = quantize_s8(w);
-  const QTensor qout = im2row_conv_s8(qin, qw, g);
+  const QTensor qout = im2row_conv_s8_prepared(qin, prepare_im2row_weights_s8(qw), g);
   const Tensor got = dequantize(qout);
   // int8 end-to-end: expect small relative error vs the fp32 result.
   EXPECT_LE(Tensor::max_abs_diff(ref, got) / std::max(ref.abs_max(), 1e-6F), 0.06F);
@@ -177,7 +181,8 @@ TEST(WinogradS8, F2CloseToFloatReference) {
   const Tensor in = Tensor::randn({1, 4, 8, 8}, rng);
   const Tensor w = Tensor::randn({4, 4, 3, 3}, rng, 0.3F);
   const Tensor ref = im2row_conv(in, w, g);
-  const QTensor qout = winograd_conv_s8(quantize_s8(in), w, g, tr);
+  const QTensor qout =
+      winograd_conv_s8_prepared(quantize_s8(in), prepare_winograd_weights_s8(w, tr), g, tr);
   const Tensor got = dequantize(qout);
   EXPECT_LE(Tensor::max_abs_diff(ref, got) / std::max(ref.abs_max(), 1e-6F), 0.12F);
 }
@@ -193,10 +198,116 @@ TEST(WinogradS8, F6WorseThanF2AtInt8) {
 
   auto rel_err = [&](int m) {
     const auto tr = wino::make_transforms(m, 3);
-    const Tensor got = dequantize(winograd_conv_s8(quantize_s8(in), w, g, tr));
+    const Tensor got = dequantize(
+        winograd_conv_s8_prepared(quantize_s8(in), prepare_winograd_weights_s8(w, tr), g, tr));
     return Tensor::max_abs_diff(ref, got) / std::max(ref.abs_max(), 1e-6F);
   };
   EXPECT_GT(rel_err(6), rel_err(2));
+}
+
+// ---- int8 conv bias path -----------------------------------------------------
+
+float rel_err(const Tensor& ref, const Tensor& got) {
+  return Tensor::max_abs_diff(ref, got) / std::max(ref.abs_max(), 1e-6F);
+}
+
+TEST(S8ConvBias, Im2rowBiasMatchesFp32) {
+  Rng rng(7);
+  const auto g = geo(1, 4, 8, 8, 6);
+  const Tensor x = Tensor::randn({1, 4, 8, 8}, rng);
+  const Tensor w = Tensor::randn({6, 4, 3, 3}, rng, 0.3F);
+  const Tensor b = Tensor::randn({6}, rng);
+  Tensor ref = im2row_conv(x, w, g);
+  for (std::int64_t k = 0; k < 6; ++k)
+    for (std::int64_t i = 0; i < ref.size(2); ++i)
+      for (std::int64_t j = 0; j < ref.size(3); ++j) ref(0, k, i, j) += b.at(k);
+  const QTensor out = im2row_conv_s8_prepared(
+      quantize_s8(x), prepare_im2row_weights_s8(quantize_s8(w)), g, -1.F, &b);
+  EXPECT_LT(rel_err(ref, dequantize(out)), 0.05F);
+}
+
+TEST(S8ConvBias, WinogradBiasMatchesFp32) {
+  Rng rng(8);
+  const auto g = geo(1, 4, 8, 8, 4);
+  const Tensor x = Tensor::randn({1, 4, 8, 8}, rng);
+  const Tensor w = Tensor::randn({4, 4, 3, 3}, rng, 0.3F);
+  const Tensor b = Tensor::randn({4}, rng);
+  Tensor ref = im2row_conv(x, w, g);
+  for (std::int64_t k = 0; k < 4; ++k)
+    for (std::int64_t i = 0; i < ref.size(2); ++i)
+      for (std::int64_t j = 0; j < ref.size(3); ++j) ref(0, k, i, j) += b.at(k);
+  const auto tr = wino::make_transforms(2, 3);
+  const QTensor out =
+      winograd_conv_s8_prepared(quantize_s8(x), prepare_winograd_weights_s8(w, tr), g, tr, {}, &b);
+  EXPECT_LT(rel_err(ref, dequantize(out)), 0.06F);
+}
+
+TEST(S8ConvBias, MismatchedBiasThrows) {
+  Rng rng(9);
+  const auto g = geo(1, 2, 6, 6, 4);
+  const Tensor x = Tensor::randn({1, 2, 6, 6}, rng);
+  const Tensor w = Tensor::randn({4, 2, 3, 3}, rng);
+  const Tensor bad = Tensor::randn({3}, rng);
+  EXPECT_THROW(im2row_conv_s8_prepared(quantize_s8(x), prepare_im2row_weights_s8(quantize_s8(w)),
+                                       g, -1.F, &bad),
+               std::invalid_argument);
+}
+
+// ---- batch-norm folding ---------------------------------------------------------
+
+TEST(BnFold, FoldedConvMatchesConvPlusBn) {
+  Rng rng(10);
+  const auto g = geo(2, 3, 8, 8, 5);
+  const Tensor x = Tensor::randn({2, 3, 8, 8}, rng);
+  const Tensor w = Tensor::randn({5, 3, 3, 3}, rng, 0.4F);
+  const Tensor gamma = Tensor::rand({5}, rng, 0.5F, 1.5F);
+  const Tensor beta = Tensor::randn({5}, rng);
+  const Tensor mean = Tensor::randn({5}, rng, 0.2F);
+  Tensor var = Tensor::rand({5}, rng, 0.25F, 2.F);
+
+  // Reference: conv, then affine batch-norm with the running stats.
+  Tensor ref = im2row_conv(x, w, g);
+  for (std::int64_t k = 0; k < 5; ++k) {
+    const float inv_std = 1.F / std::sqrt(var.at(k) + 1e-5F);
+    for (std::int64_t n = 0; n < 2; ++n)
+      for (std::int64_t i = 0; i < ref.size(2); ++i)
+        for (std::int64_t j = 0; j < ref.size(3); ++j) {
+          ref(n, k, i, j) = gamma.at(k) * (ref(n, k, i, j) - mean.at(k)) * inv_std + beta.at(k);
+        }
+  }
+
+  const FoldedConv folded = fold_batchnorm(w, Tensor(), gamma, beta, mean, var);
+  Tensor got = im2row_conv(x, folded.weights, g);
+  for (std::int64_t k = 0; k < 5; ++k)
+    for (std::int64_t n = 0; n < 2; ++n)
+      for (std::int64_t i = 0; i < got.size(2); ++i)
+        for (std::int64_t j = 0; j < got.size(3); ++j) got(n, k, i, j) += folded.bias.at(k);
+
+  EXPECT_LE(Tensor::max_abs_diff(ref, got), 1e-4F);
+}
+
+TEST(BnFold, ExistingBiasFoldsThrough) {
+  Rng rng(11);
+  const Tensor w = Tensor::randn({2, 1, 3, 3}, rng);
+  const Tensor b = Tensor({2}, {1.F, -2.F});
+  const Tensor gamma = Tensor({2}, {2.F, 0.5F});
+  const Tensor beta = Tensor({2}, {0.F, 1.F});
+  const Tensor mean = Tensor({2}, {0.5F, -0.5F});
+  const Tensor var = Tensor({2}, {1.F, 4.F});
+  const FoldedConv f = fold_batchnorm(w, b, gamma, beta, mean, var, 0.F);
+  // channel 0: s = 2/1 = 2 -> bias = 0 + 2*(1 - 0.5) = 1
+  EXPECT_NEAR(f.bias.at(0), 1.F, 1e-6F);
+  // channel 1: s = 0.5/2 = 0.25 -> bias = 1 + 0.25*(-2 + 0.5) = 0.625
+  EXPECT_NEAR(f.bias.at(1), 0.625F, 1e-6F);
+}
+
+TEST(BnFold, ShapeMismatchThrows) {
+  Rng rng(12);
+  const Tensor w = Tensor::randn({2, 1, 3, 3}, rng);
+  const Tensor ok = Tensor::ones({2});
+  const Tensor bad = Tensor::ones({3});
+  EXPECT_THROW(fold_batchnorm(w, Tensor(), bad, ok, ok, ok), std::invalid_argument);
+  EXPECT_THROW(fold_batchnorm(w, bad, ok, ok, ok, ok), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
-// Tests for the cached-weight, arena-backed inference engine: prepared
-// kernels must match the per-call paths bit-for-bit, U = G g Gᵀ must be
-// computed once per layer (never per forward), and the scratch arena must
-// reuse its capacity across calls.
+// Tests for the cached-weight, arena-backed inference engine: the prepared
+// fp32 Winograd kernel must match its per-call path bit-for-bit, U = G g Gᵀ
+// must be computed once per layer (never per forward), and the scratch arena
+// must reuse its capacity across calls.
 #include <gtest/gtest.h>
 
 #include "backend/conv_kernels.hpp"
@@ -79,41 +79,7 @@ TEST(ScratchArena, NestedScopesRewindToTheirOwnMark) {
   EXPECT_EQ(arena.alloc<float>(64), inner_ptr) << "inner frame should have been rewound";
 }
 
-// ---- prepared kernels == per-call kernels ----------------------------------
-
-TEST(Engine, PreparedWinogradS8MatchesPerCall) {
-  Rng rng(21);
-  const auto g = geo(2, 5, 9, 7);
-  const auto tr = wino::make_transforms(2, 3);
-  const Tensor w = Tensor::randn({g.out_channels, g.in_channels, 3, 3}, rng, 0.4F);
-  const Tensor x = Tensor::randn({g.batch, g.in_channels, g.height, g.width}, rng);
-  const Tensor b = Tensor::randn({g.out_channels}, rng);
-  const QTensor qx = backend::quantize_s8(x);
-
-  const QTensor seed = backend::winograd_conv_s8(qx, w, g, tr, {}, &b);
-  const auto prepared = backend::prepare_winograd_weights_s8(w, tr);
-  backend::WinogradStageScales scales;
-  scales.weights_transformed = prepared.scale;
-  const QTensor cached = backend::winograd_conv_s8_prepared(qx, prepared, g, tr, scales, &b);
-
-  EXPECT_FLOAT_EQ(cached.scale, seed.scale);
-  ASSERT_EQ(cached.shape, seed.shape);
-  EXPECT_EQ(cached.data, seed.data) << "cached-U path must be bit-identical";
-}
-
-TEST(Engine, PreparedIm2rowS8MatchesPerCall) {
-  Rng rng(22);
-  const auto g = geo(1, 4, 8, 6);
-  const Tensor w = Tensor::randn({g.out_channels, g.in_channels, 3, 3}, rng, 0.4F);
-  const Tensor x = Tensor::randn({g.batch, g.in_channels, g.height, g.width}, rng);
-  const QTensor qx = backend::quantize_s8(x);
-  const QTensor qw = backend::quantize_s8(w);
-
-  const QTensor seed = backend::im2row_conv_s8(qx, qw, g);
-  const QTensor cached = backend::im2row_conv_s8_prepared(qx, backend::prepare_im2row_weights_s8(qw), g);
-  EXPECT_FLOAT_EQ(cached.scale, seed.scale);
-  EXPECT_EQ(cached.data, seed.data);
-}
+// ---- prepared fp32 kernel == per-call fp32 kernel ---------------------------
 
 TEST(Engine, PreparedFp32WinogradMatchesPerCall) {
   Rng rng(23);
@@ -153,9 +119,6 @@ TEST(Engine, PreparedPathNeverRetransformsWeights) {
   const std::uint64_t before = transforms_run();
   for (int i = 0; i < 5; ++i) backend::winograd_conv_s8_prepared(qx, prepared, g, tr);
   EXPECT_EQ(transforms_run(), before) << "prepared forwards must not rebuild U";
-
-  backend::winograd_conv_s8(qx, w, g, tr);  // the seed per-call path does
-  EXPECT_EQ(transforms_run(), before + 1);
 }
 
 TEST(Engine, PipelinePreparesWeightsAtLoadOnly) {

@@ -157,8 +157,9 @@ TEST(Integration, TrainedScalesTransferToInt8DeploymentKernels) {
   // Input through the layer's own input observer, as at deployment.
   const float in_scale = layer.input_observer().scale(opts.qspec);
   const auto q_in = backend::quantize_s8(probe, in_scale);
-  const auto q_out =
-      backend::winograd_conv_s8(q_in, layer.weight().value(), g, tr, scales);
+  const auto prepared = backend::prepare_winograd_weights_s8(
+      layer.weight().value(), tr, scales.weights_transformed);
+  const auto q_out = backend::winograd_conv_s8_prepared(q_in, prepared, g, tr, scales);
   const Tensor deploy_path = backend::dequantize(q_out);
 
   const float rel = Tensor::max_abs_diff(train_path, deploy_path) /

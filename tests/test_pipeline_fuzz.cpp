@@ -2,7 +2,7 @@
 // seeded, randomly generated — but valid — StageIO graphs (im2row/F2/F4/F6
 // convs — the Winograd ones mixing per-tensor and per-tap stage scales with
 // random tap group sizes, random grouped cardinalities dividing both channel
-// counts, whole-tap-zero sparse skip masks, and stride-2 polyphase lowering —
+// counts, whole-tap-zero sparse skip masks, and stride-2 Winograd stages —
 // linears, batch-norms, requants, relus, max/avg pools, branchy residual and
 // channel-concat wirings, odd shapes, mixed frozen/dynamic scales) must
 // produce
@@ -276,7 +276,8 @@ Int8Pipeline fuzz_graph(std::uint32_t seed, Shape* input_shape) {
     const std::int64_t choice = g.pick(0, 5);
     if (choice == 0 && spatial && residual_countdown < 0) {
       // conv (shape-changing: not inside an open residual block); a 3x3
-      // sometimes runs at stride 2 through the polyphase Winograd lowering.
+      // sometimes runs as a stride-2 Winograd stage. At these channel counts
+      // (<= 6) the prepare-time cost model lowers it to strided im2row.
       const std::int64_t kernel = g.chance(0.7) ? 3 : 1;
       const std::int64_t pad = g.pick(0, 1);
       const std::int64_t stride =
@@ -532,24 +533,27 @@ TEST(PipelineFuzz, MeasuredPeakNeverExceedsThePlanAtTheReferenceShape) {
 
 TEST(PipelineFuzz, GeneratorCoversTheZooStageShapes) {
   // The differential lockdowns above only mean something if the generator
-  // actually emits the zoo shapes: grouped convs, stride-2 polyphase convs,
+  // actually emits the zoo shapes: grouped convs, stride-2 Winograd stages,
   // whole-tap sparse skip masks and concat joins must all appear across the
   // seed range, or a generator regression would silently shrink coverage.
-  int grouped = 0, strided = 0, masked = 0, concats = 0;
+  // The stride-2 stages are counted by the lowering they get, strided
+  // im2row; the polyphase kernel has its own cross-backend check in
+  // test_simd_backends.
+  int grouped = 0, strided_im2row = 0, masked = 0, concats = 0;
   for (int graph = 0; graph < kFuzzGraphs; ++graph) {
     Shape in_shape;
     const Int8Pipeline pipe = fuzz_graph(static_cast<std::uint32_t>(graph), &in_shape);
     for (const auto& node : pipe.nodes()) {
       if (const auto* st = std::get_if<ConvStage>(&node.op)) {
         grouped += st->groups > 1;
-        strided += st->stride == 2;
+        strided_im2row += st->stride == 2 && !st->im2row_cache.empty();
         masked += !st->wino_cache.tap_mask.empty();
       }
       concats += std::holds_alternative<ConcatStage>(node.op);
     }
   }
   EXPECT_GE(grouped, 10) << "grouped convs vanished from the generator";
-  EXPECT_GE(strided, 10) << "stride-2 polyphase convs vanished from the generator";
+  EXPECT_GE(strided_im2row, 10) << "stride-2 strided-im2row convs vanished from the generator";
   EXPECT_GE(masked, 10) << "whole-tap sparse masks vanished from the generator";
   EXPECT_GE(concats, 10) << "concat joins vanished from the generator";
 }

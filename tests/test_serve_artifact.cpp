@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <sstream>
 
 #include "backend/perf_counters.hpp"
@@ -156,14 +157,22 @@ TEST(WamArtifact, RejectsForeignAndGarbageFiles) {
 }
 
 TEST(WamArtifact, RejectsWrongVersion) {
+  // The reader handles exactly kWamVersion: older headers (1-4 were written
+  // by earlier serializers) and newer ones are refused, naming the version.
   Rng rng(34);
-  std::string bytes = saved_bytes(compiled_lenet(nn::ConvAlgo::kIm2row, rng));
-  bytes[4] = static_cast<char>(kWamVersion + 1);  // version field follows the magic
-  try {
-    loaded_from(bytes);
-    FAIL() << "expected runtime_error";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("version"), std::string::npos) << e.what();
+  const std::string bytes = saved_bytes(compiled_lenet(nn::ConvAlgo::kIm2row, rng));
+  for (const std::uint32_t version : {0U, 1U, 2U, 3U, 4U, kWamVersion + 1}) {
+    SCOPED_TRACE("version=" + std::to_string(version));
+    std::string other = bytes;
+    std::memcpy(other.data() + 4, &version, sizeof(version));  // follows the magic
+    try {
+      loaded_from(other);
+      FAIL() << "expected runtime_error";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported .wam version " + std::to_string(version)),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 
@@ -211,49 +220,95 @@ TEST(WamArtifact, RejectsPayloadLargerThanTheStageList) {
   EXPECT_THROW(loaded_from(padded), std::runtime_error);
 }
 
-// ---- v1 back-compat: the checked-in golden fixture --------------------------
+// ---- golden fixtures ----------------------------------------------------------
 
-// tests/data/golden_v1.wam was written by the version-1 serializer (before
-// epilogues and the memory plan existed) over a hand-wired graph covering
-// both conv kinds, integer batch-norm, a residual join, pooling and a linear
-// head; golden_v1_input.bin / golden_v1_logits.bin pin its exact behavior.
-// The v2 reader must keep loading it bit-for-bit forever.
+// Checked-in artifacts, each with a pinned input and the logits it must
+// produce (tests/data/<stem>.wam, <stem>_input.bin, <stem>_logits.bin):
+//  - golden_handwired: a hand-wired graph covering both conv kinds, integer
+//    batch-norm, a residual join, pooling and a linear head, saved
+//    unoptimized (no epilogues, no memory plan);
+//  - golden_resnet18_f2: an optimized F(2,3) Winograd ResNet-18 with
+//    per-tensor stage scales, saved with its memory plan;
+//  - golden_resnet18_f4_pertap: an optimized ResNet-18 whose Winograd
+//    stages (F4, and F2 in the last stage) carry per-tap scale vectors,
+//    saved with its memory plan.
+// A reader, writer or kernel change that moves any of these logits has
+// changed what a deployed artifact means.
+struct GoldenFixture {
+  const char* stem;
+  std::size_t stages;
+  bool planned;  // saved optimized, with its memory plan
+  bool per_tap;  // Winograd stages carry t²-entry tap-scale vectors
+};
 
-std::string fixture_path(const char* name) {
+constexpr GoldenFixture kGoldenFixtures[] = {
+    {"golden_handwired", 8, false, false},
+    {"golden_resnet18_f2", 37, true, false},
+    {"golden_resnet18_f4_pertap", 37, true, true},
+};
+
+std::string fixture_path(const std::string& name) {
   return std::string(WA_SOURCE_DIR) + "/tests/data/" + name;
 }
 
-Tensor load_fixture_tensor(const char* name) {
+Tensor load_fixture_tensor(const std::string& name) {
   std::ifstream is(fixture_path(name), std::ios::binary);
   EXPECT_TRUE(is.good()) << "missing fixture " << name;
   return load_tensor(is);
 }
 
-TEST(WamArtifact, GoldenV1FixtureLoadsBitExactlyUnderTheV2Reader) {
-  const PerfSnapshot before = snapshot_counters();
-  const Int8Pipeline pipe = load_pipeline(fixture_path("golden_v1.wam"));
-  EXPECT_EQ(snapshot_counters(), before) << "v1 load must not rebuild any weight cache";
-  EXPECT_EQ(pipe.size(), 8u);
-  EXPECT_EQ(pipe.plan(), nullptr) << "a v1 artifact carries no memory plan";
+TEST(WamArtifact, GoldenFixturesLoadBitExactly) {
+  for (const GoldenFixture& f : kGoldenFixtures) {
+    SCOPED_TRACE(f.stem);
+    const std::string stem = f.stem;
+    const PerfSnapshot before = snapshot_counters();
+    const Int8Pipeline pipe = load_pipeline(fixture_path(stem + ".wam"));
+    EXPECT_EQ(snapshot_counters(), before) << "load must not rebuild any weight cache";
+    EXPECT_EQ(pipe.size(), f.stages);
+    EXPECT_EQ(pipe.plan() != nullptr, f.planned);
 
-  const Tensor input = load_fixture_tensor("golden_v1_input.bin");
-  const Tensor want = load_fixture_tensor("golden_v1_logits.bin");
-  const Tensor got = pipe.run(input);
-  ASSERT_EQ(got.shape(), want.shape());
-  EXPECT_EQ(Tensor::max_abs_diff(got, want), 0.F)
-      << "the v2 reader changed the meaning of a v1 artifact";
+    std::size_t wino_stages = 0;
+    for (const auto& node : pipe.nodes()) {
+      const auto* st = std::get_if<ConvStage>(&node.op);
+      if (st == nullptr || st->wino_cache.empty()) continue;
+      const std::size_t taps =
+          f.per_tap ? static_cast<std::size_t>(st->transforms.tile * st->transforms.tile) : 0;
+      EXPECT_FALSE(st->wino_cache.u_blocked.empty());
+      EXPECT_EQ(st->stage_scales.weights_transformed_taps.size(), taps);
+      EXPECT_EQ(st->stage_scales.input_transformed_taps.size(), taps);
+      EXPECT_EQ(st->stage_scales.hadamard_taps.size(), taps);
+      EXPECT_EQ(st->wino_cache.tap_scales.size(), taps);
+      ++wino_stages;
+    }
+    EXPECT_GT(wino_stages, 0u) << "every golden fixture must contain Winograd stages";
+
+    const Tensor input = load_fixture_tensor(stem + "_input.bin");
+    const Tensor want = load_fixture_tensor(stem + "_logits.bin");
+    const Tensor got = pipe.run(input);
+    ASSERT_EQ(got.shape(), want.shape());
+    EXPECT_EQ(Tensor::max_abs_diff(got, want), 0.F) << "the artifact's logits moved";
+  }
 }
 
-TEST(WamArtifact, GoldenV1FixtureSurvivesV2RewriteAndOptimization) {
-  Int8Pipeline pipe = load_pipeline(fixture_path("golden_v1.wam"));
-  const Tensor input = load_fixture_tensor("golden_v1_input.bin");
-  const Tensor want = load_fixture_tensor("golden_v1_logits.bin");
+TEST(WamArtifact, GoldenFixturesSurviveRewrite) {
+  // Loading and re-saving an artifact reproduces its bytes exactly: nothing
+  // is dropped, re-derived or re-ordered on the way through memory.
+  for (const GoldenFixture& f : kGoldenFixtures) {
+    SCOPED_TRACE(f.stem);
+    const std::string path = fixture_path(std::string(f.stem) + ".wam");
+    std::ifstream is(path, std::ios::binary);
+    const std::string file_bytes((std::istreambuf_iterator<char>(is)),
+                                 std::istreambuf_iterator<char>());
+    EXPECT_EQ(saved_bytes(load_pipeline(path)), file_bytes);
+  }
+}
 
-  // Rewritten as v2 (no plan) it still means the same thing.
-  const Int8Pipeline rewritten = loaded_from(saved_bytes(pipe));
-  EXPECT_EQ(Tensor::max_abs_diff(rewritten.run(input), want), 0.F);
+TEST(WamArtifact, GoldenHandwiredFixtureSurvivesOptimization) {
+  Int8Pipeline pipe = load_pipeline(fixture_path("golden_handwired.wam"));
+  const Tensor input = load_fixture_tensor("golden_handwired_input.bin");
+  const Tensor want = load_fixture_tensor("golden_handwired_logits.bin");
 
-  // Optimized (fusion + plan) it STILL means the same thing, and the plan
+  // Optimized (fusion + plan) it still means the same thing, and the plan
   // round-trips with it.
   deploy::passes::OptimizeOptions opts;
   opts.reference_input = input.shape();
@@ -266,7 +321,7 @@ TEST(WamArtifact, GoldenV1FixtureSurvivesV2RewriteAndOptimization) {
   EXPECT_EQ(Tensor::max_abs_diff(opt_loaded.run(input), want), 0.F);
 }
 
-// ---- v2: plan round trip and corrupted-plan rejection -----------------------
+// ---- plan round trip and corrupted-plan rejection ---------------------------
 
 std::uint64_t test_fnv1a64(const char* data, std::size_t n) {
   std::uint64_t h = 14695981039346656037ULL;
@@ -286,7 +341,7 @@ void reseal(std::string& bytes) {
   for (int i = 0; i < 8; ++i) bytes[16 + i] = static_cast<char>((sum >> (8 * i)) & 0xFF);
 }
 
-TEST(WamArtifact, V2RoundTripPreservesEpiloguesAndPlan) {
+TEST(WamArtifact, RoundTripPreservesEpiloguesAndPlan) {
   Rng rng(39);
   Int8Pipeline pipe = compiled_resnet18(nn::ConvAlgo::kWinograd2, rng);
   deploy::passes::OptimizeOptions opts;
@@ -315,11 +370,11 @@ TEST(WamArtifact, V2RoundTripPreservesEpiloguesAndPlan) {
       << "the loaded plan must reproduce the planned memory behavior";
 }
 
-// ---- v3: the pre-blocked Winograd U cache -----------------------------------
+// ---- the pre-blocked Winograd U cache --------------------------------------
 
-TEST(WamArtifact, V3RoundTripCarriesTheBlockedUCacheVerbatim) {
+TEST(WamArtifact, RoundTripCarriesTheBlockedUCacheVerbatim) {
   // The saver writes u_blocked + padded_in_channels after the flat levels;
-  // the v3 reader must deserialize them (counters stay flat — the round-trip
+  // the reader must deserialize them (counters stay flat — the round-trip
   // tests above pin that), byte-identical to the compiled originals, so the
   // loaded pipeline starts on the fused streaming path with zero repacking.
   Rng rng(41);
@@ -341,28 +396,9 @@ TEST(WamArtifact, V3RoundTripCarriesTheBlockedUCacheVerbatim) {
   EXPECT_GT(wino_stages, 0u) << "the fixture model must exercise Winograd stages";
 }
 
-TEST(WamArtifact, GoldenV1FixtureRebuildsTheBlockedUCacheOnLoad) {
-  // Pre-v3 artifacts carry only the flat levels; the loader rebuilds the
-  // blocked layout so old models still run the fused path (and, per the
-  // golden logits test above, produce the same bytes while doing so).
-  const Int8Pipeline pipe = load_pipeline(fixture_path("golden_v1.wam"));
-  std::size_t wino_stages = 0;
-  for (const auto& node : pipe.nodes()) {
-    const auto* st = std::get_if<ConvStage>(&node.op);
-    if (st == nullptr || st->wino_cache.empty()) continue;
-    EXPECT_FALSE(st->wino_cache.u_blocked.empty())
-        << "v1 load must rebuild the blocked U from the flat levels";
-    EXPECT_EQ(st->wino_cache.padded_in_channels,
-              (st->in_channels + backend::kWinoChannelBlock - 1) / backend::kWinoChannelBlock *
-                  backend::kWinoChannelBlock);
-    ++wino_stages;
-  }
-  EXPECT_GT(wino_stages, 0u) << "the golden fixture must contain a Winograd stage";
-}
+// ---- per-tap scale vectors --------------------------------------------------
 
-// ---- v4: per-tap scale vectors ----------------------------------------------
-
-TEST(WamArtifact, V4RoundTripCarriesPerTapScaleVectorsVerbatim) {
+TEST(WamArtifact, RoundTripCarriesPerTapScaleVectorsVerbatim) {
   // A fully tap-wise F4 pipeline (one scale per transform-domain tap): the
   // saver writes the U/V/M tap vectors and the per-tap U-cache scales; the
   // loader must bring every entry back bit-exactly, and the loaded pipeline
@@ -372,7 +408,7 @@ TEST(WamArtifact, V4RoundTripCarriesPerTapScaleVectorsVerbatim) {
 
   const PerfSnapshot before = snapshot_counters();
   const Int8Pipeline loaded = loaded_from(saved_bytes(pipe));
-  EXPECT_EQ(snapshot_counters(), before) << "v4 load must not rebuild any weight cache";
+  EXPECT_EQ(snapshot_counters(), before) << "load must not rebuild any weight cache";
   ASSERT_EQ(loaded.size(), pipe.size());
 
   std::size_t per_tap_stages = 0;
@@ -399,7 +435,7 @@ TEST(WamArtifact, V4RoundTripCarriesPerTapScaleVectorsVerbatim) {
   EXPECT_EQ(snapshot_counters(), before);
 }
 
-TEST(WamArtifact, RejectsV4ArtifactWithInconsistentTapVectors) {
+TEST(WamArtifact, RejectsInconsistentTapVectors) {
   // A checksum-valid artifact whose U tap vector disagrees with the cached
   // U's tap scales (or carries a wrong-sized / non-positive vector) must be
   // rejected at load — the executor trusts these unchecked.
@@ -437,54 +473,7 @@ TEST(WamArtifact, RejectsV4ArtifactWithInconsistentTapVectors) {
   }
 }
 
-// ---- v3 back-compat: the checked-in golden fixture --------------------------
-
-// tests/data/golden_v3.wam was written by the version-3 serializer (blocked U
-// cache, no tap vectors) over an optimized Winograd ResNet-18 pipeline;
-// golden_v3_input.bin / golden_v3_logits.bin pin its exact behavior. The v4
-// reader must keep loading it bit-for-bit forever, with empty (per-tensor)
-// tap vectors.
-
-TEST(WamArtifact, GoldenV3FixtureLoadsBitExactlyUnderTheV4Reader) {
-  const PerfSnapshot before = snapshot_counters();
-  const Int8Pipeline pipe = load_pipeline(fixture_path("golden_v3.wam"));
-  EXPECT_EQ(snapshot_counters(), before) << "v3 load must not rebuild any weight cache";
-  ASSERT_NE(pipe.plan(), nullptr) << "the v3 fixture was saved optimized, with its plan";
-
-  std::size_t wino_stages = 0;
-  for (const auto& node : pipe.nodes()) {
-    const auto* st = std::get_if<ConvStage>(&node.op);
-    if (st == nullptr || st->wino_cache.empty()) continue;
-    EXPECT_TRUE(st->stage_scales.weights_transformed_taps.empty())
-        << "a v3 stage must load with per-tensor (empty) tap vectors";
-    EXPECT_TRUE(st->stage_scales.input_transformed_taps.empty());
-    EXPECT_TRUE(st->stage_scales.hadamard_taps.empty());
-    EXPECT_TRUE(st->wino_cache.tap_scales.empty());
-    ++wino_stages;
-  }
-  EXPECT_GT(wino_stages, 0u) << "the golden fixture must contain Winograd stages";
-
-  const Tensor input = load_fixture_tensor("golden_v3_input.bin");
-  const Tensor want = load_fixture_tensor("golden_v3_logits.bin");
-  const Tensor got = pipe.run(input);
-  ASSERT_EQ(got.shape(), want.shape());
-  EXPECT_EQ(Tensor::max_abs_diff(got, want), 0.F)
-      << "the v4 reader changed the meaning of a v3 artifact";
-}
-
-TEST(WamArtifact, GoldenV3FixtureSurvivesV4Rewrite) {
-  const Int8Pipeline pipe = load_pipeline(fixture_path("golden_v3.wam"));
-  const Tensor input = load_fixture_tensor("golden_v3_input.bin");
-  const Tensor want = load_fixture_tensor("golden_v3_logits.bin");
-  // Rewritten by the v4 writer (empty tap vectors appended) it still means
-  // the same thing, plan included.
-  const Int8Pipeline rewritten = loaded_from(saved_bytes(pipe));
-  ASSERT_NE(rewritten.plan(), nullptr);
-  EXPECT_EQ(rewritten.plan()->peak_bytes, pipe.plan()->peak_bytes);
-  EXPECT_EQ(Tensor::max_abs_diff(rewritten.run(input), want), 0.F);
-}
-
-TEST(WamArtifact, RejectsV2ArtifactWithCorruptedPlanSection) {
+TEST(WamArtifact, RejectsCorruptedPlanSection) {
   Rng rng(40);
   Int8Pipeline pipe = compiled_lenet(nn::ConvAlgo::kIm2row, rng);
   deploy::passes::OptimizeOptions opts;
@@ -567,65 +556,22 @@ TEST(WamArtifact, HandWiredResidualGraphRoundTrips) {
   add.output_scale = 0.08F;
   add.relu_after = true;
   pipe.push(std::move(add), io("", "skip", "", "join"));
+  // The standalone relu and requant tags ride along on the chained output.
+  pipe.push(deploy::ReluStage{}, io("", "", "", "relu"));
+  deploy::RequantStage requant;
+  requant.input_scale = 0.08F;
+  requant.output_scale = 0.05F;
+  pipe.push(std::move(requant), io("", "", "", "requant"));
 
   const Int8Pipeline loaded = loaded_from(saved_bytes(pipe));
+  ASSERT_EQ(loaded.size(), pipe.size());
+  EXPECT_TRUE(std::holds_alternative<deploy::ReluStage>(loaded.nodes()[4].op));
+  EXPECT_TRUE(std::holds_alternative<deploy::RequantStage>(loaded.nodes()[5].op));
   const Tensor x = Tensor::randn({2, 3, 8, 8}, rng);
   EXPECT_EQ(Tensor::max_abs_diff(loaded.run(x), pipe.run(x)), 0.F);
 }
 
-// ---- v4 back-compat: the checked-in golden fixture --------------------------
-
-// tests/data/golden_v4.wam was written by the version-4 serializer (per-tap
-// scale vectors, no groups/stride fields, no tap mask) over an optimized
-// fully tap-wise Winograd ResNet-18 pipeline; golden_v4_input.bin /
-// golden_v4_logits.bin pin its exact behavior. The v5 reader must keep
-// loading it bit-for-bit forever, with the pre-v5 defaults: dense stride-1
-// ungrouped stages and an empty sparse tap mask.
-
-TEST(WamArtifact, GoldenV4FixtureLoadsBitExactlyUnderTheV5Reader) {
-  const PerfSnapshot before = snapshot_counters();
-  const Int8Pipeline pipe = load_pipeline(fixture_path("golden_v4.wam"));
-  EXPECT_EQ(snapshot_counters(), before) << "v4 load must not rebuild any weight cache";
-  ASSERT_NE(pipe.plan(), nullptr) << "the v4 fixture was saved optimized, with its plan";
-
-  std::size_t wino_stages = 0;
-  for (const auto& node : pipe.nodes()) {
-    const auto* st = std::get_if<ConvStage>(&node.op);
-    if (st == nullptr) continue;
-    EXPECT_EQ(st->groups, 1) << "a pre-v5 stage must load ungrouped";
-    EXPECT_EQ(st->stride, 1) << "a pre-v5 stage must load stride-1";
-    EXPECT_TRUE(st->strided_cache.empty());
-    if (st->wino_cache.empty()) continue;
-    EXPECT_FALSE(st->stage_scales.weights_transformed_taps.empty())
-        << "the v4 fixture was compiled fully tap-wise";
-    EXPECT_FALSE(st->wino_cache.tap_scales.empty());
-    EXPECT_TRUE(st->wino_cache.tap_mask.empty())
-        << "a pre-v5 stage must load with an empty (dense) tap mask";
-    ++wino_stages;
-  }
-  EXPECT_GT(wino_stages, 0u) << "the golden fixture must contain Winograd stages";
-
-  const Tensor input = load_fixture_tensor("golden_v4_input.bin");
-  const Tensor want = load_fixture_tensor("golden_v4_logits.bin");
-  const Tensor got = pipe.run(input);
-  ASSERT_EQ(got.shape(), want.shape());
-  EXPECT_EQ(Tensor::max_abs_diff(got, want), 0.F)
-      << "the v5 reader changed the meaning of a v4 artifact";
-}
-
-TEST(WamArtifact, GoldenV4FixtureSurvivesV5Rewrite) {
-  const Int8Pipeline pipe = load_pipeline(fixture_path("golden_v4.wam"));
-  const Tensor input = load_fixture_tensor("golden_v4_input.bin");
-  const Tensor want = load_fixture_tensor("golden_v4_logits.bin");
-  // Rewritten by the v5 writer (groups/stride fields and an empty tap mask
-  // appended) it still means the same thing, plan included.
-  const Int8Pipeline rewritten = loaded_from(saved_bytes(pipe));
-  ASSERT_NE(rewritten.plan(), nullptr);
-  EXPECT_EQ(rewritten.plan()->peak_bytes, pipe.plan()->peak_bytes);
-  EXPECT_EQ(Tensor::max_abs_diff(rewritten.run(input), want), 0.F);
-}
-
-// ---- v5: the model-zoo stage shapes -----------------------------------------
+// ---- the model-zoo stage shapes --------------------------------------------
 
 StageIO make_io(const char* in, const char* in2, const char* out, const char* label) {
   StageIO io;
@@ -636,7 +582,7 @@ StageIO make_io(const char* in, const char* in2, const char* out, const char* la
   return io;
 }
 
-TEST(WamArtifact, V5RoundTripCarriesGroupedCachesVerbatim) {
+TEST(WamArtifact, RoundTripCarriesGroupedCachesVerbatim) {
   // Grouped im2row and grouped Winograd conv stages: the loader must bring
   // back the groups field and the per-group caches byte-identically, with
   // the counters flat and the loaded pipeline bit-exact.
@@ -677,7 +623,7 @@ TEST(WamArtifact, V5RoundTripCarriesGroupedCachesVerbatim) {
 
   const PerfSnapshot before = snapshot_counters();
   const Int8Pipeline loaded = loaded_from(saved_bytes(pipe));
-  EXPECT_EQ(snapshot_counters(), before) << "v5 load must not rebuild any weight cache";
+  EXPECT_EQ(snapshot_counters(), before) << "load must not rebuild any weight cache";
   ASSERT_EQ(loaded.size(), pipe.size());
 
   const auto* want_gemm = std::get_if<ConvStage>(&pipe.nodes()[0].op);
@@ -706,7 +652,7 @@ TEST(WamArtifact, V5RoundTripCarriesGroupedCachesVerbatim) {
   EXPECT_EQ(snapshot_counters(), before);
 }
 
-TEST(WamArtifact, V5RoundTripCarriesTheStridedPolyphaseCacheVerbatim) {
+TEST(WamArtifact, RoundTripCarriesTheStridedPolyphaseCacheVerbatim) {
   // A stride-2 Winograd stage serializes as cache kind 2: the F(m,2) u00
   // cache plus the rect-phase im2row weights. Every byte must come back.
   // Forced polyphase: 3->5 channels sit below the selection crossover and
@@ -742,7 +688,7 @@ TEST(WamArtifact, V5RoundTripCarriesTheStridedPolyphaseCacheVerbatim) {
 
   const PerfSnapshot before = snapshot_counters();
   const Int8Pipeline loaded = loaded_from(saved_bytes(pipe));
-  EXPECT_EQ(snapshot_counters(), before) << "v5 load must not rebuild any weight cache";
+  EXPECT_EQ(snapshot_counters(), before) << "load must not rebuild any weight cache";
   const auto* got = std::get_if<ConvStage>(&loaded.nodes()[0].op);
   ASSERT_NE(got, nullptr);
   EXPECT_EQ(got->stride, 2);
@@ -759,7 +705,7 @@ TEST(WamArtifact, V5RoundTripCarriesTheStridedPolyphaseCacheVerbatim) {
   EXPECT_EQ(snapshot_counters(), before);
 }
 
-TEST(WamArtifact, V5RoundTripCarriesTheSparseTapMaskVerbatim) {
+TEST(WamArtifact, RoundTripCarriesTheSparseTapMaskVerbatim) {
   // A Winograd stage pruned by a whole-tap-zero mask caches tap_mask != {};
   // the loaded stage must skip the same taps (same mask, same zeroed levels,
   // same bytes out).
@@ -802,7 +748,7 @@ TEST(WamArtifact, V5RoundTripCarriesTheSparseTapMaskVerbatim) {
 
   const PerfSnapshot before = snapshot_counters();
   const Int8Pipeline loaded = loaded_from(saved_bytes(pipe));
-  EXPECT_EQ(snapshot_counters(), before) << "v5 load must not rebuild any weight cache";
+  EXPECT_EQ(snapshot_counters(), before) << "load must not rebuild any weight cache";
   const auto* got = std::get_if<ConvStage>(&loaded.nodes()[0].op);
   ASSERT_NE(got, nullptr);
   EXPECT_EQ(got->wino_cache.tap_mask, want->wino_cache.tap_mask);
@@ -814,7 +760,7 @@ TEST(WamArtifact, V5RoundTripCarriesTheSparseTapMaskVerbatim) {
 
 TEST(WamArtifact, HandWiredConcatGraphRoundTrips) {
   // A fire-style fan-out/concat graph: stem publishes, two expand branches
-  // read it, a kConcat stage joins them. The v5 writer serializes the concat
+  // read it, a kConcat stage joins them. The writer serializes the concat
   // stage; the loaded graph must produce the same bytes.
   Rng rng(63);
   const auto conv = [&rng](std::int64_t in_ch, std::int64_t out_ch, float in_s, float out_s,
@@ -855,34 +801,8 @@ TEST(WamArtifact, HandWiredConcatGraphRoundTrips) {
   EXPECT_EQ(Tensor::max_abs_diff(loaded.run(x), pipe.run(x)), 0.F);
 }
 
-TEST(WamArtifact, RejectsConcatTagInPreV5Artifact) {
-  // A pre-v5 version header whose payload contains the kConcat tag is a
-  // forgery (no v4 writer ever emitted it) — reject instead of parsing. The
-  // graph below avoids conv stages entirely, so its payload bytes parse
-  // identically under the v4 and v5 readers right up to the kConcat tag.
-  Int8Pipeline pipe;
-  pipe.push(deploy::ReluStage{}, make_io("", "", "e1", "branch"));
-  ConcatStage cat;
-  cat.lhs_scale = 0.08F;
-  cat.rhs_scale = 0.08F;
-  cat.output_scale = 0.08F;
-  pipe.push(std::move(cat), make_io("e1", "e1", "", "join"));
-
-  std::string bytes = saved_bytes(pipe);
-  EXPECT_NO_THROW(loaded_from(bytes));  // sanity: the v5 header loads
-  bytes[4] = 4;  // downgrade the little-endian version field to 4
-  bytes[5] = bytes[6] = bytes[7] = 0;
-  reseal(bytes);
-  try {
-    loaded_from(bytes);
-    FAIL() << "expected runtime_error for the concat tag under a v4 header";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("pre-v5"), std::string::npos) << e.what();
-  }
-}
-
-TEST(WamArtifact, RejectsV5ArtifactWithCorruptedZooFields) {
-  // Checksum-valid artifacts whose v5 fields are internally inconsistent
+TEST(WamArtifact, RejectsCorruptedZooFields) {
+  // Checksum-valid artifacts whose zoo fields are internally inconsistent
   // must be rejected by the field validators, not executed. The payload
   // offsets below follow docs/WAM_FORMAT.md for a single-stage graph with
   // all-empty StageIO strings: header 24B, stage count 8B, four empty
@@ -942,6 +862,91 @@ TEST(WamArtifact, RejectsV5ArtifactWithCorruptedZooFields) {
       EXPECT_NE(std::string(e.what()).find("kind"), std::string::npos) << e.what();
     }
   }
+}
+
+// ---- crafted Winograd transform sets ------------------------------------------
+
+/// A one-stage F(2,3) Winograd artifact whose prepared stage `craft` edited
+/// between prepare() and save: the writer serializes whatever it is handed,
+/// so this is how a buggy or hostile writer produces a checksum-valid file.
+/// Each craft below keeps every cache check of the loader satisfied, so only
+/// the transform-set validation stands between the file and the executors.
+std::string crafted_wino_artifact(const std::function<void(ConvStage&)>& craft) {
+  Rng rng(66);
+  ConvStage st;
+  st.algo = nn::ConvAlgo::kWinograd2;
+  st.in_channels = 4;
+  st.out_channels = 4;
+  st.kernel = 3;
+  st.pad = 1;
+  st.input_scale = 0.05F;
+  st.output_scale = 0.08F;
+  st.weights_f = Tensor::randn({4, 4, 3, 3}, rng, 0.3F);
+  st.transforms = wino::make_transforms(2, 3);
+  st.stage_scales.weights_transformed = 0.02F;
+  st.stage_scales.input_transformed = 0.05F;
+  st.stage_scales.hadamard = 0.1F;
+  st.stage_scales.output = 0.08F;
+  st.prepare();
+  craft(st);
+  Int8Pipeline pipe;
+  pipe.push(std::move(st), StageIO{});
+  return saved_bytes(pipe);
+}
+
+/// Replace the stage's transform set with zero matrices of the F(m, r) shapes
+/// and resize its U caches to match a t = m + r - 1 tile.
+void set_transform_shape(ConvStage& st, int m, int r) {
+  const int t = m + r - 1;
+  st.transforms.m = m;
+  st.transforms.r = r;
+  st.transforms.tile = t;
+  st.transforms.g_mat = Tensor::zeros({t, r});
+  st.transforms.bt_mat = Tensor::zeros({t, t});
+  st.transforms.at_mat = Tensor::zeros({m, t});
+  auto& u = st.wino_cache;
+  u.tile = t;
+  u.u_q.assign(static_cast<std::size_t>(t * t * u.out_channels * u.in_channels), 0);
+  u.u_blocked.assign(static_cast<std::size_t>(t * t * u.out_channels * u.padded_in_channels),
+                     128);
+}
+
+void expect_load_rejected(const std::string& bytes, const std::string& needle) {
+  try {
+    loaded_from(bytes);
+    FAIL() << "expected runtime_error naming '" << needle << "'";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos) << e.what();
+  }
+}
+
+TEST(WamArtifact, RejectsTransformSetsOfTheWrongShape) {
+  // Bᵀ and Aᵀ of shape [1, 1] under F(2,3): the scatter and gather kernels
+  // would read [4, 4] and [2, 4] matrices past the end of the heap buffers.
+  expect_load_rejected(crafted_wino_artifact([](ConvStage& st) {
+                         st.transforms.bt_mat = Tensor::zeros({1, 1});
+                         st.transforms.at_mat = Tensor::zeros({1, 1});
+                       }),
+                       "transform matrices disagree with F(2, 3)");
+  // A tile field that is not m + r - 1.
+  expect_load_rejected(
+      crafted_wino_artifact([](ConvStage& st) { st.transforms.tile = 5; }),
+      "tile 5 is not m + r - 1 for F(2, 3)");
+}
+
+TEST(WamArtifact, RejectsATileAboveTheSupportedMaximum) {
+  // F(11,3) has tile 13 > wino::kMaxTile: the kernels' fixed-size tile
+  // buffers on the stack would be overrun.
+  expect_load_rejected(
+      crafted_wino_artifact([](ConvStage& st) { set_transform_shape(st, 11, 3); }),
+      "tile 13 exceeds the supported maximum 12");
+}
+
+TEST(WamArtifact, RejectsAZeroOutputTile) {
+  // F(0,3): the executors count tiles by dividing the output extent by m.
+  expect_load_rejected(
+      crafted_wino_artifact([](ConvStage& st) { set_transform_shape(st, 0, 3); }),
+      "F(0, 3) needs m >= 1");
 }
 
 }  // namespace

@@ -688,6 +688,59 @@ TEST_P(SimdBackendTest, BlockedWinogradHonorsDonatedStorage) {
   EXPECT_EQ(fresh.scale, reused.scale);
 }
 
+// ---- stride-2 polyphase Winograd kernel ------------------------------------
+
+TEST_P(SimdBackendTest, StridedPolyphaseWinogradMatchesScalarBackend) {
+  // The prepare-time cost model lowers every stride-2 stage the fuzzer and
+  // the zoo suites build to strided im2row, so this is the kernel's
+  // cross-backend check: called directly, same prepared weights, same bytes.
+  Rng rng(202);
+  struct Cfg {
+    int m;
+    std::int64_t c, k, hw, pad;
+    bool frozen;
+  };
+  // Odd and even H/W with and without padding cover both parities of
+  // H + 2·pad; C = 3/5/7 leave pad lanes in the blocked U; dynamic scales
+  // cover the abs-max derivations.
+  for (const Cfg cfg : {Cfg{2, 3, 5, 11, 1, true}, Cfg{2, 5, 8, 12, 0, false},
+                        Cfg{4, 7, 6, 9, 1, true}, Cfg{4, 32, 32, 16, 1, false}}) {
+    SCOPED_TRACE("m=" + std::to_string(cfg.m) + " c=" + std::to_string(cfg.c) +
+                 " k=" + std::to_string(cfg.k) + " hw=" + std::to_string(cfg.hw) +
+                 " pad=" + std::to_string(cfg.pad) + (cfg.frozen ? " frozen" : " dynamic"));
+    const auto tr = wino::make_transforms(cfg.m, 2);
+    const Tensor w = Tensor::randn({cfg.k, cfg.c, 3, 3}, rng, 0.3F);
+    const auto prep = prepare_strided_winograd_weights_s8(w, tr);
+    const QTensor in = random_activation(rng, 2, cfg.c, cfg.hw, cfg.hw, 0.05F);
+    ConvGeometry g;
+    g.batch = 2;
+    g.in_channels = cfg.c;
+    g.height = cfg.hw;
+    g.width = cfg.hw;
+    g.out_channels = cfg.k;
+    g.kernel = 3;
+    g.pad = cfg.pad;
+    g.stride = 2;
+    WinogradStageScales scales;
+    if (cfg.frozen) {
+      scales.weights_transformed = prep.u00.scale;
+      scales.input_transformed = 0.1F;
+      scales.hadamard = 0.05F;
+      scales.output = 0.1F;
+    }
+    const Tensor bias = Tensor::randn({cfg.k}, rng);
+
+    ASSERT_TRUE(set_backend("scalar"));
+    const QTensor want = strided_winograd_conv_s8_prepared(in, prep, g, tr, scales, &bias);
+    ASSERT_TRUE(set_backend(GetParam()));
+    const QTensor got = strided_winograd_conv_s8_prepared(in, prep, g, tr, scales, &bias);
+    EXPECT_EQ(got.shape, want.shape);
+    EXPECT_EQ(got.scale, want.scale);
+    EXPECT_EQ(got.data, want.data)
+        << "backend " << GetParam() << " diverged from the scalar reference";
+  }
+}
+
 TEST(BlockedWinogradPacking, BlockedUIsOffsetBinaryWithPadLanesAt128) {
   Rng rng(200);
   const auto tr = wino::make_transforms(4, 3);

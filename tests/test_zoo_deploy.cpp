@@ -465,7 +465,7 @@ TEST(ZooDeploy, PreparedZooStagesKeepCountersFlatAcrossForwards) {
     stem.out_channels = 4;
     stem.kernel = 3;
     stem.pad = 1;
-    stem.stride = 2;  // strided polyphase cache
+    stem.stride = 2;  // 3 -> 4 channels: the cost model lowers it to strided im2row
     stem.input_scale = 0.05F;
     stem.output_scale = 0.1F;
     stem.weights_f = Tensor::randn({4, 3, 3, 3}, rng, 0.3F);
@@ -473,6 +473,8 @@ TEST(ZooDeploy, PreparedZooStagesKeepCountersFlatAcrossForwards) {
     stem.stage_scales.weights_transformed = 0.02F;
     stem.stage_scales.output = 0.1F;
     pipe.push(std::move(stem), zio("", "", "s", "stem"));
+    ASSERT_FALSE(std::get<ConvStage>(pipe.nodes()[0].op).im2row_cache.empty())
+        << "the stem was expected to lower to strided im2row";
   }
   {
     ConvStage grouped = dense_conv(rng, 4, 6, 3, 1, 0.1F, 0.12F);
@@ -500,7 +502,7 @@ TEST(ZooDeploy, PreparedZooStagesKeepCountersFlatAcrossForwards) {
 TEST(ZooDeploy, CompiledZooModelsRoundTripThroughWamAndStayCached) {
   // The end-to-end serve contract for both new models: compile -> save ->
   // load -> forward is bit-exact vs the compiled pipeline, and the load pays
-  // zero weight transforms/repacks (the v5 artifact carries every cache,
+  // zero weight transforms/repacks (the artifact carries every cache,
   // grouped and concat stages included).
   Rng rng(61);
   const Tensor x = Tensor::randn({2, 3, 32, 32}, rng, 1.0F);
