@@ -11,6 +11,9 @@
 #if defined(__SSE2__)
 #include <emmintrin.h>
 #endif
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "backend/perf_counters.hpp"
 #include "backend/simd/kernel_table.hpp"
@@ -363,7 +366,9 @@ namespace {
 //   - quantize/requant are elementwise with the same scales (all frozen here
 //     — a dynamic scale needs a whole-tensor abs-max and forces flat);
 //   - the Hadamard sums are int32-exact for any channel/summation order, and
-//     pad channels are offset-binary 128 == level 0 (they drop out exactly).
+//     pad channels are offset-binary 128 == level 0 (they drop out exactly);
+//   - splitting a block across the team changes only which thread computes
+//     an element, never the operations that produce it.
 //
 // Interleave four nt-long int8 rows into the k4 GEMM's native operand layout
 // (dst[idx*4 + lane] = row_lane[idx]). A pure byte shuffle — any
@@ -497,41 +502,85 @@ QTensor winograd_conv_s8_blocked(const QTensor& input, const WinogradWeightsS8& 
   const std::int8_t* in_base = input.data.data();
   const std::uint8_t* ub = weights.u_blocked.data();
   const auto& kt = simd::kernels();
+  const bool timed = phase_ns != nullptr;
 
-#pragma omp parallel for collapse(2) schedule(static)
-  for (std::int64_t n = 0; n < g.batch; ++n) {
-    for (std::int64_t blk = 0; blk < nblocks; ++blk) {
-      ScratchArena& slab = ScratchArena::for_thread();
-      ScratchArena::Scope block_frame(slab);
-      const std::int64_t tile0 = blk * tb;
-      const std::int64_t nt = std::min(tb, tiles_pp - tile0);
-      // Per-phase timing, only for traced forwards (phase_ns non-null): two
-      // thread-local clock reads per phase per block, accumulated locally
-      // and added to the shared counters once at the end of the block.
-      const bool timed = phase_ns != nullptr;
-      std::int64_t ns_scatter = 0, ns_gemm = 0, ns_requant = 0, ns_gather = 0;
-      auto t_prev = timed ? std::chrono::steady_clock::now()
-                          : std::chrono::steady_clock::time_point{};
-      const auto phase_mark = [&](std::int64_t& acc) {
-        if (!timed) return;
-        const auto t = std::chrono::steady_clock::now();
-        acc += std::chrono::duration_cast<std::chrono::nanoseconds>(t - t_prev).count();
-        t_prev = t;
-      };
-      float* v_f = slab.alloc<float>(t2 * nt);
-      std::int8_t* v_q4 = slab.alloc<std::int8_t>(kWinoChannelBlock * t2 * nt);
-      std::int8_t* v_blk = slab.alloc<std::int8_t>(t2 * gs * cpad * nt);
-      std::int32_t* m_acc = slab.alloc<std::int32_t>(t2 * K * nt);
-      std::int8_t* m_q = slab.alloc<std::int8_t>(t2 * K * nt);
+  // The block buffers every thread of the team shares, sized for the widest
+  // block: v_blk is [t², gs, cq, nt, 4] (each conv group blocked on its own,
+  // pad lanes at its channel tail, group-major per tap so every group GEMM
+  // reads one contiguous [cq] run), m_acc and m_q are [t², K, nt]. v_blk is
+  // double-buffered so a block's scatter never overwrites the V that a
+  // slower thread's GEMM is still reading from the block before.
+  std::int8_t* const v_bufs[2] = {arena.alloc<std::int8_t>(t2 * gs * cpad * tb),
+                                  arena.alloc<std::int8_t>(t2 * gs * cpad * tb)};
+  std::int32_t* m_acc = arena.alloc<std::int32_t>(t2 * K * tb);
+  std::int8_t* m_q = arena.alloc<std::int8_t>(t2 * K * tb);
 
-      // Input transform + V quantization + k4 interleave, one channel group
-      // at a time: V for this block only ever holds 4 * t² * nt values. The
-      // four planar lane rows are transposed into the GEMM layout together.
-      // Grouped layers block each conv group independently (pad lanes at each
-      // group's channel tail), laid group-major per tap so every group GEMM
-      // reads one contiguous [cq] run: v_blk is [t², gs, cq, nt, 4].
-      for (std::int64_t gi = 0; gi < gs; ++gi) {
-        for (std::int64_t cb = 0; cb < cq; ++cb) {
+  // The blocks run in order, each split across the whole OpenMP team: the
+  // scatter shares out (conv group, channel quad) pairs, and after its one
+  // barrier each thread runs GEMM -> requant -> gather for its own slice of
+  // output channels. One parallel region covers every block, so a block
+  // costs one barrier, not a fork and a join. A layer with a single quad
+  // pair and at most one 4-row filter block per group gives a second thread
+  // nothing to do and runs unforked. A team of 1 issues the same kernel
+  // calls, in the same order, as a single-threaded loop over the blocks.
+  const bool splittable = gs * cq > 1 || gs * ((kg + 3) / 4) > 1;
+#pragma omp parallel if (splittable)
+  {
+    std::int64_t team = 1, tid = 0;
+#ifdef _OPENMP
+    team = omp_get_num_threads();
+    tid = omp_get_thread_num();
+#endif
+    // Per-phase timing, only for traced forwards (phase_ns non-null): each
+    // thread's own CPU time, two clock reads per phase per block, added to
+    // the shared counters once at the end.
+    std::int64_t ns_scatter = 0, ns_gemm = 0, ns_requant = 0, ns_gather = 0;
+    auto t_prev =
+        timed ? std::chrono::steady_clock::now() : std::chrono::steady_clock::time_point{};
+    const auto phase_mark = [&](std::int64_t& acc) {
+      if (!timed) return;
+      const auto t = std::chrono::steady_clock::now();
+      acc += std::chrono::duration_cast<std::chrono::nanoseconds>(t - t_prev).count();
+      t_prev = t;
+    };
+    ScratchArena& slab = ScratchArena::for_thread();
+    ScratchArena::Scope thread_frame(slab);
+    float* v_f = slab.alloc<float>(t2 * tb);
+    std::int8_t* v_q4 = slab.alloc<std::int8_t>(kWinoChannelBlock * t2 * tb);
+
+    // Output-channel slices, one per thread: ceil(kg / team) rows rounded up
+    // to the GEMM's 4-row block, never crossing a conv group. Each thread
+    // takes a contiguous run of slices, which is a contiguous run of channels
+    // [k_lo, k_hi) whose M rows and output planes no other thread touches —
+    // so requant and gather follow the GEMM with no second barrier.
+    const std::int64_t rows = ((kg + team - 1) / team + 3) / 4 * 4;
+    const std::int64_t per_group = (kg + rows - 1) / rows;
+    const std::int64_t nslices = gs * per_group;
+    const std::int64_t s_lo = nslices * tid / team, s_hi = nslices * (tid + 1) / team;
+    const auto slice_begin = [&](std::int64_t s) {
+      return (s / per_group) * kg + (s % per_group) * rows;
+    };
+    const auto slice_end = [&](std::int64_t s) {
+      return std::min(slice_begin(s) + rows, (s / per_group + 1) * kg);
+    };
+    const std::int64_t k_lo = slice_begin(s_lo);
+    const std::int64_t k_hi = s_lo < s_hi ? slice_end(s_hi - 1) : k_lo;
+
+    for (std::int64_t n = 0; n < g.batch; ++n) {
+      for (std::int64_t blk = 0; blk < nblocks; ++blk) {
+        const std::int64_t tile0 = blk * tb;
+        const std::int64_t nt = std::min(tb, tiles_pp - tile0);
+        // Buffer b % 2 is rewritten by block b + 2's scatter only after
+        // every thread has passed block b + 1's barrier, which it reaches
+        // after its block-b GEMM.
+        std::int8_t* v_blk = v_bufs[(n * nblocks + blk) % 2];
+
+        // Input transform + V quantization + k4 interleave, one channel quad
+        // at a time: a thread's V only ever holds 4 * t² * nt values. The
+        // four planar lane rows are transposed into the GEMM layout together.
+#pragma omp for schedule(static)
+        for (std::int64_t pair = 0; pair < gs * cq; ++pair) {
+          const std::int64_t gi = pair / cq, cb = pair % cq;
           for (std::int64_t lane = 0; lane < kWinoChannelBlock; ++lane) {
             const std::int64_t cl = cb * kWinoChannelBlock + lane;  // within the group
             std::int8_t* vrow = v_q4 + lane * t2 * nt;
@@ -560,48 +609,60 @@ QTensor winograd_conv_s8_blocked(const QTensor& input, const WinogradWeightsS8& 
                           v_blk + ((ab * gs + gi) * cq + cb) * nt * 4, nt);
           }
         }
-      }
-      phase_mark(ns_scatter);
+        // The barrier above (every V quad is in v_blk; every thread is done
+        // with the previous block's M rows) counts as scatter.
+        phase_mark(ns_scatter);
 
-      // Hadamard: per tap, one K x nt GEMM per conv group against the
-      // pre-blocked U (group gi's filters are rows [gi*kg, gi*kg+kg) of the
-      // tap's U slice). A pruned tap (sparse-U skip flag) zero-fills its M
-      // block instead — exactly what GEMM against the all-zero slice returns.
-      for (std::int64_t ab = 0; ab < t2; ++ab) {
-        if (tap_mask != nullptr && tap_mask[ab] != 0) {
-          std::memset(m_acc + ab * K * nt, 0, static_cast<std::size_t>(K * nt) * sizeof(std::int32_t));
-          continue;
+        // Hadamard: per tap, one GEMM per slice against the pre-blocked U
+        // (group gi's filters are rows [gi*kg, gi*kg+kg) of the tap's U
+        // slice). A pruned tap (sparse-U skip flag) zero-fills its M rows
+        // instead — exactly what GEMM against the all-zero slice returns.
+        for (std::int64_t ab = 0; ab < t2; ++ab) {
+          if (tap_mask != nullptr && tap_mask[ab] != 0) {
+            std::memset(m_acc + (ab * K + k_lo) * nt, 0,
+                        static_cast<std::size_t>((k_hi - k_lo) * nt) * sizeof(std::int32_t));
+            continue;
+          }
+          for (std::int64_t s = s_lo; s < s_hi; ++s) {
+            const std::int64_t k0 = slice_begin(s);
+            kt.gemm_u8s8_s32_k4(slice_end(s) - k0, nt, cpad, ub + (ab * K + k0) * cpad,
+                                v_blk + (ab * gs + s / per_group) * cq * nt * 4,
+                                m_acc + (ab * K + k0) * nt);
+          }
         }
-        for (std::int64_t gi = 0; gi < gs; ++gi) {
-          kt.gemm_u8s8_s32_k4(kg, nt, cpad, ub + (ab * K + gi * kg) * cpad,
-                              v_blk + (ab * gs + gi) * cq * nt * 4,
-                              m_acc + (ab * K + gi * kg) * nt);
+        phase_mark(ns_gemm);
+        if (k_lo == 0 && k_hi == K) {
+          // The whole block (a team of 1): m_acc is tap-major ([t², K, nt]),
+          // so the requant is one sweep, or one K*nt block per tap.
+          if (per_tap) {
+            kt.requant_s32_s8_taps(m_acc, m_q, t2, K * nt, m_mults.data());
+          } else {
+            kt.requant_s32_s8(m_acc, m_q, t2 * K * nt, m_mult);
+          }
+        } else {
+          for (std::int64_t ab = 0; ab < t2; ++ab) {
+            kt.requant_s32_s8(m_acc + (ab * K + k_lo) * nt, m_q + (ab * K + k_lo) * nt,
+                              (k_hi - k_lo) * nt,
+                              per_tap ? m_mults[static_cast<std::size_t>(ab)] : m_mult);
+          }
         }
-      }
-      phase_mark(ns_gemm);
-      if (per_tap) {
-        // m_acc is tap-major ([t², K, nt]), so the per-tap requant is one
-        // contiguous K*nt block per multiplier-table entry.
-        kt.requant_s32_s8_taps(m_acc, m_q, t2, K * nt, m_mults.data());
-      } else {
-        kt.requant_s32_s8(m_acc, m_q, t2 * K * nt, m_mult);
-      }
-      phase_mark(ns_requant);
+        phase_mark(ns_requant);
 
-      // Inverse transform with the output quantization fused in, straight to
-      // the int8 plane (edge tiles clipped inside the kernel).
-      for (std::int64_t k = 0; k < K; ++k) {
-        const float bv = has_bias ? bias->at(k) : 0.F;
-        kt.wino_gather_q_s8(m_q + k * nt, K * nt, sm_taps.data(), tr.at_mat.raw(), t, m, th, tw,
-                            tile0, nt, oh, ow, bv, o_inv, stage + (n * K + k) * oh * ow);
+        // Inverse transform with the output quantization fused in, straight
+        // to the int8 plane (edge tiles clipped inside the kernel).
+        for (std::int64_t k = k_lo; k < k_hi; ++k) {
+          const float bv = has_bias ? bias->at(k) : 0.F;
+          kt.wino_gather_q_s8(m_q + k * nt, K * nt, sm_taps.data(), tr.at_mat.raw(), t, m, th, tw,
+                              tile0, nt, oh, ow, bv, o_inv, stage + (n * K + k) * oh * ow);
+        }
+        phase_mark(ns_gather);
       }
-      phase_mark(ns_gather);
-      if (timed) {
-        phase_ns->scatter.fetch_add(ns_scatter, std::memory_order_relaxed);
-        phase_ns->gemm.fetch_add(ns_gemm, std::memory_order_relaxed);
-        phase_ns->requant.fetch_add(ns_requant, std::memory_order_relaxed);
-        phase_ns->gather.fetch_add(ns_gather, std::memory_order_relaxed);
-      }
+    }
+    if (timed) {
+      phase_ns->scatter.fetch_add(ns_scatter, std::memory_order_relaxed);
+      phase_ns->gemm.fetch_add(ns_gemm, std::memory_order_relaxed);
+      phase_ns->requant.fetch_add(ns_requant, std::memory_order_relaxed);
+      phase_ns->gather.fetch_add(ns_gather, std::memory_order_relaxed);
     }
   }
 

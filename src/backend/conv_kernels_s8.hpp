@@ -133,9 +133,11 @@ WinogradWeightsS8 prepare_winograd_weights_s8(const Tensor& weights_fp32,
 /// Per-phase wall-clock accumulator for one Winograd conv call — the
 /// kernel-level tail of a request trace (src/telemetry). When a non-null
 /// accumulator is passed to winograd_conv_s8_prepared, every executor thread
-/// adds its nanoseconds per phase with relaxed atomics (once per tile-block
-/// on the blocked path, once per stage on the flat path), so the totals are
-/// CPU-time aggregates across the OpenMP team, not wall-clock intervals.
+/// adds its nanoseconds per phase with relaxed atomics (once per call on the
+/// blocked path, once per stage on the flat path), so the totals are
+/// CPU-time aggregates across the OpenMP team, not wall-clock intervals. On
+/// the blocked path a thread's wait at each block's one barrier counts as
+/// scatter.
 /// A null accumulator (the default, and every untraced forward) costs
 /// nothing — the executors never read the clock for it.
 struct WinoPhaseNs {
@@ -163,7 +165,9 @@ struct WinoPhaseNs {
 /// hadamard, output) is frozen and the prepared weights carry the blocked U,
 /// the conv runs the fused streaming executor — per block of tiles,
 /// transform -> t² blocked GEMMs -> inverse transform + requant in one loop
-/// whose V/M intermediates live in an L1/L2-sized ScratchArena slab. Any
+/// whose V/M intermediates live in L1/L2-sized ScratchArena buffers, with
+/// each block split across the OpenMP team (channel quads, then
+/// output-channel slices). Any
 /// dynamic scale forces the flat path (deriving a scale needs the full
 /// tensor's abs-max before the next stage may quantize). Both executions are
 /// bit-identical; set_winograd_blocked_enabled(false) forces flat for

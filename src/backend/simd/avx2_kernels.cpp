@@ -292,6 +292,73 @@ void requant_s32_s8_taps_avx2(const std::int32_t* acc, std::int8_t* dst, std::in
   requant_s32_s8_taps_with(requant_s32_s8_avx2, acc, dst, taps, per_tap, mults);
 }
 
+// ---- residual join ----------------------------------------------------------
+//
+// 32 int8 pairs per step as four 8-lane int32 vectors. Each branch is the
+// identity or the requant high multiply above followed by a left shift for
+// ratios >= 0.5 or the rounding right shift below that; join_vector_regime
+// bounds both so the int32 sum is exact, and the relu and [-127, 127] clamp
+// fold into one max/min pair before the pack.
+
+void residual_add_s8_avx2(const std::int8_t* a, const std::int8_t* b, std::int8_t* out,
+                          std::int64_t n, const quant::FixedPointMultiplier* a_mult,
+                          const quant::FixedPointMultiplier* b_mult, bool relu) {
+  if (!join_vector_regime(a_mult) || !join_vector_regime(b_mult)) {
+    scalar_kernels().residual_add_s8(a, b, out, n, a_mult, b_mult, relu);
+    return;
+  }
+  const __m256i zero = _mm256_setzero_si256();
+  const __m256i pos_nudge = _mm256_set1_epi64x(std::int64_t{1} << 30);
+  const __m256i neg_nudge = _mm256_set1_epi64x(1 - (std::int64_t{1} << 30));
+  const __m256i trunc_fix = _mm256_set1_epi64x((std::int64_t{1} << 31) - 1);
+  const auto high31 = [&](__m256i prod) {
+    const __m256i neg = _mm256_cmpgt_epi64(zero, prod);
+    __m256i t = _mm256_add_epi64(prod, _mm256_blendv_epi8(pos_nudge, neg_nudge, neg));
+    t = _mm256_add_epi64(t, _mm256_and_si256(neg, trunc_fix));
+    return _mm256_srli_epi64(t, 31);
+  };
+  // Each branch's multiplier is copied into the closure, so the loop below
+  // keeps it in registers (the int8 stores could otherwise alias it).
+  const auto make_branch = [&](const quant::FixedPointMultiplier* mult) {
+    const bool identity = mult == nullptr;
+    const int shift = identity ? 0 : mult->shift;
+    const __m256i m0 = _mm256_set1_epi32(identity ? 0 : mult->m0);
+    const std::int32_t mask32 = shift > 0 ? requant_round_mask(shift) : 0;
+    const __m256i maskv = _mm256_set1_epi32(mask32);
+    const __m256i halfv = _mm256_set1_epi32(mask32 >> 1);
+    return [=](__m256i v) {
+      if (identity) return v;
+      const __m256i he = high31(_mm256_mul_epi32(v, m0));
+      const __m256i ho = high31(_mm256_mul_epi32(_mm256_srli_epi64(v, 32), m0));
+      const __m256i high = _mm256_blend_epi32(he, _mm256_slli_epi64(ho, 32), 0xAA);
+      if (shift <= 0) return _mm256_slli_epi32(high, -shift);
+      const __m256i rem = _mm256_and_si256(high, maskv);
+      const __m256i thr = _mm256_add_epi32(halfv, _mm256_srli_epi32(high, 31));
+      const __m256i shifted = _mm256_srai_epi32(high, shift);
+      return _mm256_sub_epi32(shifted, _mm256_cmpgt_epi32(rem, thr));
+    };
+  };
+  const auto branch_a = make_branch(a_mult);
+  const auto branch_b = make_branch(b_mult);
+  const __m256i lo = _mm256_set1_epi32(relu ? 0 : -127);
+  const __m256i hi = _mm256_set1_epi32(127);
+  std::int64_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    __m256i q[4];
+    for (int v = 0; v < 4; ++v) {
+      const __m256i va = _mm256_cvtepi8_epi32(
+          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(a + i + 8 * v)));
+      const __m256i vb = _mm256_cvtepi8_epi32(
+          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(b + i + 8 * v)));
+      const __m256i sum = _mm256_add_epi32(branch_a(va), branch_b(vb));
+      q[v] = _mm256_min_epi32(hi, _mm256_max_epi32(lo, sum));
+    }
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
+                        pack_s32x4_to_s8(q[0], q[1], q[2], q[3]));
+  }
+  if (i < n) scalar_kernels().residual_add_s8(a + i, b + i, out + i, n - i, a_mult, b_mult, relu);
+}
+
 // ---- Winograd scatter (input transform) ------------------------------------
 //
 // SIMD lanes run across 8 consecutive tiles of one tile row; each lane
@@ -670,7 +737,6 @@ void gemm_u8s8_s32_k4_avx2(std::int64_t m, std::int64_t n, std::int64_t kpad,
       colsum[j0] = cs;
     }
   }
-#pragma omp parallel for schedule(static) if (m >= 8)
   for (std::int64_t i = 0; i < m; ++i) {
     const std::uint8_t* arow = a + i * kpad;
     std::int32_t* crow = c + i * n;
@@ -863,6 +929,7 @@ const KernelTable* avx2_kernel_table() {
     t.quantize_f32_s8_taps = quantize_f32_s8_taps_avx2;
     t.requant_s32_s8 = requant_s32_s8_avx2;
     t.requant_s32_s8_taps = requant_s32_s8_taps_avx2;
+    t.residual_add_s8 = residual_add_s8_avx2;
     t.wino_scatter_f32 = wino_scatter_f32_avx2;
     t.wino_gather_f32 = wino_gather_f32_avx2;
     t.wino_scatter_block_f32 = wino_scatter_block_f32_avx2;

@@ -18,7 +18,8 @@
 //     exactly with a per-column sum (see the kernel comment);
 //   - quantize_f32_s8 / requant_s32_s8: 16-lane ports of the AVX2 kernels.
 //     Per tile block these touch every V and M element, so their width sets a
-//     floor on the fused path's cost.
+//     floor on the fused path's cost;
+//   - residual_add_s8: the residual join, 16 int8 pairs per step.
 // The GEMMs accumulate in int32 with no saturation, and the elementwise
 // kernels replay the scalar rounding exactly, so all results are
 // bit-identical to the scalar reference.
@@ -139,6 +140,70 @@ void quantize_f32_s8_taps_avx512(const float* src, std::int8_t* dst, std::int64_
 void requant_s32_s8_taps_avx512(const std::int32_t* acc, std::int8_t* dst, std::int64_t taps,
                                 std::int64_t per_tap, const quant::FixedPointMultiplier* mults) {
   requant_s32_s8_taps_with(requant_s32_s8_avx512, acc, dst, taps, per_tap, mults);
+}
+
+// ---- residual join ----------------------------------------------------------
+//
+// 16 int8 pairs per step, widened to int32. Each branch is the identity or
+// the requant high multiply (same 64-bit lane arithmetic as above) followed
+// by a left shift for ratios >= 0.5 or the rounding right shift below that;
+// join_vector_regime bounds both so the int32 sum is exact, and the relu
+// and [-127, 127] clamp fold into one max/min pair.
+
+void residual_add_s8_avx512(const std::int8_t* a, const std::int8_t* b, std::int8_t* out,
+                            std::int64_t n, const quant::FixedPointMultiplier* a_mult,
+                            const quant::FixedPointMultiplier* b_mult, bool relu) {
+  if (!join_vector_regime(a_mult) || !join_vector_regime(b_mult)) {
+    scalar_kernels().residual_add_s8(a, b, out, n, a_mult, b_mult, relu);
+    return;
+  }
+  const __m512i zero = _mm512_setzero_si512();
+  const __m512i one = _mm512_set1_epi32(1);
+  const __m512i pos_nudge = _mm512_set1_epi64(std::int64_t{1} << 30);
+  const __m512i neg_nudge = _mm512_set1_epi64(1 - (std::int64_t{1} << 30));
+  const __m512i trunc_fix = _mm512_set1_epi64((std::int64_t{1} << 31) - 1);
+  const auto high31 = [&](__m512i prod) {
+    const __mmask8 neg = _mm512_cmpgt_epi64_mask(zero, prod);
+    __m512i t = _mm512_add_epi64(prod, _mm512_mask_blend_epi64(neg, pos_nudge, neg_nudge));
+    t = _mm512_mask_add_epi64(t, neg, t, trunc_fix);
+    return _mm512_srli_epi64(t, 31);
+  };
+  // Each branch's multiplier is copied into the closure, so the loop below
+  // keeps it in registers (the int8 stores could otherwise alias it).
+  const auto make_branch = [&](const quant::FixedPointMultiplier* mult) {
+    const bool identity = mult == nullptr;
+    const int shift = identity ? 0 : mult->shift;
+    const __m512i m0 = _mm512_set1_epi32(identity ? 0 : mult->m0);
+    const std::int32_t mask32 = shift > 0 ? requant_round_mask(shift) : 0;
+    const __m512i maskv = _mm512_set1_epi32(mask32);
+    const __m512i halfv = _mm512_set1_epi32(mask32 >> 1);
+    return [=](__m512i v) {
+      if (identity) return v;
+      const __m512i he = high31(_mm512_mul_epi32(v, m0));
+      const __m512i ho = high31(_mm512_mul_epi32(_mm512_srli_epi64(v, 32), m0));
+      const __m512i high = _mm512_mask_blend_epi32(0xAAAA, he, _mm512_slli_epi64(ho, 32));
+      if (shift <= 0) return _mm512_slli_epi32(high, static_cast<unsigned>(-shift));
+      const __m512i rem = _mm512_and_si512(high, maskv);
+      const __m512i thr = _mm512_add_epi32(halfv, _mm512_srli_epi32(high, 31));
+      const __m512i shifted = _mm512_srai_epi32(high, static_cast<unsigned>(shift));
+      return _mm512_mask_add_epi32(shifted, _mm512_cmpgt_epi32_mask(rem, thr), shifted, one);
+    };
+  };
+  const auto branch_a = make_branch(a_mult);
+  const auto branch_b = make_branch(b_mult);
+  const __m512i lo = _mm512_set1_epi32(relu ? 0 : -127);
+  const __m512i hi = _mm512_set1_epi32(127);
+  std::int64_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    const __m512i va =
+        _mm512_cvtepi8_epi32(_mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i)));
+    const __m512i vb =
+        _mm512_cvtepi8_epi32(_mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i)));
+    const __m512i sum = _mm512_add_epi32(branch_a(va), branch_b(vb));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i),
+                     _mm512_cvtepi32_epi8(_mm512_min_epi32(hi, _mm512_max_epi32(lo, sum))));
+  }
+  if (i < n) scalar_kernels().residual_add_s8(a + i, b + i, out + i, n - i, a_mult, b_mult, relu);
 }
 
 // ---- flat int8 GEMM ---------------------------------------------------------
@@ -350,7 +415,6 @@ void gemm_u8s8_s32_k4_avx512(std::int64_t m, std::int64_t n, std::int64_t kpad,
     return raw;
   };
   const std::int64_t mblocks = (m + 3) / 4;
-#pragma omp parallel for schedule(static) if (m >= 8)
   for (std::int64_t blk = 0; blk < mblocks; ++blk) {
     const std::int64_t i0 = blk * 4;
     const std::int64_t mr = std::min<std::int64_t>(4, m - i0);
@@ -418,6 +482,7 @@ const KernelTable* avx512_kernel_table() {
     t.quantize_f32_s8_taps = quantize_f32_s8_taps_avx512;
     t.requant_s32_s8 = requant_s32_s8_avx512;
     t.requant_s32_s8_taps = requant_s32_s8_taps_avx512;
+    t.residual_add_s8 = residual_add_s8_avx512;
     // Everything else inherits the resolved AVX2 entries (kernel_table.cpp
     // fills nulls from avx2 when it is compiled in, else scalar).
     return t;

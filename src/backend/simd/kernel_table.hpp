@@ -3,10 +3,10 @@
 // Every function the deployment engine spends real time in — the int8 GEMM
 // under both im2row convolution and the batched Winograd Hadamard stage, the
 // Winograd scatter/gather data transforms, the flat fixed-point
-// requantization loops, and the fp32 GEMM micro-kernel — is reached through a
-// per-process KernelTable instead of a fixed symbol. The table is selected
-// once, lazily, from CPU feature detection (AVX2 and AVX-512/VNNI on x86-64,
-// NEON-dotprod on AArch64 when compiled in), with a
+// requantization loops, the residual join, and the fp32 GEMM micro-kernel —
+// is reached through a per-process KernelTable instead of a fixed symbol.
+// The table is selected once, lazily, from CPU feature detection (AVX2 and
+// AVX-512/VNNI on x86-64, NEON-dotprod on AArch64 when compiled in), with a
 // `WA_BACKEND=scalar|avx2|avx512|neon` environment
 // override; the scalar table is the always-available bit-exact reference and
 // every SIMD backend is validated against it kernel-by-kernel AND
@@ -78,6 +78,18 @@ struct KernelTable {
   void (*requant_s32_s8_taps)(const std::int32_t* acc, std::int8_t* dst, std::int64_t taps,
                               std::int64_t per_tap,
                               const quant::FixedPointMultiplier* mults) = nullptr;
+
+  /// Residual join of two int8 branches onto one output scale:
+  ///   out[i] = clamp(relu(r_a(a[i]) + r_b(b[i])), -127, 127)
+  /// where r(v) is v for a null multiplier (the exact ratio-1 identity) and
+  /// quant::apply_multiplier(v, *mult) otherwise, summed without overflow,
+  /// and relu (when set) clamps negatives to 0. `out` may alias `a` and/or
+  /// `b`. The vector backends replay the arithmetic for the ratios joins
+  /// use (requant_common.hpp: join_vector_regime) and take the scalar
+  /// reference for any other multiplier.
+  void (*residual_add_s8)(const std::int8_t* a, const std::int8_t* b, std::int8_t* out,
+                          std::int64_t n, const quant::FixedPointMultiplier* a_mult,
+                          const quant::FixedPointMultiplier* b_mult, bool relu) = nullptr;
 
   /// Winograd input transform (scatter) for one (batch, channel) plane:
   /// dequantize each t x t input tile at in_scale, apply V = Bt d B (bt is

@@ -37,6 +37,17 @@ constexpr bool requant_vector_regime(quant::FixedPointMultiplier mult) {
   return mult.shift >= 1 && mult.shift <= 31 && mult.m0 >= (std::int32_t{1} << 30);
 }
 
+/// True when the residual join's vector lanes replay `mult` exactly: the
+/// identity (null), or a positive Q31 multiplier with a shift in [-23, 31].
+/// On int8 levels (|v| <= 128) the high multiply lands in [-128, 127], so a
+/// left shift by up to 23 stays within [-2^30, 2^30) and the sum of two
+/// branches within int32 — no saturation step is ever reached. Joins use
+/// ratios near 1 (shift <= 0), which requant_vector_regime excludes.
+constexpr bool join_vector_regime(const quant::FixedPointMultiplier* mult) {
+  return mult == nullptr || (mult->shift >= -23 && mult->shift <= 31 &&
+                             mult->m0 >= (std::int32_t{1} << 30));
+}
+
 /// Low-bits mask of the rounding right shift by `s` (gemmlowp semantics,
 /// round half away from zero): rem = high & mask, threshold = mask/2 +
 /// (high < 0), result = (high >> s) + (rem > threshold). s == 31 needs the

@@ -74,6 +74,21 @@ void requant_s32_s8_taps_scalar(const std::int32_t* acc, std::int8_t* dst, std::
   requant_s32_s8_taps_with(requant_s32_s8_scalar, acc, dst, taps, per_tap, mults);
 }
 
+void residual_add_s8_scalar(const std::int8_t* a, const std::int8_t* b, std::int8_t* out,
+                            std::int64_t n, const quant::FixedPointMultiplier* a_mult,
+                            const quant::FixedPointMultiplier* b_mult, bool relu) {
+  const auto branch = [](std::int32_t v, const quant::FixedPointMultiplier* mult) {
+    return mult == nullptr ? v : quant::apply_multiplier(v, *mult);
+  };
+  for (std::int64_t i = 0; i < n; ++i) {
+    // 64-bit join: each requantized branch can sit at the int32 saturation
+    // rail, and rail + rail overflows int32.
+    std::int64_t acc = static_cast<std::int64_t>(branch(a[i], a_mult)) + branch(b[i], b_mult);
+    if (relu && acc < 0) acc = 0;
+    out[i] = static_cast<std::int8_t>(acc > 127 ? 127 : (acc < -127 ? -127 : acc));
+  }
+}
+
 void wino_scatter_f32_scalar(const std::int8_t* plane, std::int64_t height, std::int64_t width,
                              std::int64_t pad, float in_scale, const float* bt, std::int64_t t,
                              std::int64_t m, std::int64_t th, std::int64_t tw, float* v_base,
@@ -187,7 +202,6 @@ void wino_scatter_block_f32_scalar(const std::int8_t* plane, std::int64_t height
 
 void gemm_u8s8_s32_k4_scalar(std::int64_t m, std::int64_t n, std::int64_t kpad,
                              const std::uint8_t* a, const std::int8_t* b, std::int32_t* c) {
-#pragma omp parallel for schedule(static) if (m >= 8)
   for (std::int64_t i = 0; i < m; ++i) {
     std::int32_t* crow = c + i * n;
     for (std::int64_t j = 0; j < n; ++j) crow[j] = 0;
@@ -245,6 +259,7 @@ const KernelTable& scalar_kernels() {
     t.quantize_f32_s8_taps = quantize_f32_s8_taps_scalar;
     t.requant_s32_s8 = requant_s32_s8_scalar;
     t.requant_s32_s8_taps = requant_s32_s8_taps_scalar;
+    t.residual_add_s8 = residual_add_s8_scalar;
     t.wino_scatter_f32 = wino_scatter_f32_scalar;
     t.wino_gather_f32 = wino_gather_f32_scalar;
     t.wino_scatter_block_f32 = wino_scatter_block_f32_scalar;

@@ -153,19 +153,15 @@ RequantRatio make_requant_ratio(float from_scale, float to_scale) {
 
 namespace {
 
-/// Shared join kernel: `out` may alias `a` and/or `b` — each element is read
-/// before its slot is written, so the aliased and fresh-buffer paths are
-/// bit-identical.
+/// Shared join: `out` may alias `a` and/or `b` — each element is read before
+/// its slot is written, so the aliased and fresh-buffer paths are
+/// bit-identical. The dispatched kernel takes a null multiplier for the
+/// exact ratio-1 identity.
 void add_rows_s8(const std::int8_t* a, const std::int8_t* b, std::int8_t* out, std::size_t n,
                  const RequantRatio& a_ratio, const RequantRatio& b_ratio, bool relu) {
-  for (std::size_t i = 0; i < n; ++i) {
-    // 64-bit join: each requantized branch can sit at the int32 saturation
-    // rail, and rail + rail overflows int32.
-    std::int64_t acc =
-        static_cast<std::int64_t>(apply_ratio(a[i], a_ratio)) + apply_ratio(b[i], b_ratio);
-    if (relu && acc < 0) acc = 0;
-    out[i] = static_cast<std::int8_t>(acc > 127 ? 127 : (acc < -127 ? -127 : acc));
-  }
+  backend::simd::kernels().residual_add_s8(a, b, out, static_cast<std::int64_t>(n),
+                                           a_ratio.identity ? nullptr : &a_ratio.mult,
+                                           b_ratio.identity ? nullptr : &b_ratio.mult, relu);
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "tensor/io.hpp"
 #include "winograd/small_mat.hpp"
@@ -206,6 +208,27 @@ wino::Transforms load_transforms(std::istream& is) {
   return tr;
 }
 
+/// Element count of a size formed from file-supplied dimensions. They are
+/// untrusted, so the product goes through the throwing wa::numel: a crafted
+/// artifact gets an error naming the field instead of a wrapped size
+/// (signed-overflow UB) that could still match a vector length.
+std::int64_t file_size(const Shape& dims, const std::string& field) {
+  try {
+    return numel(dims);
+  } catch (const std::invalid_argument&) {
+    throw std::runtime_error("load_pipeline: " + field + " size has a negative dimension");
+  } catch (const std::overflow_error&) {
+    throw std::runtime_error("load_pipeline: " + field + " size overflows int64");
+  }
+}
+
+/// `channels` rounded up to the Winograd channel block, without the
+/// `channels + block - 1` sum that could overflow on a file-supplied count.
+std::int64_t padded_channels(std::int64_t channels) {
+  const std::int64_t b = backend::kWinoChannelBlock;
+  return file_size({channels / b + (channels % b != 0 ? 1 : 0), b}, "padded channel count");
+}
+
 ConvStage load_conv(std::istream& is) {
   ConvStage st;
   const auto algo = load_pod<std::uint8_t>(is);
@@ -219,6 +242,17 @@ ConvStage load_conv(std::istream& is) {
   st.pad = load_pod<std::int64_t>(is);
   st.groups = load_pod<std::int64_t>(is);
   st.stride = load_pod<std::int64_t>(is);
+  // Every cache size below is a product of these fields, and the executors
+  // trust them for indexing: a negative pair whose product matches a cache
+  // length must not load.
+  for (const auto& [value, name] : {std::pair{st.in_channels, "in_channels"},
+                                    std::pair{st.out_channels, "out_channels"},
+                                    std::pair{st.kernel, "kernel"}}) {
+    if (value < 1) {
+      throw std::runtime_error(std::string("load_pipeline: conv ") + name + " must be positive");
+    }
+  }
+  if (st.pad < 0) throw std::runtime_error("load_pipeline: conv pad must not be negative");
   if (st.groups < 1 || st.in_channels % st.groups != 0 || st.out_channels % st.groups != 0) {
     throw std::runtime_error("load_pipeline: conv groups must divide both channel counts");
   }
@@ -259,9 +293,10 @@ ConvStage load_conv(std::istream& is) {
     // Grouped stages cache U as [t*t, K, C/g]: in_channels is per-group.
     if (st.wino_cache.empty() || t != st.transforms.tile || st.transforms.r != st.kernel ||
         st.wino_cache.out_channels != st.out_channels ||
-        st.wino_cache.in_channels * st.groups != st.in_channels ||
+        file_size({st.wino_cache.in_channels, st.groups}, "Winograd cache channel count") !=
+            st.in_channels ||
         static_cast<std::int64_t>(st.wino_cache.u_q.size()) !=
-            t * t * st.out_channels * st.wino_cache.in_channels) {
+            file_size({t, t, st.out_channels, st.wino_cache.in_channels}, "Winograd U cache")) {
       throw std::runtime_error("load_pipeline: Winograd cache disagrees with its stage geometry");
     }
     st.wino_cache.u_blocked = load_vector<std::uint8_t>(is);
@@ -269,11 +304,10 @@ ConvStage load_conv(std::istream& is) {
     // Same for the fused executor, which indexes u_blocked by [t², K, Cpad]
     // unchecked. Values are the writer's responsibility (covered by the
     // payload checksum), exactly like u_q's levels.
-    const std::int64_t cpad = (st.wino_cache.in_channels + backend::kWinoChannelBlock - 1) /
-                              backend::kWinoChannelBlock * backend::kWinoChannelBlock;
+    const std::int64_t cpad = padded_channels(st.wino_cache.in_channels);
     if (st.wino_cache.padded_in_channels != cpad ||
         static_cast<std::int64_t>(st.wino_cache.u_blocked.size()) !=
-            t * t * st.out_channels * cpad) {
+            file_size({t, t, st.out_channels, cpad}, "blocked Winograd U cache")) {
       throw std::runtime_error(
           "load_pipeline: blocked Winograd cache disagrees with its stage geometry");
     }
@@ -328,16 +362,16 @@ ConvStage load_conv(std::istream& is) {
     // The polyphase executor indexes u00 as [t*t, K, C] (F(m,2): r == 2, not
     // the stage's 3x3 kernel) and rect_wt as [5*C, K], all unchecked.
     const std::int64_t t = sc.u00.tile;
-    const std::int64_t cpad =
-        (st.in_channels + backend::kWinoChannelBlock - 1) / backend::kWinoChannelBlock *
-        backend::kWinoChannelBlock;
+    const std::int64_t cpad = padded_channels(st.in_channels);
     if (sc.empty() || st.transforms.r != 2 || t != st.transforms.tile ||
         sc.u00.out_channels != st.out_channels || sc.u00.in_channels != st.in_channels ||
         static_cast<std::int64_t>(sc.u00.u_q.size()) !=
-            t * t * st.out_channels * st.in_channels ||
+            file_size({t, t, st.out_channels, st.in_channels}, "strided Winograd U cache") ||
         sc.u00.padded_in_channels != cpad ||
-        static_cast<std::int64_t>(sc.u00.u_blocked.size()) != t * t * st.out_channels * cpad ||
-        static_cast<std::int64_t>(sc.rect_wt.size()) != 5 * st.in_channels * st.out_channels ||
+        static_cast<std::int64_t>(sc.u00.u_blocked.size()) !=
+            file_size({t, t, st.out_channels, cpad}, "strided blocked Winograd U cache") ||
+        static_cast<std::int64_t>(sc.rect_wt.size()) !=
+            file_size({5, st.in_channels, st.out_channels}, "strided rect-phase weights") ||
         !(sc.u00.scale > 0.F) || !(sc.rect_scale > 0.F)) {
       throw std::runtime_error(
           "load_pipeline: strided Winograd cache disagrees with its stage geometry");
@@ -351,10 +385,13 @@ ConvStage load_conv(std::istream& is) {
     // Grouped stages pack wt as groups x [patch, K/g]: out_channels and
     // patch are per-group values.
     if (st.im2row_cache.empty() ||
-        st.im2row_cache.out_channels * st.groups != st.out_channels ||
-        st.im2row_cache.patch != (st.in_channels / st.groups) * st.kernel * st.kernel ||
+        file_size({st.im2row_cache.out_channels, st.groups}, "im2row cache channel count") !=
+            st.out_channels ||
+        st.im2row_cache.patch !=
+            file_size({st.in_channels / st.groups, st.kernel, st.kernel}, "im2row patch") ||
         static_cast<std::int64_t>(st.im2row_cache.wt.size()) !=
-            st.groups * st.im2row_cache.patch * st.im2row_cache.out_channels) {
+            file_size({st.groups, st.im2row_cache.patch, st.im2row_cache.out_channels},
+                      "im2row weights")) {
       throw std::runtime_error("load_pipeline: im2row cache disagrees with its stage geometry");
     }
   }

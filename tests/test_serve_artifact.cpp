@@ -949,5 +949,41 @@ TEST(WamArtifact, RejectsAZeroOutputTile) {
       "F(0, 3) needs m >= 1");
 }
 
+// ---- crafted conv geometry ---------------------------------------------------
+
+TEST(WamArtifact, RejectsConvSizesThatOverflowInt64) {
+  // 2^40 channels on both sides: every equality check before the U-cache
+  // size holds, and t*t*out*in = 2^84 would wrap (signed-overflow UB).
+  constexpr std::int64_t kHuge = std::int64_t{1} << 40;
+  expect_load_rejected(crafted_wino_artifact([](ConvStage& st) {
+                         st.in_channels = kHuge;
+                         st.out_channels = kHuge;
+                         st.wino_cache.in_channels = kHuge;
+                         st.wino_cache.out_channels = kHuge;
+                       }),
+                       "Winograd U cache size overflows int64");
+}
+
+TEST(WamArtifact, RejectsNonPositiveConvGeometry) {
+  // A negative in/out pair whose product matches the U cache's length, with
+  // an empty blocked cache to match the (truncated) zero padded width: every
+  // cache check passes, so only the geometry check stands in the way.
+  expect_load_rejected(crafted_wino_artifact([](ConvStage& st) {
+                         st.in_channels = -4;
+                         st.out_channels = -4;
+                         st.wino_cache.in_channels = -4;
+                         st.wino_cache.out_channels = -4;
+                         st.wino_cache.padded_in_channels = 0;
+                         st.wino_cache.u_blocked.clear();
+                       }),
+                       "conv in_channels must be positive");
+  expect_load_rejected(crafted_wino_artifact([](ConvStage& st) { st.out_channels = 0; }),
+                       "conv out_channels must be positive");
+  expect_load_rejected(crafted_wino_artifact([](ConvStage& st) { st.kernel = 0; }),
+                       "conv kernel must be positive");
+  expect_load_rejected(crafted_wino_artifact([](ConvStage& st) { st.pad = -1; }),
+                       "conv pad must not be negative");
+}
+
 }  // namespace
 }  // namespace wa::serve

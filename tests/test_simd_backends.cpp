@@ -17,7 +17,12 @@
 #include <limits>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "backend/conv_kernels_s8.hpp"
 #include "backend/simd/kernel_table.hpp"
@@ -147,6 +152,7 @@ TEST(SimdRegistry, EveryResolvedEntryIsCallable) {
     EXPECT_NE(t.quantize_f32_s8_taps, nullptr);
     EXPECT_NE(t.requant_s32_s8, nullptr);
     EXPECT_NE(t.requant_s32_s8_taps, nullptr);
+    EXPECT_NE(t.residual_add_s8, nullptr);
     EXPECT_NE(t.wino_scatter_f32, nullptr);
     EXPECT_NE(t.wino_gather_f32, nullptr);
     EXPECT_NE(t.wino_scatter_block_f32, nullptr);
@@ -686,6 +692,204 @@ TEST_P(SimdBackendTest, BlockedWinogradHonorsDonatedStorage) {
   EXPECT_TRUE(donated.empty()) << "donated storage was not consumed";
   EXPECT_EQ(fresh.data, reused.data);
   EXPECT_EQ(fresh.scale, reused.scale);
+}
+
+// RAII: run a scope under an OpenMP team of `threads`, restoring the caller's
+// team size on exit. A no-op when OpenMP is off (every team is then 1).
+struct TeamSizeScope {
+  explicit TeamSizeScope(int threads) {
+#ifdef _OPENMP
+    previous_ = omp_get_max_threads();
+    omp_set_num_threads(threads);
+#else
+    (void)threads;
+#endif
+  }
+  ~TeamSizeScope() {
+#ifdef _OPENMP
+    omp_set_num_threads(previous_);
+#endif
+  }
+
+ private:
+  int previous_ = 1;
+};
+
+TEST_P(SimdBackendTest, BlockedWinogradIsBitIdenticalAcrossTeamSizes) {
+  // The blocked executor splits every tile block across the team: the
+  // scatter by (conv group, channel quad), the GEMM -> requant -> gather by
+  // output-channel slice. Which thread computes an element must not change
+  // its bytes — teams of 1..4 all equal each other and the flat path.
+  ASSERT_TRUE(winograd_blocked_enabled()) << "another test leaked the flat override";
+  Rng rng(203);
+  struct Cfg {
+    int m;
+    std::int64_t cg, kg, groups, batch, hw;
+    bool per_tap, masked, with_bias, donate;
+  };
+  // K = 6/10/36 leave slices of unequal height and threads with no slice;
+  // C = 3/5 per group leave pad lanes; hw = 18 at F2 gives two tile blocks.
+  for (const Cfg cfg :
+       {Cfg{2, 3, 6, 1, 1, 9, false, false, true, false},
+        Cfg{4, 5, 10, 1, 3, 11, true, false, false, true},
+        Cfg{4, 5, 36, 1, 1, 16, true, true, true, false},
+        Cfg{2, 3, 36, 1, 3, 18, false, false, false, true},
+        Cfg{2, 3, 4, 2, 3, 8, false, true, false, true},
+        Cfg{4, 5, 6, 4, 1, 12, true, false, true, false},
+        Cfg{4, 3, 6, 2, 1, 9, true, true, true, true},
+        Cfg{2, 5, 4, 4, 1, 18, false, false, true, false}}) {
+    const std::int64_t K = cfg.kg * cfg.groups, C = cfg.cg * cfg.groups;
+    SCOPED_TRACE("m=" + std::to_string(cfg.m) + " C=" + std::to_string(C) +
+                 " K=" + std::to_string(K) + " groups=" + std::to_string(cfg.groups) +
+                 " batch=" + std::to_string(cfg.batch) + " hw=" + std::to_string(cfg.hw) +
+                 (cfg.per_tap ? " per-tap" : " per-tensor") + (cfg.masked ? " masked" : "") +
+                 (cfg.with_bias ? " bias" : "") + (cfg.donate ? " donated" : ""));
+    const auto tr = wino::make_transforms(cfg.m, 3);
+    const std::int64_t t2 = tr.tile * tr.tile;
+    const Tensor w = Tensor::randn({K, cfg.cg, 3, 3}, rng);
+    WinogradStageScales scales;
+    scales.weights_transformed = 0.02F;
+    scales.input_transformed = 0.1F;
+    scales.hadamard = 0.05F;
+    scales.output = 0.1F;
+    std::vector<float> u_taps;
+    if (cfg.per_tap) {
+      for (std::int64_t ab = 0; ab < t2; ++ab) {
+        const auto f = static_cast<float>(ab);
+        u_taps.push_back(0.01F + 0.002F * f);
+        scales.input_transformed_taps.push_back(0.05F + 0.01F * f);
+        scales.hadamard_taps.push_back(0.02F + 0.004F * f);
+      }
+      scales.weights_transformed_taps = u_taps;
+    }
+    // Masked: taps 1 and t²-2 die in every group (the sparse-U skip flag),
+    // and one more level is pruned inside tap 0.
+    Tensor mask = Tensor::ones({cfg.groups, t2, cfg.kg, cfg.cg});
+    if (cfg.masked) {
+      for (std::int64_t gi = 0; gi < cfg.groups; ++gi) {
+        for (const std::int64_t ab : {std::int64_t{1}, t2 - 2}) {
+          for (std::int64_t i = 0; i < cfg.kg * cfg.cg; ++i) {
+            mask.at((gi * t2 + ab) * cfg.kg * cfg.cg + i) = 0.F;
+          }
+        }
+      }
+      mask.at(0) = 0.F;
+    }
+    const auto prep = prepare_winograd_weights_s8(w, tr, 0.02F, u_taps, cfg.groups,
+                                                  cfg.masked ? &mask : nullptr);
+    ASSERT_EQ(prep.tap_mask.empty(), !cfg.masked);
+    const QTensor in = random_activation(rng, cfg.batch, C, cfg.hw, cfg.hw, 0.05F);
+    ConvGeometry g;
+    g.batch = cfg.batch;
+    g.in_channels = C;
+    g.height = cfg.hw;
+    g.width = cfg.hw;
+    g.out_channels = K;
+    g.kernel = 3;
+    g.pad = 1;
+    g.groups = cfg.groups;
+    const Tensor bias = Tensor::randn({K}, rng);
+    const Tensor* bias_ptr = cfg.with_bias ? &bias : nullptr;
+    const auto run = [&] {
+      std::vector<std::int8_t> donated = in.data;
+      QTensor out = winograd_conv_s8_prepared(in, prep, g, tr, scales, bias_ptr,
+                                              cfg.donate ? &donated : nullptr);
+      if (cfg.donate) {
+        EXPECT_TRUE(donated.empty()) << "donated storage was not consumed";
+      }
+      return out;
+    };
+    QTensor flat;
+    {
+      FlatWinogradScope force_flat;
+      flat = run();
+    }
+    for (const int team : {1, 2, 3, 4}) {
+      SCOPED_TRACE("team=" + std::to_string(team));
+      QTensor blocked;
+      {
+        TeamSizeScope scope(team);
+        blocked = run();
+      }
+      EXPECT_EQ(blocked.shape, flat.shape);
+      EXPECT_EQ(blocked.scale, flat.scale);
+      EXPECT_EQ(blocked.data, flat.data);
+    }
+  }
+}
+
+// ---- residual join -----------------------------------------------------------
+
+TEST_P(SimdBackendTest, ResidualJoinMatchesScalarReference) {
+  // Every int8 (a, b) pair, over a grid of branch ratios: the identity,
+  // every right shift 31..1, shift 0, left shifts down to the vector
+  // regime's edge (-23) and one past it (-24, scalar fallback), and ratios
+  // just under a power of two, whose Q31 mantissa rounds up to 2^31 and
+  // renormalizes. ReLU on and off.
+  constexpr std::int64_t kPairs = 256 * 256;
+  std::vector<std::int8_t> a(kPairs), b(kPairs);
+  for (std::int64_t i = 0; i < kPairs; ++i) {
+    a[static_cast<std::size_t>(i)] = static_cast<std::int8_t>(i / 256 - 128);
+    b[static_cast<std::size_t>(i)] = static_cast<std::int8_t>(i % 256 - 128);
+  }
+  std::vector<quant::FixedPointMultiplier> grid;
+  for (int shift = 31; shift >= -24; --shift) {
+    grid.push_back(quant::quantize_multiplier(std::ldexp(0.71, -shift)));
+  }
+  for (const int e : {-20, -3, 0, 1, 5, 23}) {
+    grid.push_back(quant::quantize_multiplier(std::ldexp(1.0 - std::ldexp(1.0, -40), e)));
+  }
+  // The largest mantissa at the regime edge and one past it: at -23 two such
+  // branches of -128 sum to exactly INT32_MIN.
+  grid.push_back(quant::FixedPointMultiplier{std::numeric_limits<std::int32_t>::max(), -23});
+  grid.push_back(quant::FixedPointMultiplier{std::numeric_limits<std::int32_t>::max(), -24});
+  grid.push_back(quant::FixedPointMultiplier{std::int32_t{1} << 30, 0});
+  // Each grid ratio against the identity, against itself (the largest sums)
+  // and against another grid ratio, on either side.
+  std::vector<std::pair<const quant::FixedPointMultiplier*, const quant::FixedPointMultiplier*>>
+      combos;
+  combos.emplace_back(nullptr, nullptr);
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    combos.emplace_back(&grid[i], nullptr);
+    combos.emplace_back(nullptr, &grid[i]);
+    combos.emplace_back(&grid[i], &grid[i]);
+    combos.emplace_back(&grid[i], &grid[(i * 7 + 3) % grid.size()]);
+  }
+  const auto label = [](const quant::FixedPointMultiplier* m) {
+    return m == nullptr ? std::string("identity")
+                        : "(" + std::to_string(m->m0) + ", " + std::to_string(m->shift) + ")";
+  };
+  std::vector<std::int8_t> got(kPairs), want(kPairs);
+  for (const auto& [am, bm] : combos) {
+    for (const bool relu : {false, true}) {
+      SCOPED_TRACE("a=" + label(am) + " b=" + label(bm) + (relu ? " relu" : ""));
+      kernels().residual_add_s8(a.data(), b.data(), got.data(), kPairs, am, bm, relu);
+      scalar_kernels().residual_add_s8(a.data(), b.data(), want.data(), kPairs, am, bm, relu);
+      ASSERT_EQ(got, want);
+    }
+  }
+
+  // Output aliasing either operand, and every length 1..47 (vector tails).
+  const quant::FixedPointMultiplier up = quant::quantize_multiplier(1.37);
+  const quant::FixedPointMultiplier down = quant::quantize_multiplier(0.61);
+  for (std::int64_t n = 1; n <= 47; ++n) {
+    for (const bool relu : {false, true}) {
+      SCOPED_TRACE("n=" + std::to_string(n) + (relu ? " relu" : ""));
+      const std::int64_t off = n * 97;  // a different slice of the pair grid per length
+      const std::int8_t* pa = a.data() + off;
+      const std::int8_t* pb = b.data() + off;
+      std::vector<std::int8_t> ref(static_cast<std::size_t>(n));
+      scalar_kernels().residual_add_s8(pa, pb, ref.data(), n, &up, &down, relu);
+      std::vector<std::int8_t> fresh(static_cast<std::size_t>(n), 55);
+      kernels().residual_add_s8(pa, pb, fresh.data(), n, &up, &down, relu);
+      EXPECT_EQ(fresh, ref);
+      std::vector<std::int8_t> into_a(pa, pa + n), into_b(pb, pb + n);
+      kernels().residual_add_s8(into_a.data(), pb, into_a.data(), n, &up, &down, relu);
+      kernels().residual_add_s8(pa, into_b.data(), into_b.data(), n, &up, &down, relu);
+      EXPECT_EQ(into_a, ref);
+      EXPECT_EQ(into_b, ref);
+    }
+  }
 }
 
 // ---- stride-2 polyphase Winograd kernel ------------------------------------
