@@ -67,24 +67,6 @@ std::vector<std::int8_t> take_output_storage(std::vector<std::int8_t>* reuse, st
   return out;
 }
 
-/// Build `u_blocked` from `u_q`: the offset-binary [t², K, Cpad] layout the
-/// fused streaming executor's k4 GEMM consumes.
-void build_blocked_u(WinogradWeightsS8& w) {
-  const std::int64_t t2 = w.tile * w.tile, K = w.out_channels, C = w.in_channels;
-  const std::int64_t cpad =
-      (C + kWinoChannelBlock - 1) / kWinoChannelBlock * kWinoChannelBlock;
-  w.padded_in_channels = cpad;
-  // 128 is offset-binary zero, so pad channels drop out of the GEMM exactly.
-  w.u_blocked.assign(static_cast<std::size_t>(t2 * K * cpad), std::uint8_t{128});
-  for (std::int64_t abk = 0; abk < t2 * K; ++abk) {
-    const std::int8_t* src = w.u_q.data() + abk * C;
-    std::uint8_t* dst = w.u_blocked.data() + abk * cpad;
-    for (std::int64_t c = 0; c < C; ++c) {
-      dst[c] = static_cast<std::uint8_t>(static_cast<std::int32_t>(src[c]) + 128);
-    }
-  }
-}
-
 }  // namespace
 
 Im2rowWeightsS8 prepare_im2row_weights_s8(const QTensor& weights, std::int64_t groups) {
@@ -247,9 +229,10 @@ WinogradWeightsS8 prepare_winograd_weights_s8(const Tensor& weights_fp32,
   }
   w.groups = groups;
   w.tile = tr.tile;
-  w.u_q.resize(static_cast<std::size_t>(u_f.numel()));
+  const std::int64_t t2 = w.tile * w.tile;
+  // The int8 levels [t², K, C/g], kept only until they are blocked below.
+  std::vector<std::int8_t> levels(static_cast<std::size_t>(u_f.numel()));
   if (!tap_scales.empty()) {
-    const std::int64_t t2 = w.tile * w.tile;
     if (static_cast<std::int64_t>(tap_scales.size()) != t2) {
       throw std::invalid_argument("prepare_winograd_weights_s8: " +
                                   std::to_string(tap_scales.size()) + " tap scales for a t*t of " +
@@ -266,20 +249,19 @@ WinogradWeightsS8 prepare_winograd_weights_s8(const Tensor& weights_fp32,
     for (std::int64_t ab = 0; ab < t2; ++ab) {
       const float s = tap_scales[static_cast<std::size_t>(ab)];
       for (std::int64_t i = 0; i < kc; ++i) {
-        w.u_q[static_cast<std::size_t>(ab * kc + i)] = clamp_s8(u_f.at(ab * kc + i) / s);
+        levels[static_cast<std::size_t>(ab * kc + i)] = clamp_s8(u_f.at(ab * kc + i) / s);
       }
     }
   } else {
     w.scale = scale > 0.F ? scale : quant::scale_for(u_f.abs_max(), quant::QuantSpec{8});
     for (std::int64_t i = 0; i < u_f.numel(); ++i) {
-      w.u_q[static_cast<std::size_t>(i)] = clamp_s8(u_f.at(i) / w.scale);
+      levels[static_cast<std::size_t>(i)] = clamp_s8(u_f.at(i) / w.scale);
     }
   }
   if (sparse_mask != nullptr && !sparse_mask->empty()) {
     // winograd_prune mask [groups, t*t, K/g, C/g]: zero the pruned U levels
     // (bit-identical to pruning before the transform quantized — Qx(0) == 0),
     // then flag taps whose whole slice died so the executors skip their GEMM.
-    const std::int64_t t2 = w.tile * w.tile;
     const std::int64_t kpg = w.out_channels / groups, c = w.in_channels;
     if (sparse_mask->dim() != 4 || sparse_mask->size(0) != groups ||
         sparse_mask->size(1) != t2 || sparse_mask->size(2) != kpg || sparse_mask->size(3) != c) {
@@ -291,7 +273,7 @@ WinogradWeightsS8 prepare_winograd_weights_s8(const Tensor& weights_fp32,
         for (std::int64_t k = 0; k < kpg; ++k) {
           for (std::int64_t ci = 0; ci < c; ++ci) {
             if (sparse_mask->at(((gi * t2 + ab) * kpg + k) * c + ci) == 0.F) {
-              w.u_q[static_cast<std::size_t>((ab * w.out_channels + gi * kpg + k) * c + ci)] = 0;
+              levels[static_cast<std::size_t>((ab * w.out_channels + gi * kpg + k) * c + ci)] = 0;
             }
           }
         }
@@ -303,7 +285,7 @@ WinogradWeightsS8 prepare_winograd_weights_s8(const Tensor& weights_fp32,
     for (std::int64_t ab = 0; ab < t2; ++ab) {
       bool dead = true;
       for (std::int64_t i = 0; i < kc && dead; ++i) {
-        dead = w.u_q[static_cast<std::size_t>(ab * kc + i)] == 0;
+        dead = levels[static_cast<std::size_t>(ab * kc + i)] == 0;
       }
       if (dead) {
         mask[static_cast<std::size_t>(ab)] = 1;
@@ -312,7 +294,17 @@ WinogradWeightsS8 prepare_winograd_weights_s8(const Tensor& weights_fp32,
     }
     if (any) w.tap_mask = std::move(mask);  // empty == dense, nothing to skip
   }
-  build_blocked_u(w);
+  // Block the levels into the offset-binary [t², K, Cpad] layout the fused
+  // executor's k4 GEMM consumes. 128 is offset-binary zero, so pad channels
+  // drop out of the GEMM exactly.
+  const std::int64_t c = w.in_channels, cpad = w.padded_in_channels();
+  w.u_blocked.assign(static_cast<std::size_t>(t2 * w.out_channels * cpad), std::uint8_t{128});
+  for (std::int64_t abk = 0; abk < t2 * w.out_channels; ++abk) {
+    for (std::int64_t ci = 0; ci < c; ++ci) {
+      w.u_blocked[static_cast<std::size_t>(abk * cpad + ci)] = static_cast<std::uint8_t>(
+          static_cast<std::int32_t>(levels[static_cast<std::size_t>(abk * c + ci)]) + 128);
+    }
+  }
   return w;
 }
 
@@ -417,7 +409,7 @@ QTensor winograd_conv_s8_blocked(const QTensor& input, const WinogradWeightsS8& 
   const std::int64_t gs = weights.groups;
   const std::int64_t cg = weights.in_channels;   // channels per group
   const std::int64_t kg = K / gs;                // filters per group
-  const std::int64_t cpad = weights.padded_in_channels;  // pad4(C/g)
+  const std::int64_t cpad = weights.padded_in_channels();  // pad4(C/g)
   const std::int64_t cq = cpad / kWinoChannelBlock;
   const std::uint8_t* tap_mask = weights.tap_mask.empty() ? nullptr : weights.tap_mask.data();
 
@@ -675,6 +667,219 @@ QTensor winograd_conv_s8_blocked(const QTensor& input, const WinogradWeightsS8& 
   return out;
 }
 
+/// Wall-clock marks at the flat sequence's stage boundaries: its stages run
+/// whole-tensor one after another, so one mark per boundary reports the same
+/// scatter/gemm/requant/gather split the blocked executor does. A null
+/// accumulator (every untraced forward) never reads the clock.
+class PhaseClock {
+ public:
+  explicit PhaseClock(WinoPhaseNs* acc) : acc_(acc) {
+    if (acc_ != nullptr) prev_ = std::chrono::steady_clock::now();
+  }
+  void mark(std::atomic<std::int64_t> WinoPhaseNs::*phase) {
+    if (acc_ == nullptr) return;
+    const auto now = std::chrono::steady_clock::now();
+    (acc_->*phase).fetch_add(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(now - prev_).count(),
+        std::memory_order_relaxed);
+    prev_ = now;
+  }
+
+ private:
+  WinoPhaseNs* acc_;
+  std::chrono::steady_clock::time_point prev_{};
+};
+
+/// The flat Winograd sequence up to an fp32 output, over the [N, C, H, W]
+/// int8 levels `in` (at `in_scale`) convolved at the stride-1 geometry `g`:
+/// scatter and V quantize, the t²·groups GEMMs, M requant, then the inverse
+/// transform with the bias joined in fp32. Dynamic V and M scales derive
+/// from their whole-tensor abs-max here; the output quantization is the
+/// caller's. Returns [N, K, oh, ow] floats from `arena`, owned by the
+/// caller's scope. The caller has validated geometry, weights, tap vectors
+/// and bias.
+float* winograd_flat_f32(const std::int8_t* in, float in_scale, const ConvGeometry& g,
+                         const WinogradWeightsS8& weights, const wino::Transforms& tr,
+                         const WinogradStageScales& scales, const Tensor* bias,
+                         PhaseClock& clock, ScratchArena& arena) {
+  const std::int64_t oh = g.out_height(), ow = g.out_width();
+  const std::int64_t t = tr.tile, m = tr.m, t2 = t * t;
+  const std::int64_t th = (oh + m - 1) / m, tw = (ow + m - 1) / m;
+  const std::int64_t tiles = g.batch * th * tw;
+  const std::int64_t C = g.in_channels, K = g.out_channels;
+  const float su = weights.scale;
+  const auto& kt = simd::kernels();
+
+  // V: dequantize each input tile on the fly (levels * scale — no full fp32
+  // copy of the activation), transform in FP32, requantize to int8. The
+  // per-plane scatter (staged dequant + Bt d B + tile-major store) is a
+  // dispatched kernel; lanes run across tiles on the SIMD backends.
+  float* v_f = arena.alloc<float>(t2 * C * tiles);
+#pragma omp parallel for schedule(static)
+  for (std::int64_t nc = 0; nc < g.batch * C; ++nc) {
+    const std::int64_t n = nc / C, c = nc % C;
+    kt.wino_scatter_f32(in + nc * g.height * g.width, g.height, g.width, g.pad, in_scale,
+                        tr.bt_mat.raw(), t, m, th, tw, v_f + c * tiles + n * th * tw, C * tiles);
+  }
+  float sv = scales.input_transformed;
+  if (sv <= 0.F) {
+    float amax = 0.F;
+    for (std::int64_t i = 0; i < t2 * C * tiles; ++i) amax = std::max(amax, std::fabs(v_f[i]));
+    sv = quant::scale_for(amax, quant::QuantSpec{8});
+  }
+  std::int8_t* v_q = arena.alloc<std::int8_t>(t2 * C * tiles);
+  if (!scales.input_transformed_taps.empty()) {
+    // v_f is [t², C, tiles]: each tap's C*tiles run quantizes at its own
+    // scale. Elementwise, so any split is bit-identical to the blocked path.
+    const std::int64_t per_tap_v = C * tiles;
+#pragma omp parallel for schedule(static)
+    for (std::int64_t ab = 0; ab < t2; ++ab) {
+      kt.quantize_f32_s8(v_f + ab * per_tap_v, v_q + ab * per_tap_v, per_tap_v,
+                         1.F / scales.input_transformed_taps[static_cast<std::size_t>(ab)]);
+    }
+  } else {
+    const float v_inv = 1.F / sv;
+    parallel_flat(t2 * C * tiles, [&](std::int64_t begin, std::int64_t len) {
+      kt.quantize_f32_s8(v_f + begin, v_q + begin, len, v_inv);
+    });
+  }
+  clock.mark(&WinoPhaseNs::scatter);
+
+  // U: the one stored copy is the blocked executor's offset-binary
+  // [t², K, Cpad]. Unblock it into the [t², K, C/g] int8 levels the GEMMs
+  // below read: byte - 128, pad lanes dropped.
+  const std::int64_t cg = weights.in_channels;  // channels per group
+  const std::int64_t cpad = weights.padded_in_channels();
+  std::int8_t* u = arena.alloc<std::int8_t>(t2 * K * cg);
+#pragma omp parallel for schedule(static)
+  for (std::int64_t abk = 0; abk < t2 * K; ++abk) {
+    const std::uint8_t* src = weights.u_blocked.data() + abk * cpad;
+    for (std::int64_t c = 0; c < cg; ++c) {
+      u[abk * cg + c] = static_cast<std::int8_t>(static_cast<std::int32_t>(src[c]) - 128);
+    }
+  }
+
+  // Hadamard stage: t² int8 GEMMs accumulating in int32 — one per conv group
+  // (groups == 1 is the classic single GEMM per tap). Group gi consumes its
+  // channel slice of V ([t², C, tiles] keeps group channels adjacent) against
+  // its filter rows of U; a pruned tap (sparse-U) zero-fills instead.
+  const std::int64_t gs = g.groups;
+  const std::int64_t kg = K / gs;  // filters per group
+  std::int32_t* m_acc = arena.alloc<std::int32_t>(t2 * K * tiles);
+#pragma omp parallel for schedule(static)
+  for (std::int64_t idx = 0; idx < t2 * gs; ++idx) {
+    const std::int64_t xy = idx / gs, gi = idx % gs;
+    if (!weights.tap_mask.empty() && weights.tap_mask[static_cast<std::size_t>(xy)] != 0) {
+      if (gi == 0) {
+        std::memset(m_acc + xy * K * tiles, 0,
+                    static_cast<std::size_t>(K * tiles) * sizeof(std::int32_t));
+      }
+      continue;
+    }
+    gemm_s8_s32(kg, tiles, cg, u + (xy * K + gi * kg) * cg, v_q + xy * C * tiles + gi * cg * tiles,
+                m_acc + (xy * K + gi * kg) * tiles);
+  }
+  clock.mark(&WinoPhaseNs::gemm);
+
+  // M requantized to int8 (scale sm), then output transform in FP32.
+  const float m_acc_scale = su * sv;
+  float sm = scales.hadamard;
+  if (sm <= 0.F) {
+    std::int32_t amax = 0;
+    for (std::int64_t i = 0; i < t2 * K * tiles; ++i) amax = std::max(amax, std::abs(m_acc[i]));
+    sm = std::max(m_acc_scale * static_cast<float>(amax), 1e-12F) / 127.F;
+  }
+  const auto m_mult = quant::quantize_multiplier(static_cast<double>(m_acc_scale) / sm);
+
+  // Per-tap tables: the gather always takes a t²-long M-scale array (splat
+  // when per-tensor); the requant switches to a per-tap multiplier table only
+  // when some stage carries a tap vector. Dynamic scales are always derived
+  // per-tensor — tap vectors only ever arrive frozen from training.
+  const bool per_tap = !weights.tap_scales.empty() || !scales.input_transformed_taps.empty() ||
+                       !scales.hadamard_taps.empty();
+  std::vector<float> sm_taps = scales.hadamard_taps.empty()
+                                   ? std::vector<float>(static_cast<std::size_t>(t2), sm)
+                                   : scales.hadamard_taps;
+
+  // Requantize the whole Hadamard buffer flat to int8 levels (the gather then
+  // streams a quarter of the bytes), and run the per-plane output transform
+  // as a dispatched kernel.
+  std::int8_t* m_q = arena.alloc<std::int8_t>(t2 * K * tiles);
+  if (per_tap) {
+    const std::vector<float> su_taps =
+        weights.tap_scales.empty() ? std::vector<float>(static_cast<std::size_t>(t2), su)
+                                   : weights.tap_scales;
+    const std::vector<float> sv_taps =
+        scales.input_transformed_taps.empty()
+            ? std::vector<float>(static_cast<std::size_t>(t2), sv)
+            : scales.input_transformed_taps;
+    std::vector<quant::FixedPointMultiplier> m_mults(static_cast<std::size_t>(t2));
+    for (std::int64_t ab = 0; ab < t2; ++ab) {
+      const auto i = static_cast<std::size_t>(ab);
+      m_mults[i] = quant::quantize_multiplier(
+          static_cast<double>(su_taps[i] * sv_taps[i]) / sm_taps[i]);
+    }
+    // m_acc is [t², K, tiles]: one contiguous K*tiles block per table entry.
+    const std::int64_t per_tap_m = K * tiles;
+#pragma omp parallel for schedule(static)
+    for (std::int64_t ab = 0; ab < t2; ++ab) {
+      kt.requant_s32_s8(m_acc + ab * per_tap_m, m_q + ab * per_tap_m, per_tap_m,
+                        m_mults[static_cast<std::size_t>(ab)]);
+    }
+  } else {
+    parallel_flat(t2 * K * tiles, [&](std::int64_t begin, std::int64_t len) {
+      kt.requant_s32_s8(m_acc + begin, m_q + begin, len, m_mult);
+    });
+  }
+  clock.mark(&WinoPhaseNs::requant);
+
+  float* out_f = arena.alloc<float>(g.batch * K * oh * ow);
+  const bool has_bias = bias != nullptr && !bias->empty();
+#pragma omp parallel for schedule(static)
+  for (std::int64_t nk = 0; nk < g.batch * K; ++nk) {
+    const std::int64_t n = nk / K, k = nk % K;
+    // The output transform runs in FP32, so the bias joins there, before the
+    // final requantization — same semantics as the training-time pipeline.
+    const float bv = has_bias ? bias->at(k) : 0.F;
+    kt.wino_gather_f32(m_q + k * tiles + n * th * tw, K * tiles, sm_taps.data(), tr.at_mat.raw(),
+                       t, m, th, tw, oh, ow, bv, out_f + nk * oh * ow);
+  }
+  return out_f;
+}
+
+/// Quantize a conv's fp32 output to int8 at `scale`, derived from the
+/// output's abs-max when not frozen, into the donated or a fresh buffer. The
+/// caller has fully consumed its input by now, so a donated buffer aliasing
+/// it is safe to take over.
+QTensor quantize_output(const float* out_f, const Shape& shape, float scale,
+                        std::vector<std::int8_t>* reuse_storage) {
+  const std::int64_t n = numel(shape);
+  if (scale <= 0.F) {
+    float amax = 0.F;
+    for (std::int64_t i = 0; i < n; ++i) amax = std::max(amax, std::fabs(out_f[i]));
+    scale = quant::scale_for(amax, quant::QuantSpec{8});
+  }
+  QTensor out;
+  out.shape = shape;
+  out.scale = scale;
+  out.data = take_output_storage(reuse_storage, n);
+  const float inv = 1.F / scale;
+  const auto& kt = simd::kernels();
+  parallel_flat(n, [&](std::int64_t begin, std::int64_t len) {
+    kt.quantize_f32_s8(out_f + begin, out.data.data() + begin, len, inv);
+  });
+  return out;
+}
+
+/// Whether a prepared U fits the conv it runs: channels, groups, tile, and
+/// the blocked U's length, which both executors index unchecked.
+bool u_matches(const WinogradWeightsS8& w, const ConvGeometry& g, std::int64_t tile) {
+  return w.out_channels == g.out_channels && w.groups == g.groups &&
+         w.in_channels * g.groups == g.in_channels && w.tile == tile &&
+         static_cast<std::int64_t>(w.u_blocked.size()) ==
+             tile * tile * w.out_channels * w.padded_in_channels();
+}
+
 }  // namespace
 
 QTensor winograd_conv_s8_prepared(const QTensor& input, const WinogradWeightsS8& weights,
@@ -688,8 +893,7 @@ QTensor winograd_conv_s8_prepared(const QTensor& input, const WinogradWeightsS8&
         "winograd_conv_s8: stride must be 1 (strided layers take the polyphase path)");
   }
   if (g.kernel != tr.r) throw std::invalid_argument("winograd_conv_s8: kernel != transform r");
-  if (weights.out_channels != g.out_channels || weights.groups != g.groups ||
-      weights.in_channels * g.groups != g.in_channels || weights.tile != tr.tile) {
+  if (!u_matches(weights, g, tr.tile)) {
     throw std::invalid_argument("winograd_conv_s8: prepared weights do not match geometry");
   }
   if (input.shape != Shape{g.batch, g.in_channels, g.height, g.width}) {
@@ -730,190 +934,22 @@ QTensor winograd_conv_s8_prepared(const QTensor& input, const WinogradWeightsS8&
   }
   // Frozen internal scales let the stages fuse (no whole-tensor abs-max
   // between them): take the streaming blocked executor. Any dynamic scale —
-  // or the set_winograd_blocked_enabled(false) override, or a hand-built
-  // weight cache without the blocked U — runs the flat path.
+  // or the set_winograd_blocked_enabled(false) override — runs the flat path.
   if (scales.input_transformed > 0.F && scales.hadamard > 0.F && scales.output > 0.F &&
-      winograd_blocked_enabled() && !weights.u_blocked.empty()) {
+      winograd_blocked_enabled()) {
     return winograd_conv_s8_blocked(input, weights, g, tr, scales, bias, reuse_storage, phase_ns);
   }
-
-  const std::int64_t oh = g.out_height(), ow = g.out_width();
-  const std::int64_t t = tr.tile, m = tr.m;
-  const std::int64_t th = (oh + m - 1) / m, tw = (ow + m - 1) / m;
-  const std::int64_t tiles = g.batch * th * tw;
-  const float su = weights.scale;
-
-  // Flat-path phase timing: the stages run whole-tensor sequential here, so
-  // one wall-clock mark per stage boundary (traced forwards only) reports
-  // the same scatter/gemm/requant/gather split the blocked executor does.
-  const bool timed = phase_ns != nullptr;
-  auto t_prev =
-      timed ? std::chrono::steady_clock::now() : std::chrono::steady_clock::time_point{};
-  const auto phase_mark = [&](std::atomic<std::int64_t>* acc) {
-    if (!timed) return;
-    const auto tnow = std::chrono::steady_clock::now();
-    acc->fetch_add(std::chrono::duration_cast<std::chrono::nanoseconds>(tnow - t_prev).count(),
-                   std::memory_order_relaxed);
-    t_prev = tnow;
-  };
-
-  ScratchArena& arena = ScratchArena::for_thread();
-  ScratchArena::Scope frame(arena);
-  const auto& kt = simd::kernels();
-
-  // V: dequantize each input tile on the fly (levels * scale — no full fp32
-  // copy of the activation), transform in FP32, requantize to int8. The
-  // per-plane scatter (staged dequant + Bt d B + tile-major store) is a
-  // dispatched kernel; lanes run across tiles on the SIMD backends.
-  float* v_f = arena.alloc<float>(t * t * g.in_channels * tiles);
-  const float in_scale = input.scale;
-#pragma omp parallel for schedule(static)
-  for (std::int64_t nc = 0; nc < g.batch * g.in_channels; ++nc) {
-    const std::int64_t n = nc / g.in_channels, c = nc % g.in_channels;
-    const std::int8_t* plane = input.data.data() + (n * g.in_channels + c) * g.height * g.width;
-    kt.wino_scatter_f32(plane, g.height, g.width, g.pad, in_scale, tr.bt_mat.raw(), t, m, th, tw,
-                        v_f + c * tiles + n * th * tw, g.in_channels * tiles);
-  }
-  float sv = scales.input_transformed;
-  if (sv <= 0.F) {
-    float amax = 0.F;
-    for (std::int64_t i = 0; i < t * t * g.in_channels * tiles; ++i) {
-      amax = std::max(amax, std::fabs(v_f[i]));
-    }
-    sv = quant::scale_for(amax, quant::QuantSpec{8});
-  }
-  std::int8_t* v_q = arena.alloc<std::int8_t>(t * t * g.in_channels * tiles);
-  const float v_inv = 1.F / sv;
-  if (!scales.input_transformed_taps.empty()) {
-    // v_f is [t², C, tiles]: each tap's C*tiles run quantizes at its own
-    // scale. Elementwise, so any split is bit-identical to the blocked path.
-    const std::int64_t per_tap_v = g.in_channels * tiles;
-#pragma omp parallel for schedule(static)
-    for (std::int64_t ab = 0; ab < t * t; ++ab) {
-      kt.quantize_f32_s8(v_f + ab * per_tap_v, v_q + ab * per_tap_v, per_tap_v,
-                         1.F / scales.input_transformed_taps[static_cast<std::size_t>(ab)]);
-    }
-  } else {
-    parallel_flat(t * t * g.in_channels * tiles, [&](std::int64_t begin, std::int64_t len) {
-      kt.quantize_f32_s8(v_f + begin, v_q + begin, len, v_inv);
-    });
-  }
-  phase_mark(timed ? &phase_ns->scatter : nullptr);
-
-  // Hadamard stage: t² int8 GEMMs accumulating in int32 — one per conv group
-  // (groups == 1 is the classic single GEMM per tap). Group gi consumes its
-  // channel slice of V ([t², C, tiles] keeps group channels adjacent) against
-  // its filter rows of U; a pruned tap (sparse-U) zero-fills instead.
-  const std::int64_t gs_f = g.groups;
-  const std::int64_t cg_f = weights.in_channels;       // channels per group
-  const std::int64_t kg_f = g.out_channels / gs_f;     // filters per group
-  std::int32_t* m_acc = arena.alloc<std::int32_t>(t * t * g.out_channels * tiles);
-#pragma omp parallel for schedule(static)
-  for (std::int64_t idx = 0; idx < t * t * gs_f; ++idx) {
-    const std::int64_t xy = idx / gs_f, gi = idx % gs_f;
-    if (!weights.tap_mask.empty() && weights.tap_mask[static_cast<std::size_t>(xy)] != 0) {
-      if (gi == 0) {
-        std::memset(m_acc + xy * g.out_channels * tiles, 0,
-                    static_cast<std::size_t>(g.out_channels * tiles) * sizeof(std::int32_t));
-      }
-      continue;
-    }
-    gemm_s8_s32(kg_f, tiles, cg_f,
-                weights.u_q.data() + (xy * g.out_channels + gi * kg_f) * cg_f,
-                v_q + xy * g.in_channels * tiles + gi * cg_f * tiles,
-                m_acc + (xy * g.out_channels + gi * kg_f) * tiles);
-  }
-  phase_mark(timed ? &phase_ns->gemm : nullptr);
-
-  // M requantized to int8 (scale sm), then output transform in FP32.
-  const float m_acc_scale = su * sv;
-  float sm = scales.hadamard;
-  if (sm <= 0.F) {
-    std::int32_t amax = 0;
-    for (std::int64_t i = 0; i < t * t * g.out_channels * tiles; ++i) {
-      amax = std::max(amax, std::abs(m_acc[i]));
-    }
-    sm = std::max(m_acc_scale * static_cast<float>(amax), 1e-12F) / 127.F;
-  }
-  const auto m_mult = quant::quantize_multiplier(static_cast<double>(m_acc_scale) / sm);
-
-  // Per-tap tables: the gather always takes a t²-long M-scale array (splat
-  // when per-tensor); the requant switches to a per-tap multiplier table only
-  // when some stage carries a tap vector. Dynamic scales are always derived
-  // per-tensor — tap vectors only ever arrive frozen from training.
-  const std::int64_t t2 = t * t;
-  const bool per_tap = !weights.tap_scales.empty() || !scales.input_transformed_taps.empty() ||
-                       !scales.hadamard_taps.empty();
-  std::vector<float> sm_taps = scales.hadamard_taps.empty()
-                                   ? std::vector<float>(static_cast<std::size_t>(t2), sm)
-                                   : scales.hadamard_taps;
-
-  // Requantize the whole Hadamard buffer flat to int8 levels (the gather then
-  // streams a quarter of the bytes), and run the per-plane output transform
-  // as a dispatched kernel.
-  std::int8_t* m_q = arena.alloc<std::int8_t>(t * t * g.out_channels * tiles);
-  if (per_tap) {
-    const std::vector<float> su_taps =
-        weights.tap_scales.empty() ? std::vector<float>(static_cast<std::size_t>(t2), su)
-                                   : weights.tap_scales;
-    const std::vector<float> sv_taps =
-        scales.input_transformed_taps.empty()
-            ? std::vector<float>(static_cast<std::size_t>(t2), sv)
-            : scales.input_transformed_taps;
-    std::vector<quant::FixedPointMultiplier> m_mults(static_cast<std::size_t>(t2));
-    for (std::int64_t ab = 0; ab < t2; ++ab) {
-      const auto i = static_cast<std::size_t>(ab);
-      m_mults[i] = quant::quantize_multiplier(
-          static_cast<double>(su_taps[i] * sv_taps[i]) / sm_taps[i]);
-    }
-    // m_acc is [t², K, tiles]: one contiguous K*tiles block per table entry.
-    const std::int64_t per_tap_m = g.out_channels * tiles;
-#pragma omp parallel for schedule(static)
-    for (std::int64_t ab = 0; ab < t2; ++ab) {
-      kt.requant_s32_s8(m_acc + ab * per_tap_m, m_q + ab * per_tap_m, per_tap_m,
-                        m_mults[static_cast<std::size_t>(ab)]);
-    }
-  } else {
-    parallel_flat(t * t * g.out_channels * tiles, [&](std::int64_t begin, std::int64_t len) {
-      kt.requant_s32_s8(m_acc + begin, m_q + begin, len, m_mult);
-    });
-  }
-  phase_mark(timed ? &phase_ns->requant : nullptr);
-
-  float* out_f = arena.alloc<float>(g.batch * g.out_channels * oh * ow);
-  const bool has_bias = bias != nullptr && !bias->empty();
-  if (has_bias && bias->numel() != g.out_channels) {
+  if (bias != nullptr && !bias->empty() && bias->numel() != g.out_channels) {
     throw std::invalid_argument("winograd_conv_s8: bias/channel mismatch");
   }
-#pragma omp parallel for schedule(static)
-  for (std::int64_t nk = 0; nk < g.batch * g.out_channels; ++nk) {
-    const std::int64_t n = nk / g.out_channels, k = nk % g.out_channels;
-    // The output transform runs in FP32, so the bias joins there, before the
-    // final requantization — same semantics as the training-time pipeline.
-    const float bv = has_bias ? bias->at(k) : 0.F;
-    kt.wino_gather_f32(m_q + k * tiles + n * th * tw, g.out_channels * tiles, sm_taps.data(),
-                       tr.at_mat.raw(), t, m, th, tw, oh, ow, bv, out_f + nk * oh * ow);
-  }
-
-  float so = scales.output;
-  if (so <= 0.F) {
-    float amax = 0.F;
-    for (std::int64_t i = 0; i < g.batch * g.out_channels * oh * ow; ++i) {
-      amax = std::max(amax, std::fabs(out_f[i]));
-    }
-    so = quant::scale_for(amax, quant::QuantSpec{8});
-  }
-  QTensor out;
-  out.shape = Shape{g.batch, g.out_channels, oh, ow};
-  out.scale = so;
-  // The input was fully consumed by the scatter stage above, so a donated
-  // buffer aliasing it is safe to take over here.
-  out.data = take_output_storage(reuse_storage, g.batch * g.out_channels * oh * ow);
-  const float o_inv = 1.F / so;
-  parallel_flat(g.batch * g.out_channels * oh * ow, [&](std::int64_t begin, std::int64_t len) {
-    kt.quantize_f32_s8(out_f + begin, out.data.data() + begin, len, o_inv);
-  });
-  phase_mark(timed ? &phase_ns->gather : nullptr);
+  ScratchArena& arena = ScratchArena::for_thread();
+  ScratchArena::Scope frame(arena);
+  PhaseClock clock(phase_ns);
+  const float* out_f =
+      winograd_flat_f32(input.data.data(), input.scale, g, weights, tr, scales, bias, clock, arena);
+  const Shape out_shape{g.batch, g.out_channels, g.out_height(), g.out_width()};
+  QTensor out = quantize_output(out_f, out_shape, scales.output, reuse_storage);
+  clock.mark(&WinoPhaseNs::gather);
   return out;
 }
 
@@ -992,7 +1028,23 @@ QTensor strided_winograd_conv_s8_prepared(const QTensor& input,
   if (tr.r != 2 || weights.u00.tile != tr.tile) {
     throw std::invalid_argument("strided_winograd_conv_s8: transforms must match the 2x2 phase");
   }
-  if (weights.out_channels != g.out_channels || weights.in_channels != g.in_channels) {
+  const std::int64_t oh = g.out_height(), ow = g.out_width();
+  const std::int64_t C = g.in_channels, K = g.out_channels;
+  // Even/even subplane of the PADDED input: e[u, v] = xp[2u, 2v], so the 3x3
+  // stride-2 conv's (0,0)-parity taps become a stride-1 VALID 2x2 conv on e.
+  // ceil((H + 2p) / 2) rows always yields exactly oh = (H + 2p - 3)/2 + 1
+  // valid outputs (h00 - 1 == oh for every parity of H + 2p).
+  ConvGeometry g00 = g;
+  g00.height = (g.height + 2 * g.pad + 1) / 2;
+  g00.width = (g.width + 2 * g.pad + 1) / 2;
+  g00.kernel = 2;
+  g00.pad = 0;
+  g00.stride = 1;
+  if (g00.out_height() != oh || g00.out_width() != ow) {
+    throw std::logic_error("strided_winograd_conv_s8: polyphase geometry mismatch");
+  }
+  if (weights.out_channels != K || weights.in_channels != C ||
+      !u_matches(weights.u00, g00, tr.tile)) {
     throw std::invalid_argument("strided_winograd_conv_s8: prepared weights do not match geometry");
   }
   if (!scales.input_transformed_taps.empty() || !scales.hadamard_taps.empty() ||
@@ -1003,26 +1055,17 @@ QTensor strided_winograd_conv_s8_prepared(const QTensor& input,
     throw std::invalid_argument(
         "strided_winograd_conv_s8: weights_transformed scale does not match the prepared weights");
   }
-  if (input.shape != Shape{g.batch, g.in_channels, g.height, g.width}) {
+  if (input.shape != Shape{g.batch, C, g.height, g.width}) {
     throw std::invalid_argument("strided_winograd_conv_s8: input shape " + to_string(input.shape) +
                                 " does not match geometry");
   }
-  const std::int64_t oh = g.out_height(), ow = g.out_width();
-  const std::int64_t C = g.in_channels, K = g.out_channels;
-  // Even/even subplane of the PADDED input: e[u, v] = xp[2u, 2v], so the 3x3
-  // stride-2 conv's (0,0)-parity taps become a stride-1 VALID 2x2 conv on e.
-  // ceil((H + 2p) / 2) rows always yields exactly oh = (H + 2p - 3)/2 + 1
-  // valid outputs (h00 - 1 == oh for every parity of H + 2p).
-  const std::int64_t h00 = (g.height + 2 * g.pad + 1) / 2;
-  const std::int64_t w00 = (g.width + 2 * g.pad + 1) / 2;
-  if (h00 - 1 != oh || w00 - 1 != ow) {
-    throw std::logic_error("strided_winograd_conv_s8: polyphase geometry mismatch");
+  if (bias != nullptr && !bias->empty() && bias->numel() != K) {
+    throw std::invalid_argument("strided_winograd_conv_s8: bias/channel mismatch");
   }
 
   ScratchArena& arena = ScratchArena::for_thread();
   ScratchArena::Scope frame(arena);
-  const auto& kt = simd::kernels();
-
+  const std::int64_t h00 = g00.height, w00 = g00.width;
   std::int8_t* sub = arena.alloc<std::int8_t>(g.batch * C * h00 * w00);
 #pragma omp parallel for schedule(static)
   for (std::int64_t nc = 0; nc < g.batch * C; ++nc) {
@@ -1039,67 +1082,12 @@ QTensor strided_winograd_conv_s8_prepared(const QTensor& input,
     }
   }
 
-  // Phase (0,0) runs the standard flat Winograd sequence on the subplanes
-  // (pad already baked into e, so the scatter sees pad 0), gathered to fp32
-  // so the rect-phase partials can join before the single output quantize.
-  const std::int64_t t = tr.tile, m = tr.m, t2 = t * t;
-  const std::int64_t th = (oh + m - 1) / m, tw = (ow + m - 1) / m;
-  const std::int64_t tiles = g.batch * th * tw;
-  const float su = weights.u00.scale;
-  const float in_scale = input.scale;
-
-  float* v_f = arena.alloc<float>(t2 * C * tiles);
-#pragma omp parallel for schedule(static)
-  for (std::int64_t nc = 0; nc < g.batch * C; ++nc) {
-    const std::int64_t n = nc / C, c = nc % C;
-    kt.wino_scatter_f32(sub + nc * h00 * w00, h00, w00, /*pad=*/0, in_scale, tr.bt_mat.raw(), t,
-                        m, th, tw, v_f + c * tiles + n * th * tw, C * tiles);
-  }
-  float sv = scales.input_transformed;
-  if (sv <= 0.F) {
-    float amax = 0.F;
-    for (std::int64_t i = 0; i < t2 * C * tiles; ++i) amax = std::max(amax, std::fabs(v_f[i]));
-    sv = quant::scale_for(amax, quant::QuantSpec{8});
-  }
-  std::int8_t* v_q = arena.alloc<std::int8_t>(t2 * C * tiles);
-  const float v_inv = 1.F / sv;
-  parallel_flat(t2 * C * tiles, [&](std::int64_t begin, std::int64_t len) {
-    kt.quantize_f32_s8(v_f + begin, v_q + begin, len, v_inv);
-  });
-
-  std::int32_t* m_acc = arena.alloc<std::int32_t>(t2 * K * tiles);
-#pragma omp parallel for schedule(static)
-  for (std::int64_t xy = 0; xy < t2; ++xy) {
-    gemm_s8_s32(K, tiles, C, weights.u00.u_q.data() + xy * K * C, v_q + xy * C * tiles,
-                m_acc + xy * K * tiles);
-  }
-
-  const float m_acc_scale = su * sv;
-  float sm = scales.hadamard;
-  if (sm <= 0.F) {
-    std::int32_t amax = 0;
-    for (std::int64_t i = 0; i < t2 * K * tiles; ++i) amax = std::max(amax, std::abs(m_acc[i]));
-    sm = std::max(m_acc_scale * static_cast<float>(amax), 1e-12F) / 127.F;
-  }
-  const auto m_mult = quant::quantize_multiplier(static_cast<double>(m_acc_scale) / sm);
-  std::int8_t* m_q = arena.alloc<std::int8_t>(t2 * K * tiles);
-  parallel_flat(t2 * K * tiles, [&](std::int64_t begin, std::int64_t len) {
-    kt.requant_s32_s8(m_acc + begin, m_q + begin, len, m_mult);
-  });
-
-  const std::vector<float> sm_taps(static_cast<std::size_t>(t2), sm);
-  const bool has_bias = bias != nullptr && !bias->empty();
-  if (has_bias && bias->numel() != g.out_channels) {
-    throw std::invalid_argument("strided_winograd_conv_s8: bias/channel mismatch");
-  }
-  float* out_f = arena.alloc<float>(g.batch * K * oh * ow);
-#pragma omp parallel for schedule(static)
-  for (std::int64_t nk = 0; nk < g.batch * K; ++nk) {
-    const std::int64_t n = nk / K, k = nk % K;
-    const float bv = has_bias ? bias->at(k) : 0.F;
-    kt.wino_gather_f32(m_q + k * tiles + n * th * tw, K * tiles, sm_taps.data(), tr.at_mat.raw(),
-                       t, m, th, tw, oh, ow, bv, out_f + nk * oh * ow);
-  }
+  // Phase (0,0) runs the flat Winograd sequence on the subplanes (pad
+  // already baked into e), stopped at fp32 so the rect-phase partials can
+  // join before the single output quantize.
+  PhaseClock untimed(nullptr);
+  float* out_f =
+      winograd_flat_f32(sub, input.scale, g00, weights.u00, tr, scales, bias, untimed, arena);
 
   // Rect phases: the five odd-parity taps lower to one [rows, 5*C] im2row
   // GEMM straight from the (strided) original input, whose int32 partials
@@ -1128,7 +1116,7 @@ QTensor strided_winograd_conv_s8_prepared(const QTensor& input,
   std::int32_t* racc = arena.alloc<std::int32_t>(rows * K);
   gemm_s8_s32(rows, K, patch, lowered, weights.rect_wt.data(), racc);
 
-  const float rect_acc_scale = in_scale * weights.rect_scale;
+  const float rect_acc_scale = input.scale * weights.rect_scale;
 #pragma omp parallel for collapse(2) schedule(static)
   for (std::int64_t n = 0; n < g.batch; ++n) {
     for (std::int64_t i = 0; i < oh; ++i) {
@@ -1141,25 +1129,9 @@ QTensor strided_winograd_conv_s8_prepared(const QTensor& input,
     }
   }
 
-  float so = scales.output;
-  if (so <= 0.F) {
-    float amax = 0.F;
-    for (std::int64_t i = 0; i < g.batch * K * oh * ow; ++i) {
-      amax = std::max(amax, std::fabs(out_f[i]));
-    }
-    so = quant::scale_for(amax, quant::QuantSpec{8});
-  }
-  QTensor out;
-  out.shape = Shape{g.batch, K, oh, ow};
-  out.scale = so;
   // Both the subplane build and the rect lowering have fully consumed the
-  // input, so a donated buffer aliasing it is safe to take over here.
-  out.data = take_output_storage(reuse_storage, g.batch * K * oh * ow);
-  const float o_inv = 1.F / so;
-  parallel_flat(g.batch * K * oh * ow, [&](std::int64_t begin, std::int64_t len) {
-    kt.quantize_f32_s8(out_f + begin, out.data.data() + begin, len, o_inv);
-  });
-  return out;
+  // input, so a donated buffer aliasing it is safe to take over.
+  return quantize_output(out_f, Shape{g.batch, K, oh, ow}, scales.output, reuse_storage);
 }
 
 }  // namespace wa::backend

@@ -79,24 +79,25 @@ struct WinogradStageScales {
 inline constexpr std::int64_t kWinoChannelBlock = 4;
 
 /// Winograd weights transformed AND quantized once at load: U = Qx(G g Gᵀ)
-/// as int8 levels [t*t, K, C] at `scale`. This is the LANCE-style
-/// precomputation — per forward only the input/Hadamard/output stages run.
+/// as int8 levels at `scale`. This is the LANCE-style precomputation — per
+/// forward only the input/Hadamard/output stages run.
 ///
-/// `u_blocked` is the same levels pre-blocked for the fused streaming
+/// `u_blocked` is the one stored copy of U, laid out for the fused streaming
 /// executor: [t*t, K, Cpad] unsigned offset-binary bytes (level + 128),
 /// Cpad = C rounded up to kWinoChannelBlock, pad bytes 128 (== level 0).
 /// Offset-binary is what `vpdpbusd` (unsigned x signed) needs; the GEMM
-/// removes the +128 exactly (see KernelTable::gemm_u8s8_s32_k4).
-/// Grouped layers store U with the per-group input width: u_q is
-/// [t*t, K, C/groups] (k's group is k / (K/groups)); u_blocked pads the
-/// per-group C. `in_channels` stays the per-group width so the existing
-/// geometry invariants (u_q size == t²·K·in_channels) hold unchanged.
+/// removes the +128 exactly (see KernelTable::gemm_u8s8_s32_k4). The flat
+/// reference executor unblocks it per call into its arena (byte - 128, pad
+/// lanes dropped); the stored cache never changes, so that staging is not
+/// counted as a weight repack.
+/// Grouped layers store U with the per-group input width: Cpad pads
+/// C/groups and k's group is k / (K/groups). `in_channels` is that
+/// per-group width.
 struct WinogradWeightsS8 {
-  std::vector<std::int8_t> u_q;         // [t*t, K, C/groups]
   std::vector<std::uint8_t> u_blocked;  // [t*t, K, Cpad], offset-binary
-  std::int64_t padded_in_channels = 0;  // Cpad = pad4(C/groups)
   float scale = 1.F;
-  /// Per-tap U scales ([t*t], tap ab quantized slice [ab, :, :] of u_q).
+  /// Per-tap U scales ([t*t], tap ab's levels [ab, :, :] were quantized at
+  /// entry ab).
   /// Empty = per-tensor (`scale` quantized every tap). When set, `scale`
   /// holds a representative entry (tap 0) for legacy predicates.
   std::vector<float> tap_scales;
@@ -110,7 +111,11 @@ struct WinogradWeightsS8 {
   std::int64_t in_channels = 0;  // per-group input channels
   std::int64_t groups = 1;
   std::int64_t tile = 0;
-  bool empty() const { return u_q.empty(); }
+  /// Cpad = pad4(C/groups), the channel stride of u_blocked.
+  std::int64_t padded_in_channels() const {
+    return (in_channels + kWinoChannelBlock - 1) / kWinoChannelBlock * kWinoChannelBlock;
+  }
+  bool empty() const { return u_blocked.empty(); }
 };
 
 /// Build the cached transformed weights. `scale` <= 0 derives the scale from
@@ -162,16 +167,15 @@ struct WinoPhaseNs {
 /// scatter stage before the output tensor is materialized.
 ///
 /// Execution strategy: when every internal scale (input_transformed,
-/// hadamard, output) is frozen and the prepared weights carry the blocked U,
-/// the conv runs the fused streaming executor — per block of tiles,
-/// transform -> t² blocked GEMMs -> inverse transform + requant in one loop
-/// whose V/M intermediates live in L1/L2-sized ScratchArena buffers, with
-/// each block split across the OpenMP team (channel quads, then
-/// output-channel slices). Any
-/// dynamic scale forces the flat path (deriving a scale needs the full
-/// tensor's abs-max before the next stage may quantize). Both executions are
-/// bit-identical; set_winograd_blocked_enabled(false) forces flat for
-/// differential tests and benchmarks.
+/// hadamard, output) is frozen, the conv runs the fused streaming executor —
+/// per block of tiles, transform -> t² blocked GEMMs -> inverse transform +
+/// requant in one loop whose V/M intermediates live in L1/L2-sized
+/// ScratchArena buffers, with each block split across the OpenMP team
+/// (channel quads, then output-channel slices). Any dynamic scale forces the
+/// flat path (deriving a scale needs the full tensor's abs-max before the
+/// next stage may quantize). Both executions are bit-identical;
+/// set_winograd_blocked_enabled(false) forces flat for differential tests
+/// and benchmarks.
 QTensor winograd_conv_s8_prepared(const QTensor& input, const WinogradWeightsS8& weights,
                                   const ConvGeometry& g, const wino::Transforms& tr,
                                   const WinogradStageScales& scales = {},
@@ -181,8 +185,8 @@ QTensor winograd_conv_s8_prepared(const QTensor& input, const WinogradWeightsS8&
 
 /// Stride-2 Winograd weights via the polyphase identity (src/winograd/
 /// strided): y = Σ_st corr1(x_st, g_st) over the four parity subplanes. The
-/// dense 2x2-tap phase g00 runs as a standard Winograd conv over the even/
-/// even input subplane (u00, F(m,2) transforms); the three rectangular
+/// dense 2x2-tap phase g00 runs through the flat Winograd sequence over the
+/// even/even input subplane (u00, F(m,2) transforms); the three rectangular
 /// phases (5 taps total: w01,w21 | w10,w12 | w11) collapse into one im2row
 /// GEMM over a 5*C patch lowered straight from the original (strided) input.
 /// Their int32 partials are combined in fp32 and quantized once at the

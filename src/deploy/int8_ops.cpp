@@ -78,11 +78,6 @@ QTensor flatten_s8(QTensor x) {
   return x;
 }
 
-QTensor linear_s8(const QTensor& x, const QTensor& weights, const Tensor& bias,
-                  float out_scale) {
-  return linear_s8_prepared(x, prepare_linear_weights_s8(weights), bias, out_scale);
-}
-
 LinearWeightsS8 prepare_linear_weights_s8(const QTensor& weights) {
   if (weights.shape.size() != 2) {
     throw std::invalid_argument("prepare_linear_weights_s8: expects 2-d [O, F] weights");
@@ -103,17 +98,17 @@ LinearWeightsS8 prepare_linear_weights_s8(const QTensor& weights) {
 
 QTensor linear_s8_prepared(const QTensor& x, const LinearWeightsS8& weights, const Tensor& bias,
                            float out_scale) {
-  if (x.shape.size() != 2) throw std::invalid_argument("linear_s8: expects 2-d input");
+  if (x.shape.size() != 2) throw std::invalid_argument("linear_s8_prepared: expects 2-d input");
   const std::int64_t n = x.shape[0], f = x.shape[1];
   const std::int64_t o = weights.out_features;
-  if (weights.in_features != f) throw std::invalid_argument("linear_s8: feature mismatch");
+  if (weights.in_features != f) throw std::invalid_argument("linear_s8_prepared: feature mismatch");
 
   std::vector<std::int32_t> acc(static_cast<std::size_t>(n * o));
   backend::gemm_s8_s32(n, o, f, x.data.data(), weights.wt.data(), acc.data());
 
   const float acc_scale = x.scale * weights.scale;
   if (!bias.empty()) {
-    if (bias.numel() != o) throw std::invalid_argument("linear_s8: bias/output mismatch");
+    if (bias.numel() != o) throw std::invalid_argument("linear_s8_prepared: bias/output mismatch");
     for (std::int64_t ni = 0; ni < n; ++ni) {
       std::int32_t* row = acc.data() + ni * o;
       for (std::int64_t oo = 0; oo < o; ++oo) {

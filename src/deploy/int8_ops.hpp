@@ -26,14 +26,6 @@ backend::QTensor global_avg_pool_s8(const backend::QTensor& x);
 /// Collapse [N, ...] to [N, features]; levels and scale unchanged.
 backend::QTensor flatten_s8(backend::QTensor x);
 
-/// Fully connected: y = x [N,F] * Wᵀ [O,F] + b, int8 x int8 -> int32 with
-/// fixed-point requantization to int8 at `out_scale` (derived from the
-/// accumulator abs-max when non-positive). `bias` may be empty. Repacks the
-/// weight matrix on every call — load-time code should prepare once and use
-/// linear_s8_prepared instead.
-backend::QTensor linear_s8(const backend::QTensor& x, const backend::QTensor& weights,
-                           const Tensor& bias, float out_scale = -1.F);
-
 /// Linear weights repacked once at load: [O, F] -> [F, O] so the per-forward
 /// GEMM consumes them directly (the conv layers got the same treatment in
 /// prepare_im2row_weights_s8).
@@ -47,7 +39,10 @@ struct LinearWeightsS8 {
 
 LinearWeightsS8 prepare_linear_weights_s8(const backend::QTensor& weights);
 
-/// linear_s8 from prepared weights: no repack at run time.
+/// Fully connected from prepared weights: y = x [N,F] * Wᵀ [O,F] + b,
+/// int8 x int8 -> int32 with fixed-point requantization to int8 at
+/// `out_scale` (derived from the accumulator abs-max when non-positive).
+/// `bias` may be empty. No repack at run time.
 backend::QTensor linear_s8_prepared(const backend::QTensor& x, const LinearWeightsS8& weights,
                                     const Tensor& bias, float out_scale = -1.F);
 

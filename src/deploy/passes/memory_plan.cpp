@@ -38,6 +38,34 @@ struct WalkState {
   const std::vector<Node>* nodes = nullptr;
 };
 
+/// Bytes a two-input join (Add or Concat) copies while acquiring its
+/// operands at their branch scales — Int8Pipeline::run_impl's acquire_join.
+/// x + x copies the value once when either branch scale diverges, and once
+/// more when the value outlives the join and the rhs diverges too; distinct
+/// operands copy each borrowed one whose rescale is not the identity.
+std::int64_t join_copy_bytes(const WalkState& st, std::size_t i, std::int32_t v1,
+                             std::int32_t v2, float lhs_scale, float rhs_scale) {
+  const Wiring& w = *st.w;
+  const auto dies_here = [&](std::int32_t v) {
+    return w.last_use[static_cast<std::size_t>(v)] == static_cast<std::int32_t>(i);
+  };
+  const auto size = [&](std::int32_t v) { return st.sizes[static_cast<std::size_t>(v)]; };
+  const float s1 = st.vscale[static_cast<std::size_t>(v1)];
+  if (v1 == v2) {
+    const bool lhs_div = internal::rescale_would_copy(s1, lhs_scale);
+    const bool rhs_div = internal::rescale_would_copy(s1, rhs_scale);
+    if (!lhs_div && !rhs_div) return 0;
+    return size(v1) + (!dies_here(v1) && rhs_div ? size(v1) : 0);
+  }
+  std::int64_t copies = 0;
+  if (!dies_here(v1) && internal::rescale_would_copy(s1, lhs_scale)) copies += size(v1);
+  if (!dies_here(v2) &&
+      internal::rescale_would_copy(st.vscale[static_cast<std::size_t>(v2)], rhs_scale)) {
+    copies += size(v2);
+  }
+  return copies;
+}
+
 /// One executor-faithful walk. When `marks` is non-null and `decide` is
 /// true, in-place marks are chosen greedily along the way (plan mode);
 /// decide=false with marks replays them; marks==nullptr simulates the
@@ -72,65 +100,29 @@ std::int64_t walk_peak(const WalkState& st, std::vector<std::uint8_t>* marks, bo
     std::int32_t donor = -1;
     std::int64_t donor_eff = 0;
 
-    if (std::holds_alternative<AddStage>(node.op)) {
-      const auto& add = std::get<AddStage>(node.op);
-      if (same) {
-        const bool lhs_div = internal::rescale_would_copy(s1, add.lhs_scale);
-        const bool rhs_div = internal::rescale_would_copy(s1, add.rhs_scale);
-        const bool owned_same =
-            w.last_use[static_cast<std::size_t>(v1)] == static_cast<std::int32_t>(i);
-        if (lhs_div || rhs_div) {
-          copies += st.sizes[static_cast<std::size_t>(v1)];  // lhs copy
-          if (!owned_same && rhs_div) copies += st.sizes[static_cast<std::size_t>(v1)];
-        }
-        // Same-operand joins never run in place.
-      } else {
-        if (!owned1 && internal::rescale_would_copy(s1, add.lhs_scale)) {
-          copies += st.sizes[static_cast<std::size_t>(v1)];
-        }
-        const float s2 = st.vscale[static_cast<std::size_t>(v2)];
-        if (!owned2 && internal::rescale_would_copy(s2, add.rhs_scale)) {
-          copies += st.sizes[static_cast<std::size_t>(v2)];
-        }
-        std::uint8_t m = marks != nullptr ? (*marks)[i] : 0;
-        if (marks != nullptr && decide) {
-          m = owned1 ? 1 : (owned2 ? 2 : 0);
-          (*marks)[i] = m;
-        }
-        if (m == 1 && owned1) {
-          donated = true;
-          donor = v1;
-          donor_eff = eff[static_cast<std::size_t>(v1)];
-        } else if (m == 2 && owned2) {
-          donated = true;
-          donor = v2;
-          donor_eff = eff[static_cast<std::size_t>(v2)];
-        }
+    const auto* add = std::get_if<AddStage>(&node.op);
+    const auto* cat = std::get_if<ConcatStage>(&node.op);
+    if (add != nullptr || cat != nullptr) {
+      copies += join_copy_bytes(st, i, v1, v2, add != nullptr ? add->lhs_scale : cat->lhs_scale,
+                                add != nullptr ? add->rhs_scale : cat->rhs_scale);
+      // Only Add runs in place, into whichever operand dies at the join.
+      // Same-operand joins never do, and neither does Concat: its output is
+      // strictly larger than either operand, so the executor always
+      // allocates fresh (mark stays 0).
+      std::uint8_t m = 0;
+      if (add != nullptr && marks != nullptr) {
+        m = decide ? (owned1 ? 1 : (owned2 ? 2 : 0)) : (*marks)[i];
       }
-    } else if (std::holds_alternative<ConcatStage>(node.op)) {
-      // Mirrors the AddStage copy analysis, but the join NEVER runs in place:
-      // the concatenated output is strictly larger than either operand, so
-      // the executor always allocates fresh (mark stays 0).
-      const auto& cat = std::get<ConcatStage>(node.op);
-      if (same) {
-        const bool lhs_div = internal::rescale_would_copy(s1, cat.lhs_scale);
-        const bool rhs_div = internal::rescale_would_copy(s1, cat.rhs_scale);
-        const bool owned_same =
-            w.last_use[static_cast<std::size_t>(v1)] == static_cast<std::int32_t>(i);
-        if (lhs_div || rhs_div) {
-          copies += st.sizes[static_cast<std::size_t>(v1)];  // lhs copy
-          if (!owned_same && rhs_div) copies += st.sizes[static_cast<std::size_t>(v1)];
-        }
-      } else {
-        if (!owned1 && internal::rescale_would_copy(s1, cat.lhs_scale)) {
-          copies += st.sizes[static_cast<std::size_t>(v1)];
-        }
-        const float s2 = st.vscale[static_cast<std::size_t>(v2)];
-        if (!owned2 && internal::rescale_would_copy(s2, cat.rhs_scale)) {
-          copies += st.sizes[static_cast<std::size_t>(v2)];
-        }
+      if (marks != nullptr && decide) (*marks)[i] = m;
+      if (m == 1 && owned1) {
+        donated = true;
+        donor = v1;
+        donor_eff = eff[static_cast<std::size_t>(v1)];
+      } else if (m == 2 && owned2) {
+        donated = true;
+        donor = v2;
+        donor_eff = eff[static_cast<std::size_t>(v2)];
       }
-      if (marks != nullptr && decide) (*marks)[i] = 0;
     } else {
       const float expected = internal::expected_input_scale(node.op, 0);
       const bool would_copy = !owned1 && internal::rescale_would_copy(s1, expected);

@@ -6,6 +6,7 @@
 #include <map>
 #include <set>
 #include <stdexcept>
+#include <utility>
 
 #include "backend/bn_fold.hpp"
 #include "core/wa_conv2d.hpp"
@@ -455,6 +456,26 @@ Tensor Int8Pipeline::run_impl(const Tensor& input, std::vector<StageTiming>* tim
       }
       return &src;
     };
+    // A two-input join's operands (Add and Concat alike) at their branch
+    // scales. x + x acquires the value once and materializes separate
+    // copies only when the two branch scales actually diverge.
+    const auto acquire_join = [&](float lhs_scale,
+                                  float rhs_scale) -> std::pair<const QTensor*, const QTensor*> {
+      if (!same_operand) {
+        return {acquire(v1, owned1, lhs_scale, held1), acquire(v2, owned2, rhs_scale, held2)};
+      }
+      const bool owned = refs[static_cast<std::size_t>(v1)] == 2;
+      const float scale = vals[static_cast<std::size_t>(v1)].scale;
+      if (rescale_changes_levels(scale, lhs_scale) || rescale_changes_levels(scale, rhs_scale)) {
+        held1 = vals[static_cast<std::size_t>(v1)];
+        copy_bytes += static_cast<std::int64_t>(held1.data.capacity());
+        ++rs.input_copies;
+        held1 = rescale_s8(std::move(held1), lhs_scale);
+        return {&held1, acquire(v1, owned, rhs_scale, held2)};
+      }
+      const QTensor* x = acquire(v1, owned, lhs_scale, held2);
+      return {x, x};
+    };
 
     const std::uint8_t mark = plan != nullptr ? plan->in_place[i] : 0;
     // Per-phase accumulator for traced Winograd convs; a null pointer keeps
@@ -543,27 +564,7 @@ Tensor Int8Pipeline::run_impl(const Tensor& input, std::vector<StageTiming>* tim
               out = channel_affine_s8(*x, st.affine, st.relu_after);
             }
           } else if constexpr (std::is_same_v<T, AddStage>) {
-            const QTensor* lhs;
-            const QTensor* rhs;
-            if (same_operand) {
-              // x + x: acquire the value once; materialize separate copies
-              // only when the two branch scales actually diverge.
-              const bool owned = refs[static_cast<std::size_t>(v1)] == 2;
-              if (rescale_changes_levels(vals[static_cast<std::size_t>(v1)].scale, st.lhs_scale) ||
-                  rescale_changes_levels(vals[static_cast<std::size_t>(v1)].scale, st.rhs_scale)) {
-                held1 = vals[static_cast<std::size_t>(v1)];
-                copy_bytes += static_cast<std::int64_t>(held1.data.capacity());
-                ++rs.input_copies;
-                held1 = rescale_s8(std::move(held1), st.lhs_scale);
-                lhs = &held1;
-                rhs = acquire(v1, owned, st.rhs_scale, held2);
-              } else {
-                lhs = rhs = acquire(v1, owned, st.lhs_scale, held2);
-              }
-            } else {
-              lhs = acquire(v1, owned1, st.lhs_scale, held1);
-              rhs = acquire(v2, owned2, st.rhs_scale, held2);
-            }
+            const auto [lhs, rhs] = acquire_join(st.lhs_scale, st.rhs_scale);
             expect(lhs->shape == rhs->shape, where,
                    "skip-add branch shapes " + to_string(lhs->shape) + " vs " +
                        to_string(rhs->shape) + " do not match");
@@ -584,28 +585,9 @@ Tensor Int8Pipeline::run_impl(const Tensor& input, std::vector<StageTiming>* tim
                            st.relu_after);
             }
           } else if constexpr (std::is_same_v<T, ConcatStage>) {
-            // The channel-concat join mirrors AddStage's operand acquisition
-            // but never writes in place: the output is strictly larger than
-            // either operand, so the planner marks it 0 unconditionally.
-            const QTensor* lhs;
-            const QTensor* rhs;
-            if (same_operand) {
-              const bool owned = refs[static_cast<std::size_t>(v1)] == 2;
-              if (rescale_changes_levels(vals[static_cast<std::size_t>(v1)].scale, st.lhs_scale) ||
-                  rescale_changes_levels(vals[static_cast<std::size_t>(v1)].scale, st.rhs_scale)) {
-                held1 = vals[static_cast<std::size_t>(v1)];
-                copy_bytes += static_cast<std::int64_t>(held1.data.capacity());
-                ++rs.input_copies;
-                held1 = rescale_s8(std::move(held1), st.lhs_scale);
-                lhs = &held1;
-                rhs = acquire(v1, owned, st.rhs_scale, held2);
-              } else {
-                lhs = rhs = acquire(v1, owned, st.lhs_scale, held2);
-              }
-            } else {
-              lhs = acquire(v1, owned1, st.lhs_scale, held1);
-              rhs = acquire(v2, owned2, st.rhs_scale, held2);
-            }
+            // Never in place: the output is strictly larger than either
+            // operand, so the planner marks it 0 unconditionally.
+            const auto [lhs, rhs] = acquire_join(st.lhs_scale, st.rhs_scale);
             expect(lhs->shape.size() == 4 && rhs->shape.size() == 4, where,
                    "concat expects 4-d [N,C,H,W] operands, got " + to_string(lhs->shape) +
                        " and " + to_string(rhs->shape));

@@ -128,16 +128,14 @@ void save_conv(std::ostream& os, const ConvStage& st) {
     save_tensor(os, st.transforms.g_mat);
     save_tensor(os, st.transforms.bt_mat);
     save_tensor(os, st.transforms.at_mat);
-    save_vector(os, st.wino_cache.u_q);
     save_pod(os, st.wino_cache.scale);
     save_pod(os, st.wino_cache.out_channels);
     save_pod(os, st.wino_cache.in_channels);
     save_pod(os, st.wino_cache.tile);
-    // The pre-blocked offset-binary U the fused streaming executor consumes
-    // (backend/conv_kernels_s8.hpp). Stored so a load lands on the blocked
-    // hot path without re-packing.
+    // The one U: the pre-blocked offset-binary layout the fused streaming
+    // executor consumes (backend/conv_kernels_s8.hpp), so a load lands on
+    // the blocked hot path without re-packing.
     save_vector(os, st.wino_cache.u_blocked);
-    save_pod(os, st.wino_cache.padded_in_channels);
     // Per-tap scale vectors for the transform-domain stages plus the per-tap
     // scales the U cache was baked at. Empty = per-tensor (the scalar
     // stage_scales fields rule).
@@ -157,13 +155,11 @@ void save_conv(std::ostream& os, const ConvStage& st) {
     save_tensor(os, st.transforms.g_mat);
     save_tensor(os, st.transforms.bt_mat);
     save_tensor(os, st.transforms.at_mat);
-    save_vector(os, st.strided_cache.u00.u_q);
     save_pod(os, st.strided_cache.u00.scale);
     save_pod(os, st.strided_cache.u00.out_channels);
     save_pod(os, st.strided_cache.u00.in_channels);
     save_pod(os, st.strided_cache.u00.tile);
     save_vector(os, st.strided_cache.u00.u_blocked);
-    save_pod(os, st.strided_cache.u00.padded_in_channels);
     save_vector(os, st.strided_cache.rect_wt);
     save_pod(os, st.strided_cache.rect_scale);
   } else {
@@ -280,36 +276,26 @@ ConvStage load_conv(std::istream& is) {
   }
   if (kind == 1) {
     st.transforms = load_transforms(is);
-    st.wino_cache.u_q = load_vector<std::int8_t>(is);
     st.wino_cache.scale = load_pod<float>(is);
     st.wino_cache.out_channels = load_pod<std::int64_t>(is);
     st.wino_cache.in_channels = load_pod<std::int64_t>(is);
     st.wino_cache.tile = load_pod<std::int64_t>(is);
+    st.wino_cache.u_blocked = load_vector<std::uint8_t>(is);
     // The checksum only proves the bytes are the writer's; a buggy or
     // crafted writer could still encode an internally inconsistent stage,
-    // and the prepared kernels index u_q by these dimensions unchecked.
+    // and both executors index U by [t², K, Cpad] unchecked. Grouped stages
+    // cache U with the per-group width: in_channels is C/g. The U values are
+    // the writer's responsibility (covered by the payload checksum).
     st.wino_cache.groups = st.groups;
     const std::int64_t t = st.wino_cache.tile;
-    // Grouped stages cache U as [t*t, K, C/g]: in_channels is per-group.
-    if (st.wino_cache.empty() || t != st.transforms.tile || st.transforms.r != st.kernel ||
+    if (t != st.transforms.tile || st.transforms.r != st.kernel ||
         st.wino_cache.out_channels != st.out_channels ||
         file_size({st.wino_cache.in_channels, st.groups}, "Winograd cache channel count") !=
             st.in_channels ||
-        static_cast<std::int64_t>(st.wino_cache.u_q.size()) !=
-            file_size({t, t, st.out_channels, st.wino_cache.in_channels}, "Winograd U cache")) {
-      throw std::runtime_error("load_pipeline: Winograd cache disagrees with its stage geometry");
-    }
-    st.wino_cache.u_blocked = load_vector<std::uint8_t>(is);
-    st.wino_cache.padded_in_channels = load_pod<std::int64_t>(is);
-    // Same for the fused executor, which indexes u_blocked by [t², K, Cpad]
-    // unchecked. Values are the writer's responsibility (covered by the
-    // payload checksum), exactly like u_q's levels.
-    const std::int64_t cpad = padded_channels(st.wino_cache.in_channels);
-    if (st.wino_cache.padded_in_channels != cpad ||
         static_cast<std::int64_t>(st.wino_cache.u_blocked.size()) !=
-            file_size({t, t, st.out_channels, cpad}, "blocked Winograd U cache")) {
-      throw std::runtime_error(
-          "load_pipeline: blocked Winograd cache disagrees with its stage geometry");
+            file_size({t, t, st.out_channels, padded_channels(st.wino_cache.in_channels)},
+                      "Winograd U cache")) {
+      throw std::runtime_error("load_pipeline: Winograd cache disagrees with its stage geometry");
     }
     st.stage_scales.weights_transformed_taps = load_vector<float>(is);
     st.stage_scales.input_transformed_taps = load_vector<float>(is);
@@ -348,28 +334,23 @@ ConvStage load_conv(std::istream& is) {
   } else if (kind == 2) {
     st.transforms = load_transforms(is);
     auto& sc = st.strided_cache;
-    sc.u00.u_q = load_vector<std::int8_t>(is);
     sc.u00.scale = load_pod<float>(is);
     sc.u00.out_channels = load_pod<std::int64_t>(is);
     sc.u00.in_channels = load_pod<std::int64_t>(is);
     sc.u00.tile = load_pod<std::int64_t>(is);
     sc.u00.u_blocked = load_vector<std::uint8_t>(is);
-    sc.u00.padded_in_channels = load_pod<std::int64_t>(is);
     sc.rect_wt = load_vector<std::int8_t>(is);
     sc.rect_scale = load_pod<float>(is);
     sc.out_channels = st.out_channels;
     sc.in_channels = st.in_channels;
-    // The polyphase executor indexes u00 as [t*t, K, C] (F(m,2): r == 2, not
-    // the stage's 3x3 kernel) and rect_wt as [5*C, K], all unchecked.
+    // The polyphase executor indexes u00 as [t*t, K, Cpad] (F(m,2): r == 2,
+    // not the stage's 3x3 kernel) and rect_wt as [5*C, K], all unchecked.
     const std::int64_t t = sc.u00.tile;
-    const std::int64_t cpad = padded_channels(st.in_channels);
-    if (sc.empty() || st.transforms.r != 2 || t != st.transforms.tile ||
+    if (st.transforms.r != 2 || t != st.transforms.tile ||
         sc.u00.out_channels != st.out_channels || sc.u00.in_channels != st.in_channels ||
-        static_cast<std::int64_t>(sc.u00.u_q.size()) !=
-            file_size({t, t, st.out_channels, st.in_channels}, "strided Winograd U cache") ||
-        sc.u00.padded_in_channels != cpad ||
         static_cast<std::int64_t>(sc.u00.u_blocked.size()) !=
-            file_size({t, t, st.out_channels, cpad}, "strided blocked Winograd U cache") ||
+            file_size({t, t, st.out_channels, padded_channels(st.in_channels)},
+                      "strided Winograd U cache") ||
         static_cast<std::int64_t>(sc.rect_wt.size()) !=
             file_size({5, st.in_channels, st.out_channels}, "strided rect-phase weights") ||
         !(sc.u00.scale > 0.F) || !(sc.rect_scale > 0.F)) {
@@ -715,7 +696,7 @@ void save_pipeline(std::ostream& os, const Int8Pipeline& pipe) {
     save_epilogue(payload, node.epilogue);
   }
   save_plan(payload, pipe.plan());
-  const std::string bytes = payload.str();
+  const std::string bytes = std::move(payload).str();
   save_pod(os, kWamMagic);
   save_pod(os, kWamVersion);
   save_pod(os, static_cast<std::uint64_t>(bytes.size()));
@@ -752,7 +733,7 @@ Int8Pipeline load_pipeline(std::istream& is) {
     throw std::runtime_error("load_pipeline: .wam checksum mismatch (corrupted artifact)");
   }
 
-  std::istringstream payload(bytes, std::ios::binary);
+  std::istringstream payload(std::move(bytes), std::ios::binary);
   const auto count = load_pod<std::int64_t>(payload);
   if (count < 0 || count > 1'000'000) {
     throw std::runtime_error("load_pipeline: implausible stage count");

@@ -20,9 +20,9 @@
 // Every stage record carries its fused epilogue ops and the payload ends
 // with the optimizer's static memory plan, so an optimized pipeline serves
 // with its planned peak-memory behavior immediately after load. Winograd
-// conv stages carry both the flat U levels and the channel-blocked
-// offset-binary U the fused streaming executor consumes, plus their per-tap
-// scale vectors (empty = per-tensor) and sparse tap mask; conv stages carry
+// conv stages carry their one U, the channel-blocked offset-binary layout
+// the fused streaming executor consumes, plus their per-tap scale vectors
+// (empty = per-tensor) and sparse tap mask; conv stages carry
 // groups and stride, a cache-kind byte (0 = im2row, 1 = winograd, 2 =
 // strided polyphase winograd), and a kConcat tag serializes channel-concat
 // joins. The reader accepts exactly kWamVersion: an artifact of any other
@@ -44,7 +44,7 @@
 namespace wa::serve {
 
 /// The one format version the writer emits and the reader accepts.
-constexpr std::uint32_t kWamVersion = 5;
+constexpr std::uint32_t kWamVersion = 6;
 
 void save_pipeline(std::ostream& os, const deploy::Int8Pipeline& pipe);
 void save_pipeline(const std::string& path, const deploy::Int8Pipeline& pipe);

@@ -81,7 +81,7 @@ TEST(Int8Ops, LinearMatchesFloatReference) {
   const Tensor x = Tensor::randn({3, 8}, rng);
   const Tensor w = Tensor::randn({5, 8}, rng, 0.5F);
   const Tensor b = Tensor::randn({5}, rng);
-  const QTensor out = linear_s8(q_of(x), q_of(w), b);
+  const QTensor out = linear_s8_prepared(q_of(x), prepare_linear_weights_s8(q_of(w)), b);
   // Float reference.
   Tensor ref(Shape{3, 5});
   for (std::int64_t n = 0; n < 3; ++n)
@@ -99,7 +99,8 @@ TEST(Int8Ops, LinearShapeMismatchThrows) {
   Rng rng(3);
   const QTensor x = q_of(Tensor::randn({2, 8}, rng));
   const QTensor w = q_of(Tensor::randn({5, 7}, rng));
-  EXPECT_THROW(linear_s8(x, w, Tensor()), std::invalid_argument);
+  EXPECT_THROW(linear_s8_prepared(x, prepare_linear_weights_s8(w), Tensor()),
+               std::invalid_argument);
 }
 
 // ---- pipeline ----------------------------------------------------------------

@@ -100,7 +100,7 @@ std::int64_t pick_groups(Gen& g, std::int64_t in_ch, std::int64_t out_ch) {
 
 /// A random winograd_prune-style mask [g, t², K/g, C/g]: some taps die
 /// whole-[K/g,C/g] (those must lower to the tap_mask skip), others lose a
-/// few individual (k, c) slices (those just zero levels in u_q).
+/// few individual (k, c) slices (those just zero levels in U).
 Tensor make_sparse_mask(Gen& g, std::int64_t groups, std::int64_t t2, std::int64_t kpg,
                         std::int64_t cpg) {
   Tensor mask(Shape{groups, t2, kpg, cpg});

@@ -157,11 +157,11 @@ TEST(WamArtifact, RejectsForeignAndGarbageFiles) {
 }
 
 TEST(WamArtifact, RejectsWrongVersion) {
-  // The reader handles exactly kWamVersion: older headers (1-4 were written
+  // The reader handles exactly kWamVersion: older headers (1-5 were written
   // by earlier serializers) and newer ones are refused, naming the version.
   Rng rng(34);
   const std::string bytes = saved_bytes(compiled_lenet(nn::ConvAlgo::kIm2row, rng));
-  for (const std::uint32_t version : {0U, 1U, 2U, 3U, 4U, kWamVersion + 1}) {
+  for (const std::uint32_t version : {0U, 1U, 2U, 3U, 4U, 5U, kWamVersion + 1}) {
     SCOPED_TRACE("version=" + std::to_string(version));
     std::string other = bytes;
     std::memcpy(other.data() + 4, &version, sizeof(version));  // follows the magic
@@ -373,10 +373,10 @@ TEST(WamArtifact, RoundTripPreservesEpiloguesAndPlan) {
 // ---- the pre-blocked Winograd U cache --------------------------------------
 
 TEST(WamArtifact, RoundTripCarriesTheBlockedUCacheVerbatim) {
-  // The saver writes u_blocked + padded_in_channels after the flat levels;
-  // the reader must deserialize them (counters stay flat — the round-trip
-  // tests above pin that), byte-identical to the compiled originals, so the
-  // loaded pipeline starts on the fused streaming path with zero repacking.
+  // The saver writes u_blocked, the stage's one U; the reader must
+  // deserialize it (counters stay flat — the round-trip tests above pin
+  // that), byte-identical to the compiled original, so the loaded pipeline
+  // starts on the fused streaming path with zero repacking.
   Rng rng(41);
   const Int8Pipeline pipe = compiled_resnet18(nn::ConvAlgo::kWinograd2, rng);
   const Int8Pipeline loaded = loaded_from(saved_bytes(pipe));
@@ -390,7 +390,7 @@ TEST(WamArtifact, RoundTripCarriesTheBlockedUCacheVerbatim) {
     EXPECT_FALSE(want->wino_cache.u_blocked.empty())
         << "stage " << i << ": compile must pre-block the Winograd U";
     EXPECT_EQ(got->wino_cache.u_blocked, want->wino_cache.u_blocked);
-    EXPECT_EQ(got->wino_cache.padded_in_channels, want->wino_cache.padded_in_channels);
+    EXPECT_EQ(got->wino_cache.in_channels, want->wino_cache.in_channels);
     ++wino_stages;
   }
   EXPECT_GT(wino_stages, 0u) << "the fixture model must exercise Winograd stages";
@@ -425,7 +425,7 @@ TEST(WamArtifact, RoundTripCarriesPerTapScaleVectorsVerbatim) {
     EXPECT_EQ(got->stage_scales.input_transformed_taps, want->stage_scales.input_transformed_taps);
     EXPECT_EQ(got->stage_scales.hadamard_taps, want->stage_scales.hadamard_taps);
     EXPECT_EQ(got->wino_cache.tap_scales, want->wino_cache.tap_scales);
-    EXPECT_EQ(got->wino_cache.u_q, want->wino_cache.u_q);
+    EXPECT_EQ(got->wino_cache.u_blocked, want->wino_cache.u_blocked);
     ++per_tap_stages;
   }
   EXPECT_GT(per_tap_stages, 0u) << "the fixture model must exercise per-tap Winograd stages";
@@ -643,9 +643,7 @@ TEST(WamArtifact, RoundTripCarriesGroupedCachesVerbatim) {
   EXPECT_EQ(got_wino->wino_cache.groups, 2);
   EXPECT_EQ(got_wino->wino_cache.in_channels, want_wino->wino_cache.in_channels)
       << "wino in_channels is per-group (C/g)";
-  EXPECT_EQ(got_wino->wino_cache.u_q, want_wino->wino_cache.u_q);
   EXPECT_EQ(got_wino->wino_cache.u_blocked, want_wino->wino_cache.u_blocked);
-  EXPECT_EQ(got_wino->wino_cache.padded_in_channels, want_wino->wino_cache.padded_in_channels);
 
   const Tensor x = Tensor::randn({2, 6, 12, 12}, rng);
   EXPECT_EQ(Tensor::max_abs_diff(loaded.run(x), pipe.run(x)), 0.F);
@@ -694,7 +692,6 @@ TEST(WamArtifact, RoundTripCarriesTheStridedPolyphaseCacheVerbatim) {
   EXPECT_EQ(got->stride, 2);
   ASSERT_FALSE(got->strided_cache.empty());
   EXPECT_EQ(got->transforms.r, 2) << "the strided stage loads with its canonical F(m,2) set";
-  EXPECT_EQ(got->strided_cache.u00.u_q, want->strided_cache.u00.u_q);
   EXPECT_EQ(got->strided_cache.u00.u_blocked, want->strided_cache.u00.u_blocked);
   EXPECT_EQ(got->strided_cache.u00.scale, want->strided_cache.u00.scale);
   EXPECT_EQ(got->strided_cache.rect_wt, want->strided_cache.rect_wt);
@@ -752,7 +749,7 @@ TEST(WamArtifact, RoundTripCarriesTheSparseTapMaskVerbatim) {
   const auto* got = std::get_if<ConvStage>(&loaded.nodes()[0].op);
   ASSERT_NE(got, nullptr);
   EXPECT_EQ(got->wino_cache.tap_mask, want->wino_cache.tap_mask);
-  EXPECT_EQ(got->wino_cache.u_q, want->wino_cache.u_q);
+  EXPECT_EQ(got->wino_cache.u_blocked, want->wino_cache.u_blocked);
 
   const Tensor x = Tensor::randn({2, in_ch, 12, 12}, rng);
   EXPECT_EQ(Tensor::max_abs_diff(loaded.run(x), pipe.run(x)), 0.F);
@@ -895,7 +892,7 @@ std::string crafted_wino_artifact(const std::function<void(ConvStage&)>& craft) 
 }
 
 /// Replace the stage's transform set with zero matrices of the F(m, r) shapes
-/// and resize its U caches to match a t = m + r - 1 tile.
+/// and resize its U cache to match a t = m + r - 1 tile.
 void set_transform_shape(ConvStage& st, int m, int r) {
   const int t = m + r - 1;
   st.transforms.m = m;
@@ -906,8 +903,7 @@ void set_transform_shape(ConvStage& st, int m, int r) {
   st.transforms.at_mat = Tensor::zeros({m, t});
   auto& u = st.wino_cache;
   u.tile = t;
-  u.u_q.assign(static_cast<std::size_t>(t * t * u.out_channels * u.in_channels), 0);
-  u.u_blocked.assign(static_cast<std::size_t>(t * t * u.out_channels * u.padded_in_channels),
+  u.u_blocked.assign(static_cast<std::size_t>(t * t * u.out_channels * u.padded_in_channels()),
                      128);
 }
 
@@ -965,16 +961,13 @@ TEST(WamArtifact, RejectsConvSizesThatOverflowInt64) {
 }
 
 TEST(WamArtifact, RejectsNonPositiveConvGeometry) {
-  // A negative in/out pair whose product matches the U cache's length, with
-  // an empty blocked cache to match the (truncated) zero padded width: every
-  // cache check passes, so only the geometry check stands in the way.
+  // A negative in/out pair, consistent between the stage and its cache: the
+  // geometry check must name it before any cache size is formed from it.
   expect_load_rejected(crafted_wino_artifact([](ConvStage& st) {
                          st.in_channels = -4;
                          st.out_channels = -4;
                          st.wino_cache.in_channels = -4;
                          st.wino_cache.out_channels = -4;
-                         st.wino_cache.padded_in_channels = 0;
-                         st.wino_cache.u_blocked.clear();
                        }),
                        "conv in_channels must be positive");
   expect_load_rejected(crafted_wino_artifact([](ConvStage& st) { st.out_channels = 0; }),

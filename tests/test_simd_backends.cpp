@@ -950,14 +950,15 @@ TEST(BlockedWinogradPacking, BlockedUIsOffsetBinaryWithPadLanesAt128) {
   const auto tr = wino::make_transforms(4, 3);
   Tensor w = Tensor::randn({4, 6, 3, 3}, rng);  // C=6: one real + two pad lanes
   const auto prep = prepare_winograd_weights_s8(w, tr, 0.02F);
+  const Tensor u_f = winograd_transform_weights(w, tr);  // [t², K, C] fp32
   const std::int64_t t2 = tr.tile * tr.tile;
-  ASSERT_EQ(prep.padded_in_channels, 8);
+  ASSERT_EQ(prep.padded_in_channels(), 8);
   ASSERT_EQ(static_cast<std::int64_t>(prep.u_blocked.size()), t2 * 4 * 8);
   for (std::int64_t abk = 0; abk < t2 * 4; ++abk) {
-    const std::int8_t* src = prep.u_q.data() + abk * 6;
     const std::uint8_t* dst = prep.u_blocked.data() + abk * 8;
     for (std::int64_t c = 0; c < 6; ++c) {
-      ASSERT_EQ(static_cast<std::int32_t>(dst[c]), static_cast<std::int32_t>(src[c]) + 128);
+      const float level = std::clamp(std::nearbyint(u_f.at(abk * 6 + c) / 0.02F), -127.F, 127.F);
+      ASSERT_EQ(static_cast<std::int32_t>(dst[c]), static_cast<std::int32_t>(level) + 128);
     }
     ASSERT_EQ(dst[6], 128);  // pad lanes are level 0 in offset-binary
     ASSERT_EQ(dst[7], 128);
@@ -990,6 +991,90 @@ TEST(BlockedWinogradGate, DynamicScalesAlwaysTakeTheFlatPath) {
   }
   EXPECT_EQ(with_toggle.data, without.data);
   EXPECT_EQ(with_toggle.scale, without.scale);
+}
+
+// ---- pinned output bytes ----------------------------------------------------
+
+// The tests above compare executors and backends with each other, so a change
+// that moves every path alike passes them. These pin the absolute bytes of the
+// flat dynamic-scale path and of the strided polyphase kernel: FNV-1a 64 over
+// the output levels and then the output scale's four bytes.
+std::uint64_t output_hash(const QTensor& q) {
+  std::uint64_t h = 14695981039346656037ULL;
+  const auto mix = [&h](const void* p, std::size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= b[i];
+      h *= 1099511628211ULL;
+    }
+  };
+  mix(q.data.data(), q.data.size());
+  mix(&q.scale, sizeof q.scale);
+  return h;
+}
+
+TEST_P(SimdBackendTest, FlatWinogradDynamicScalesPinnedBytes) {
+  // F4, two groups of C/g = 5 (one real and three pad lanes in the last
+  // channel quad), odd H/W for clipped edge tiles, bias, and every scale
+  // derived from an abs-max: the flat path's whole dynamic sequence.
+  Rng rng(203);
+  const auto tr = wino::make_transforms(4, 3);
+  const Tensor w = Tensor::randn({12, 5, 3, 3}, rng, 0.3F);
+  const auto prep = prepare_winograd_weights_s8(w, tr, -1.F, {}, /*groups=*/2);
+  const QTensor in = random_activation(rng, 2, 10, 11, 11, 0.05F);
+  ConvGeometry g;
+  g.batch = 2;
+  g.in_channels = 10;
+  g.height = 11;
+  g.width = 11;
+  g.out_channels = 12;
+  g.kernel = 3;
+  g.pad = 1;
+  g.groups = 2;
+  const Tensor bias = Tensor::randn({12}, rng, 0.1F);
+  const QTensor out = winograd_conv_s8_prepared(in, prep, g, tr, WinogradStageScales{}, &bias);
+  ASSERT_EQ(out.shape, (Shape{2, 12, 11, 11}));
+  EXPECT_EQ(output_hash(out), 0x4eff1bd5684679f5ULL);
+}
+
+QTensor pinned_strided_conv(Rng& rng, int m, std::int64_t c, std::int64_t k, std::int64_t hw,
+                            std::int64_t pad, bool frozen) {
+  const auto tr = wino::make_transforms(m, 2);
+  const Tensor w = Tensor::randn({k, c, 3, 3}, rng, 0.3F);
+  const auto prep = prepare_strided_winograd_weights_s8(w, tr);
+  const QTensor in = random_activation(rng, 2, c, hw, hw, 0.05F);
+  ConvGeometry g;
+  g.batch = 2;
+  g.in_channels = c;
+  g.height = hw;
+  g.width = hw;
+  g.out_channels = k;
+  g.kernel = 3;
+  g.pad = pad;
+  g.stride = 2;
+  WinogradStageScales scales;
+  if (frozen) {
+    scales.weights_transformed = prep.u00.scale;
+    scales.input_transformed = 0.1F;
+    scales.hadamard = 0.05F;
+    scales.output = 0.1F;
+  }
+  const Tensor bias = Tensor::randn({k}, rng, 0.1F);
+  return strided_winograd_conv_s8_prepared(in, prep, g, tr, scales, &bias);
+}
+
+TEST_P(SimdBackendTest, StridedPolyphaseFrozenScalesPinnedBytes) {
+  Rng rng(204);
+  const QTensor out = pinned_strided_conv(rng, 2, 5, 6, 13, 1, /*frozen=*/true);
+  ASSERT_EQ(out.shape, (Shape{2, 6, 7, 7}));
+  EXPECT_EQ(output_hash(out), 0x2bacb8c541245c2fULL);
+}
+
+TEST_P(SimdBackendTest, StridedPolyphaseDynamicScalesPinnedBytes) {
+  Rng rng(205);
+  const QTensor out = pinned_strided_conv(rng, 4, 7, 8, 12, 1, /*frozen=*/false);
+  ASSERT_EQ(out.shape, (Shape{2, 8, 6, 6}));
+  EXPECT_EQ(output_hash(out), 0xf4b60b65680b7e3cULL);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, SimdBackendTest, ::testing::ValuesIn(backend_names()),
