@@ -59,10 +59,10 @@ int main() {
   struct BitRun {
     int bits;
     float dense_acc = 0;
-    std::map<std::string, Tensor> dense_state;
-    std::map<double, float> pruned_acc;  // target sparsity -> accuracy
+    std::map<std::string, Tensor> dense_state{};
+    std::map<double, float> pruned_acc{};  // target sparsity -> accuracy
   };
-  BitRun runs[] = {{32}, {8}};
+  BitRun runs[] = {{.bits = 32}, {.bits = 8}};
   const double targets[] = {0.5, 0.7, 0.9};
 
   for (auto& run : runs) {

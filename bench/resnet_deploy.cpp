@@ -65,27 +65,27 @@ int main(int argc, char** argv) {
   const std::uint64_t transforms0 = backend::PerfCounters::weight_transforms.load();
   const std::uint64_t repacks0 = backend::PerfCounters::weight_repacks.load();
 
+  // The breakdown averages each stage's StageTiming over the timed forwards.
   constexpr int kReps = 10;
   double total_ms = 0.0;
+  std::vector<double> stage_ms(pipe.size(), 0.0);
   for (int rep = 0; rep < kReps; ++rep) {
+    std::vector<deploy::StageTiming> timings;
     const auto t0 = std::chrono::steady_clock::now();
-    pipe.run(x);
+    pipe.run(x, &timings);
     const auto t1 = std::chrono::steady_clock::now();
     total_ms += std::chrono::duration<double, std::milli>(t1 - t0).count();
+    for (std::size_t i = 0; i < timings.size(); ++i) stage_ms[i] += timings[i].ms / kReps;
   }
 
-  // The breakdown reads each Node's always-available telemetry EMA — no
-  // profiled run() needed; the timed forwards above (plus the warm-up) fed
-  // the estimators as a matter of course.
   std::printf("%-28s %10s %7s\n", "stage", "ms/fwd", "share");
   std::printf("%-28s %10s %7s\n", "-----", "------", "-----");
   double sum = 0.0;
-  for (const auto& node : pipe.nodes()) sum += node.ema.value_ns() / 1e6;
+  for (const double ms : stage_ms) sum += ms;
   std::map<std::string, double> by_kind;
   for (std::size_t i = 0; i < pipe.nodes().size(); ++i) {
-    const auto& node = pipe.nodes()[i];
-    const std::string label = deploy::stage_where(node, i);
-    const double ms = node.ema.value_ns() / 1e6;
+    const std::string label = deploy::stage_where(pipe.nodes()[i], i);
+    const double ms = stage_ms[i];
     std::printf("%-28s %10.4f %6.1f%%\n", label.c_str(), ms, 100.0 * ms / sum);
     // Aggregate by coarse kind: strip the network position from the label.
     std::string kind = "other";
@@ -128,7 +128,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(backend::PerfCounters::weight_repacks.load() -
                                               repacks0));
 
-  // ---- pass-based optimizer: planner-on vs planner-off ----------------------
+  // ---- optimizer: planner-on vs planner-off ---------------------------------
   // Freeze the one remaining dynamic scale (fc logits) so both pipelines are
   // batch-composition independent and the planner's copy analysis is exact.
   pipe.freeze_scales(Tensor::randn({4, 3, 32, 32}, rng));
@@ -159,7 +159,7 @@ int main(int argc, char** argv) {
           ? 100.0 * (1.0 - static_cast<double>(stats_on.peak_activation_bytes) /
                                static_cast<double>(stats_off.peak_activation_bytes))
           : 0.0;
-  std::printf("\npass-based optimizer (src/deploy/passes):\n");
+  std::printf("\noptimizer (src/deploy/passes):\n");
   std::printf("  stages                 %4zu -> %zu (%zu fused, %zu dead removed)\n", pipe.size(),
               optimized.size(), report.fused_stages, report.removed_stages);
   std::printf("  latency                %.4f ms -> %.4f ms per forward (%.2fx)\n", off_ms / kReps,
@@ -167,10 +167,9 @@ int main(int argc, char** argv) {
   std::printf("  peak activation bytes  %lld -> %lld (-%.1f%%, acceptance bar >= 30%%)\n",
               static_cast<long long>(stats_off.peak_activation_bytes),
               static_cast<long long>(stats_on.peak_activation_bytes), reduction);
-  std::printf("  plan: peak %lld B, naive %lld B, arena %lld B, in-place reuses %lld\n",
+  std::printf("  plan: peak %lld B, naive %lld B, in-place reuses %lld\n",
               static_cast<long long>(report.planned_peak_bytes),
               static_cast<long long>(report.naive_peak_bytes),
-              static_cast<long long>(report.arena_bytes),
               static_cast<long long>(stats_on.inplace_reuses));
   std::printf("  logits max |diff| planner-on vs off: %g (must be 0 — bit-identical)\n",
               static_cast<double>(diff));
@@ -241,10 +240,6 @@ int main(int argc, char** argv) {
       ConfigResult r;
       r.key = key;
       r.agreement = static_cast<double>(agree) / static_cast<double>(total);
-      // Exact per-stage timings here, not the node EMAs: classify() above fed
-      // the EMAs at the eval batch size, and alpha = 1/8 has not washed that
-      // out after kReps batch-`batch` forwards — the blocked conv share would
-      // come out bigger than the measured total.
       for (int rep = 0; rep < kReps; ++rep) {
         std::vector<deploy::StageTiming> timings;
         const auto t0 = std::chrono::steady_clock::now();

@@ -973,8 +973,6 @@ StridedWinogradWeightsS8 prepare_strided_winograd_weights_s8(const Tensor& weigh
   }
   StridedWinogradWeightsS8 w;
   const std::int64_t K = weights_fp32.size(0), C = weights_fp32.size(1);
-  w.out_channels = K;
-  w.in_channels = C;
 
   // Phase (0,0): the even/even 2x2 sub-filter g00[u,v] = g[2u, 2v], prepared
   // exactly like a dense F(m, 2) layer (transform + quantize + block).
@@ -1043,8 +1041,7 @@ QTensor strided_winograd_conv_s8_prepared(const QTensor& input,
   if (g00.out_height() != oh || g00.out_width() != ow) {
     throw std::logic_error("strided_winograd_conv_s8: polyphase geometry mismatch");
   }
-  if (weights.out_channels != K || weights.in_channels != C ||
-      !u_matches(weights.u00, g00, tr.tile)) {
+  if (!u_matches(weights.u00, g00, tr.tile)) {
     throw std::invalid_argument("strided_winograd_conv_s8: prepared weights do not match geometry");
   }
   if (!scales.input_transformed_taps.empty() || !scales.hadamard_taps.empty() ||

@@ -68,9 +68,9 @@ struct WinogradStageScales {
   float input_transformed = -1.F;    // V = Bᵀ d B
   float hadamard = -1.F;             // M = Σ_c U ⊙ V
   float output = -1.F;               // Y = Aᵀ M A
-  std::vector<float> weights_transformed_taps;  // [t*t] or empty
-  std::vector<float> input_transformed_taps;    // [t*t] or empty
-  std::vector<float> hadamard_taps;             // [t*t] or empty
+  std::vector<float> weights_transformed_taps{};  // [t*t] or empty
+  std::vector<float> input_transformed_taps{};    // [t*t] or empty
+  std::vector<float> hadamard_taps{};             // [t*t] or empty
 };
 
 /// Input-channel block width of the fused Winograd path's GEMM layout: the
@@ -196,8 +196,6 @@ struct StridedWinogradWeightsS8 {
   WinogradWeightsS8 u00;             // phase (0,0): 2x2 taps, F(m,2) Winograd
   std::vector<std::int8_t> rect_wt;  // [5*C, K]: rect-phase taps, im2row order
   float rect_scale = 1.F;
-  std::int64_t out_channels = 0;
-  std::int64_t in_channels = 0;
   bool empty() const { return u00.empty(); }
 };
 

@@ -160,6 +160,7 @@ void wino_scatter_block_f32_scalar(const std::int8_t* plane, std::int64_t height
                                    std::int64_t th, std::int64_t tw, std::int64_t tile0,
                                    std::int64_t ntiles, float* v_block,
                                    std::int64_t block_stride) {
+  (void)th;
   ScratchArena& arena = ScratchArena::for_thread();
   ScratchArena::Scope frame(arena);
   // Stage only the columns the block's tiles of one tile row touch; each

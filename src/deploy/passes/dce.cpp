@@ -4,63 +4,42 @@
 // graphs at run time ("dead dataflow"); this pass instead deletes the dead
 // work so a load-time mis-wiring costs nothing per forward, then
 // re-validates the surviving wiring by re-pushing it.
-#include "deploy/passes/passes.hpp"
+#include "deploy/passes/pass_internal.hpp"
 
-namespace wa::deploy::passes {
+namespace wa::deploy::passes::internal {
 
-namespace {
+std::size_t eliminate_dead_stages(Int8Pipeline& pipe) {
+  if (pipe.size() == 0) return 0;
+  // Tolerate dead published slots here — finding them is the point.
+  const Int8Pipeline::Wiring w = pipe.resolve_wiring(/*reject_dead=*/false);
+  const std::size_t n = pipe.size();
 
-using Node = Int8Pipeline::Node;
-
-class DcePass final : public Pass {
- public:
-  std::string name() const override { return "dead-stage-elimination"; }
-
-  PassResult run(Int8Pipeline& pipe, const OptimizeOptions&) override {
-    PassResult r;
-    r.name = name();
-    if (pipe.size() == 0) {
-      r.detail = "empty pipeline";
-      return r;
-    }
-    // Tolerate dead published slots here — finding them is the point.
-    const Int8Pipeline::Wiring w = pipe.resolve_wiring(/*reject_dead=*/false);
-    const std::size_t n = pipe.size();
-
-    // Mark-sweep backwards from the final stage (its value IS the result).
-    std::vector<bool> live(n, false);
-    std::vector<std::size_t> work{n - 1};
-    live[n - 1] = true;
-    while (!work.empty()) {
-      const std::size_t i = work.back();
-      work.pop_back();
-      for (const std::int32_t v : {w.in1[i], w.in2[i]}) {
-        // Value v > 0 is produced by stage v-1; value 0 is the input.
-        if (v > 0 && !live[static_cast<std::size_t>(v - 1)]) {
-          live[static_cast<std::size_t>(v - 1)] = true;
-          work.push_back(static_cast<std::size_t>(v - 1));
-        }
+  // Mark-sweep backwards from the final stage (its value IS the result).
+  std::vector<bool> live(n, false);
+  std::vector<std::size_t> work{n - 1};
+  live[n - 1] = true;
+  while (!work.empty()) {
+    const std::size_t i = work.back();
+    work.pop_back();
+    for (const std::int32_t v : {w.in1[i], w.in2[i]}) {
+      // Value v > 0 is produced by stage v-1; value 0 is the input.
+      if (v > 0 && !live[static_cast<std::size_t>(v - 1)]) {
+        live[static_cast<std::size_t>(v - 1)] = true;
+        work.push_back(static_cast<std::size_t>(v - 1));
       }
     }
-
-    std::size_t removed = 0;
-    for (const bool l : live) removed += l ? 0 : 1;
-    if (removed > 0) {
-      std::vector<Node> nodes = pipe.take_nodes();
-      for (std::size_t i = 0; i < nodes.size(); ++i) {
-        if (!live[i]) continue;
-        pipe.push(std::move(nodes[i].op), std::move(nodes[i].io), std::move(nodes[i].epilogue));
-      }
-    }
-    r.changed = removed > 0;
-    r.count = removed;
-    r.detail = std::to_string(removed) + " dead stage(s) eliminated";
-    return r;
   }
-};
 
-}  // namespace
+  std::size_t removed = 0;
+  for (const bool l : live) removed += l ? 0 : 1;
+  if (removed > 0) {
+    std::vector<Int8Pipeline::Node> nodes = pipe.take_nodes();
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      if (!live[i]) continue;
+      pipe.push(std::move(nodes[i].op), std::move(nodes[i].io), std::move(nodes[i].epilogue));
+    }
+  }
+  return removed;
+}
 
-std::unique_ptr<Pass> make_dce_pass() { return std::make_unique<DcePass>(); }
-
-}  // namespace wa::deploy::passes
+}  // namespace wa::deploy::passes::internal

@@ -17,9 +17,8 @@
 #include <cmath>
 
 #include "deploy/passes/pass_internal.hpp"
-#include "deploy/passes/passes.hpp"
 
-namespace wa::deploy::passes {
+namespace wa::deploy::passes::internal {
 
 namespace {
 
@@ -54,82 +53,70 @@ std::string merge_label(const Node& producer, const Node& consumer, std::size_t 
   return lhs + "+" + rhs;
 }
 
-class FuseStagesPass final : public Pass {
- public:
-  std::string name() const override { return "fuse-stages"; }
-
-  PassResult run(Int8Pipeline& pipe, const OptimizeOptions&) override {
-    std::vector<Node> nodes = pipe.take_nodes();
-    std::size_t fused = 0;
-
-    for (std::size_t i = 1; i < nodes.size();) {
-      Node& consumer = nodes[i];
-      Node& producer = nodes[i - 1];
-      const bool foldable_kind = std::holds_alternative<ReluStage>(consumer.op) ||
-                                 std::holds_alternative<RequantStage>(consumer.op) ||
-                                 std::holds_alternative<BnStage>(consumer.op);
-      if (!foldable_kind || !fusable_producer(producer)) {
-        ++i;
-        continue;
-      }
-      // Adjacency: the consumer must read exactly the producer's output.
-      bool chained = producer.io.output.empty() && consumer.io.input.empty();
-      bool via_slot = !producer.io.output.empty() && consumer.io.input == producer.io.output &&
-                      slot_readers(nodes, producer.io.output) == 1;
-      if (!chained && !via_slot) {
-        ++i;
-        continue;
-      }
-      // Scale precondition (Relu is scale-free; Bn/Requant must replace an
-      // identity rescale).
-      const float produced = internal::node_result_scale(producer, /*in_scale=*/-1.F);
-      EpilogueOp ep;
-      if (const auto* bn = std::get_if<BnStage>(&consumer.op)) {
-        if (!identity_scale(produced, bn->input_scale)) {
-          ++i;
-          continue;
-        }
-        ep.kind = EpilogueOp::Kind::kAffine;
-        ep.affine = bn->affine;
-        ep.relu = bn->relu_after;
-        ep.out_scale = bn->output_scale;
-      } else if (const auto* rq = std::get_if<RequantStage>(&consumer.op)) {
-        if (!identity_scale(produced, rq->input_scale)) {
-          ++i;
-          continue;
-        }
-        ep.kind = EpilogueOp::Kind::kRequant;
-        ep.ratio = rq->ratio;
-        ep.out_scale = rq->output_scale;
-      } else {
-        ep.kind = EpilogueOp::Kind::kRelu;
-      }
-
-      producer.epilogue.push_back(std::move(ep));
-      // A consumer that was itself a fusion target earlier carries its own
-      // epilogues (e.g. bn+relu already folded together) — keep them in
-      // order behind the new op.
-      for (EpilogueOp& tail : consumer.epilogue) producer.epilogue.push_back(std::move(tail));
-      producer.io.label = merge_label(producer, consumer, i);
-      producer.io.output = consumer.io.output;  // the fold takes over publishing
-      nodes.erase(nodes.begin() + static_cast<std::ptrdiff_t>(i));
-      ++fused;
-      // Stay at i: the next node shifted down and may fold into the same
-      // producer (conv -> bn -> relu collapses in two steps).
-    }
-
-    for (Node& n : nodes) pipe.push(std::move(n.op), std::move(n.io), std::move(n.epilogue));
-    PassResult r;
-    r.name = name();
-    r.changed = fused > 0;
-    r.count = fused;
-    r.detail = std::to_string(fused) + " stage(s) folded into producer epilogues";
-    return r;
-  }
-};
-
 }  // namespace
 
-std::unique_ptr<Pass> make_fuse_stages_pass() { return std::make_unique<FuseStagesPass>(); }
+std::size_t fuse_stages(Int8Pipeline& pipe) {
+  std::vector<Node> nodes = pipe.take_nodes();
+  std::size_t fused = 0;
 
-}  // namespace wa::deploy::passes
+  for (std::size_t i = 1; i < nodes.size();) {
+    Node& consumer = nodes[i];
+    Node& producer = nodes[i - 1];
+    const bool foldable_kind = std::holds_alternative<ReluStage>(consumer.op) ||
+                               std::holds_alternative<RequantStage>(consumer.op) ||
+                               std::holds_alternative<BnStage>(consumer.op);
+    if (!foldable_kind || !fusable_producer(producer)) {
+      ++i;
+      continue;
+    }
+    // Adjacency: the consumer must read exactly the producer's output.
+    bool chained = producer.io.output.empty() && consumer.io.input.empty();
+    bool via_slot = !producer.io.output.empty() && consumer.io.input == producer.io.output &&
+                    slot_readers(nodes, producer.io.output) == 1;
+    if (!chained && !via_slot) {
+      ++i;
+      continue;
+    }
+    // Scale precondition (Relu is scale-free; Bn/Requant must replace an
+    // identity rescale).
+    const float produced = node_result_scale(producer, /*in_scale=*/-1.F);
+    EpilogueOp ep;
+    if (const auto* bn = std::get_if<BnStage>(&consumer.op)) {
+      if (!identity_scale(produced, bn->input_scale)) {
+        ++i;
+        continue;
+      }
+      ep.kind = EpilogueOp::Kind::kAffine;
+      ep.affine = bn->affine;
+      ep.relu = bn->relu_after;
+      ep.out_scale = bn->output_scale;
+    } else if (const auto* rq = std::get_if<RequantStage>(&consumer.op)) {
+      if (!identity_scale(produced, rq->input_scale)) {
+        ++i;
+        continue;
+      }
+      ep.kind = EpilogueOp::Kind::kRequant;
+      ep.ratio = rq->ratio;
+      ep.out_scale = rq->output_scale;
+    } else {
+      ep.kind = EpilogueOp::Kind::kRelu;
+    }
+
+    producer.epilogue.push_back(std::move(ep));
+    // A consumer that was itself a fusion target earlier carries its own
+    // epilogues (e.g. bn+relu already folded together) — keep them in
+    // order behind the new op.
+    for (EpilogueOp& tail : consumer.epilogue) producer.epilogue.push_back(std::move(tail));
+    producer.io.label = merge_label(producer, consumer, i);
+    producer.io.output = consumer.io.output;  // the fold takes over publishing
+    nodes.erase(nodes.begin() + static_cast<std::ptrdiff_t>(i));
+    ++fused;
+    // Stay at i: the next node shifted down and may fold into the same
+    // producer (conv -> bn -> relu collapses in two steps).
+  }
+
+  for (Node& n : nodes) pipe.push(std::move(n.op), std::move(n.io), std::move(n.epilogue));
+  return fused;
+}
+
+}  // namespace wa::deploy::passes::internal

@@ -1,4 +1,3 @@
-#include <cmath>
 #include <stdexcept>
 
 #include "deploy/passes/pass_internal.hpp"
@@ -6,29 +5,14 @@
 
 namespace wa::deploy::passes {
 
-std::vector<PassResult> PassManager::run(Int8Pipeline& pipe, const OptimizeOptions& opts) const {
-  std::vector<PassResult> results;
-  results.reserve(passes_.size());
-  for (const auto& pass : passes_) results.push_back(pass->run(pipe, opts));
-  return results;
-}
-
 OptimizeReport optimize_pipeline(Int8Pipeline& pipe, const OptimizeOptions& opts) {
-  PassManager pm;
-  if (opts.fuse) pm.add(make_fuse_stages_pass());
-  if (opts.eliminate_dead) pm.add(make_dce_pass());
-  if (opts.plan_memory) pm.add(make_memory_plan_pass());
-
   OptimizeReport report;
-  report.passes = pm.run(pipe, opts);
-  for (const PassResult& r : report.passes) {
-    if (r.name == "fuse-stages") report.fused_stages = r.count;
-    if (r.name == "dead-stage-elimination") report.removed_stages = r.count;
-  }
+  report.fused_stages = internal::fuse_stages(pipe);
+  report.removed_stages = internal::eliminate_dead_stages(pipe);
+  if (!opts.reference_input.empty()) internal::plan_memory(pipe, opts.reference_input);
   if (const MemoryPlan* plan = pipe.plan(); plan != nullptr) {
     report.planned_peak_bytes = plan->peak_bytes;
     report.naive_peak_bytes = plan->naive_peak_bytes;
-    report.arena_bytes = plan->arena_bytes;
   }
   // Final wiring re-validation: every rewrite above re-pushed its nodes, but
   // a cheap end-to-end resolve keeps "passes leave valid graphs" a checked

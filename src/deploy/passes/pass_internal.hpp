@@ -5,6 +5,18 @@
 
 namespace wa::deploy::passes::internal {
 
+/// The three rewrites optimize_pipeline() runs, in this order. Each may
+/// assume the pipeline's wiring is valid on entry and leaves it valid
+/// (re-pushing rewritten nodes re-validates).
+/// Folds chained relu/requant/bn stages into their producers' epilogues
+/// where bit-preserving; returns the number of stages folded.
+std::size_t fuse_stages(Int8Pipeline& pipe);
+/// Drops every stage whose result cannot reach the output; returns how many.
+std::size_t eliminate_dead_stages(Int8Pipeline& pipe);
+/// Computes the in-place marks and peaks for `reference_input` and attaches
+/// them as the pipeline's MemoryPlan.
+void plan_memory(Int8Pipeline& pipe, const Shape& reference_input);
+
 /// The scale a stage expects on one of its operands before it runs (the
 /// executor rescales onto it; identity when the producer already matches).
 /// -1 when the stage consumes levels at whatever scale arrives

@@ -1,44 +1,39 @@
-// Compiler middle-end for compiled Int8Pipelines: a small pass manager that
-// rewrites the lowered stage graph BEFORE run() is ever called.
+// Compiler middle-end for compiled Int8Pipelines: three rewrites of the
+// lowered stage graph that run BEFORE run() is ever called.
 //
 // Production quantized-Winograd stacks (LANCE-style) win as much from what
 // happens between the kernels as from the kernels themselves: the
 // quantize -> transform -> requant chain is reordered and fused around the
 // Winograd GEMMs, and the activation memory is planned statically so the
-// working set stays small and allocation-free. This subsystem brings that
-// middle-end here, with three initial passes:
+// working set stays small. optimize_pipeline() runs, in order:
 //
-//   1. fusion (make_fuse_stages_pass): fold standalone ReluStage /
-//      RequantStage / BnStage nodes into the producing conv/linear/add
-//      stage as in-place EpilogueOps, so the intermediate int8 tensor never
-//      round-trips through an activation slot. Fusion only fires when it is
-//      provably bit-preserving (the producer's frozen output scale matches
-//      the folded stage's expected input scale exactly), so optimized
-//      logits are identical to unoptimized ones.
-//   2. dead-stage elimination (make_dce_pass): drop stages whose results
-//      can never reach the pipeline output (published slots nobody reads,
-//      and everything that only fed them), then re-validate the wiring.
-//   3. static memory planning (make_memory_plan_pass): compute per-value
-//      live ranges over the schedule, simulate the executor's buffer
-//      traffic for a reference input shape, choose in-place rewrites (the
-//      residual add writes into the branch that dies at the join; a
-//      convolution whose input dies inside the kernel writes its output
-//      over it), assign every value an offset in a single arena with
-//      first-fit reuse, and attach the resulting MemoryPlan — including
-//      planned and naive peak activation bytes — to the pipeline.
+//   1. fusion (fuse_stages.cpp): fold standalone ReluStage / RequantStage /
+//      BnStage nodes into the producing conv/linear/add stage as in-place
+//      EpilogueOps, so the intermediate int8 tensor never round-trips
+//      through an activation slot. Fusion only fires when it is provably
+//      bit-preserving (the producer's frozen output scale matches the
+//      folded stage's expected input scale exactly), so optimized logits
+//      are identical to unoptimized ones.
+//   2. dead-stage elimination (dce.cpp): drop stages whose results can
+//      never reach the pipeline output (published slots nobody reads, and
+//      everything that only fed them), then re-validate the wiring.
+//   3. static memory planning (memory_plan.cpp), when a reference input
+//      shape is given: simulate the executor's buffer traffic over the
+//      schedule, choose in-place rewrites (the residual add writes into the
+//      branch that dies at the join; a convolution whose input dies inside
+//      the kernel writes its output over it), and attach the resulting
+//      MemoryPlan — the marks plus planned and naive peak activation bytes
+//      — to the pipeline.
 //
-// optimize_pipeline() runs the canonical sequence. Optimized execution is
-// bit-identical to unoptimized execution for every valid graph; the
-// differential fuzz harness (tests/test_pipeline_fuzz.cpp) enforces this
-// across backends on hundreds of randomly generated graphs.
+// Optimized execution is bit-identical to unoptimized execution for every
+// valid graph; the differential fuzz harness (tests/test_pipeline_fuzz.cpp)
+// enforces this across backends on hundreds of randomly generated graphs.
 //
 // Freeze scales BEFORE optimizing: fusion and the planner's rescale-copy
 // analysis key off frozen scales, and a plan computed against dynamic
 // scales stays conservative (planned peak >= measured peak).
 #pragma once
 
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "deploy/pipeline.hpp"
@@ -46,48 +41,14 @@
 namespace wa::deploy::passes {
 
 struct OptimizeOptions {
-  bool fuse = true;
-  bool eliminate_dead = true;
-  bool plan_memory = true;
-  /// Input shape ([N,C,H,W]) the memory plan's sizes and offsets are
-  /// computed for. Empty skips the planning pass (fusion/DCE are
-  /// shape-independent). run() re-checks in-place applicability against the
-  /// actual shape, so a plan never breaks a differently-shaped forward.
+  /// Input shape ([N,C,H,W]) the memory plan's peaks are computed for.
+  /// Empty skips planning (fusion/DCE are shape-independent). run()
+  /// re-checks in-place applicability against the actual shape, so a plan
+  /// never breaks a differently-shaped forward.
   Shape reference_input;
 };
 
-struct PassResult {
-  std::string name;
-  bool changed = false;
-  std::size_t count = 0;  // pass-specific: stages fused / removed, ...
-  std::string detail;     // human-readable summary ("fused 16 stages", ...)
-};
-
-/// One graph rewrite. Passes may assume the pipeline's wiring is valid on
-/// entry and must leave it valid (re-pushing rewritten nodes re-validates).
-class Pass {
- public:
-  virtual ~Pass() = default;
-  virtual std::string name() const = 0;
-  virtual PassResult run(Int8Pipeline& pipe, const OptimizeOptions& opts) = 0;
-};
-
-std::unique_ptr<Pass> make_fuse_stages_pass();
-std::unique_ptr<Pass> make_dce_pass();
-std::unique_ptr<Pass> make_memory_plan_pass();
-
-/// Ordered pass list; run() executes each pass once and collects results.
-class PassManager {
- public:
-  void add(std::unique_ptr<Pass> pass) { passes_.push_back(std::move(pass)); }
-  std::vector<PassResult> run(Int8Pipeline& pipe, const OptimizeOptions& opts) const;
-
- private:
-  std::vector<std::unique_ptr<Pass>> passes_;
-};
-
 struct OptimizeReport {
-  std::vector<PassResult> passes;
   std::size_t fused_stages = 0;    // stages folded into producer epilogues
   std::size_t removed_stages = 0;  // dead stages eliminated
   /// Planned / unplanned peak activation bytes at the reference shape
@@ -95,12 +56,12 @@ struct OptimizeReport {
   /// optimized pipeline when every scale is frozen.
   std::int64_t planned_peak_bytes = 0;
   std::int64_t naive_peak_bytes = 0;
-  std::int64_t arena_bytes = 0;
 };
 
-/// The canonical sequence: fuse -> eliminate dead stages -> plan memory,
-/// then re-validate the wiring. Mutates `pipe` in place (stage weights are
-/// moved, never copied) and attaches the MemoryPlan when planning ran.
+/// fuse -> eliminate dead stages -> plan memory (when opts.reference_input
+/// is set), then re-validate the wiring. Mutates `pipe` in place (stage
+/// weights are moved, never copied) and attaches the MemoryPlan when
+/// planning ran.
 OptimizeReport optimize_pipeline(Int8Pipeline& pipe, const OptimizeOptions& opts = {});
 
 /// Static shape inference over the dataflow: the shape of every value

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <map>
-#include <set>
 #include <stdexcept>
 #include <utility>
 
@@ -188,57 +187,29 @@ void RequantStage::prepare() {
 }
 
 void Int8Pipeline::push(Stage s, StageIO io, std::vector<EpilogueOp> epilogue) {
-  const std::string where =
-      "Int8Pipeline::push(" +
-      (io.label.empty() ? "stage " + std::to_string(nodes_.size()) : io.label) + ")";
-  const bool is_join =
-      std::holds_alternative<AddStage>(s) || std::holds_alternative<ConcatStage>(s);
-  expect(!is_join || !io.input2.empty(), where,
-         "a join stage (add/concat) needs a second operand — set io.input2 to a published slot");
-  expect(is_join || io.input2.empty(), where,
-         "io.input2 is only meaningful for a join stage (add/concat)");
-
-  // Graph sanity at load time: named inputs must be published by an earlier
-  // stage, outputs must be fresh, and an implicit input needs the previous
-  // stage to actually chain (not publish to a slot).
-  std::set<std::string> published;
-  for (const Node& n : nodes_) {
-    if (!n.io.output.empty()) published.insert(n.io.output);
+  nodes_.push_back({std::move(s), std::move(io), std::move(epilogue)});
+  try {
+    // Graph sanity at load time: the one wiring check run() also applies,
+    // minus the dead-slot rule (a later stage may still read the slot).
+    resolve_wiring(/*reject_dead=*/false);
+    // Finalise weight caches / fixed-point multipliers at load so no
+    // forward ever pays for them.
+    std::visit(
+        [](auto& st) {
+          using T = std::decay_t<decltype(st)>;
+          if constexpr (std::is_same_v<T, ConvStage> || std::is_same_v<T, LinearStage> ||
+                        std::is_same_v<T, BnStage> || std::is_same_v<T, AddStage> ||
+                        std::is_same_v<T, ConcatStage> || std::is_same_v<T, RequantStage>) {
+            if (!st.prepared()) st.prepare();
+          }
+        },
+        nodes_.back().op);
+  } catch (...) {
+    nodes_.pop_back();
+    throw;
   }
-  for (const std::string* in : {&io.input, &io.input2}) {
-    expect(in->empty() || published.count(*in) > 0, where,
-           "input slot '" + *in + "' is not produced by any earlier stage");
-  }
-  expect(io.output.empty() || published.count(io.output) == 0, where,
-         "output slot '" + io.output + "' is already taken");
-  if (io.input.empty() && !nodes_.empty() && !nodes_.back().io.output.empty()) {
-    throw std::invalid_argument(where +
-                                ": no implicit input — the previous stage publishes to slot '" +
-                                nodes_.back().io.output + "'; name it as io.input");
-  }
-  if (!io.input.empty() && !nodes_.empty() && nodes_.back().io.output.empty()) {
-    // The mirror case: reading a named slot here would silently discard the
-    // previous stage's chained output (its work would run and be dropped).
-    throw std::invalid_argument(where + ": reading slot '" + io.input +
-                                "' would drop the previous stage's chained output — publish "
-                                "that output to a slot (io.output) or consume it implicitly");
-  }
-
-  // Finalise weight caches / fixed-point multipliers at load so no forward
-  // ever pays for them.
-  std::visit(
-      [](auto& st) {
-        using T = std::decay_t<decltype(st)>;
-        if constexpr (std::is_same_v<T, ConvStage> || std::is_same_v<T, LinearStage> ||
-                      std::is_same_v<T, BnStage> || std::is_same_v<T, AddStage> ||
-                      std::is_same_v<T, ConcatStage> || std::is_same_v<T, RequantStage>) {
-          if (!st.prepared()) st.prepare();
-        }
-      },
-      s);
   // Any attached plan indexes the old schedule; growing the graph voids it.
   plan_.reset();
-  nodes_.push_back({std::move(s), std::move(io), std::move(epilogue), {}});
 }
 
 std::vector<Int8Pipeline::Node> Int8Pipeline::take_nodes() {
@@ -332,31 +303,14 @@ Int8Pipeline::Wiring Int8Pipeline::resolve_wiring(bool reject_dead) const {
 }
 
 void Int8Pipeline::set_plan(MemoryPlan plan) {
-  const std::size_t n = nodes_.size();
   const auto bad = [](const std::string& why) {
     throw std::invalid_argument("Int8Pipeline::set_plan: " + why);
   };
-  if (plan.in_place.size() != n) bad("in_place marks do not match the stage count");
-  if (plan.value_bytes.size() != n + 1 || plan.offsets.size() != n + 1 ||
-      plan.last_use.size() != n + 1) {
-    bad("per-value tables do not match the schedule (stages + input)");
-  }
+  if (plan.in_place.size() != nodes_.size()) bad("in_place marks do not match the stage count");
   for (const std::uint8_t m : plan.in_place) {
     if (m > 2) bad("in_place mark out of range (0, 1 or 2)");
   }
-  for (std::size_t v = 0; v <= n; ++v) {
-    if (plan.value_bytes[v] < 0) bad("negative value size");
-    if (plan.offsets[v] < 0) bad("negative arena offset");
-    if (plan.offsets[v] + plan.value_bytes[v] > plan.arena_bytes) {
-      bad("value extends past the arena");
-    }
-    if (plan.last_use[v] < -1 || plan.last_use[v] >= static_cast<std::int32_t>(n)) {
-      bad("last_use stage out of range");
-    }
-  }
-  if (plan.peak_bytes < 0 || plan.naive_peak_bytes < 0 || plan.arena_bytes < 0) {
-    bad("negative byte totals");
-  }
+  if (plan.peak_bytes < 0 || plan.naive_peak_bytes < 0) bad("negative byte totals");
   if (numel(plan.reference_input) <= 0 || plan.reference_input.size() != 4) {
     bad("reference input shape must be a non-empty [N,C,H,W]");
   }
@@ -421,10 +375,13 @@ Tensor Int8Pipeline::run_impl(const Tensor& input, std::vector<StageTiming>* tim
     record(0, std::move(q));
   }
 
+  // The clock is read only for a caller that asked for timings or a trace.
+  const bool timed = timings != nullptr || trace.valid();
   for (std::size_t i = 0; i < n; ++i) {
     const Node& node = nodes_[i];
     const std::string where = stage_where(node, i);
-    const auto t0 = std::chrono::steady_clock::now();
+    const auto t0 =
+        timed ? std::chrono::steady_clock::now() : std::chrono::steady_clock::time_point{};
 
     const std::int32_t v1 = w.in1[i], v2 = w.in2[i];
     const bool same_operand = v2 >= 0 && v1 == v2;
@@ -647,11 +604,10 @@ Tensor Int8Pipeline::run_impl(const Tensor& input, std::vector<StageTiming>* tim
       }
     }
 
-    if (timings != nullptr || trace.valid() || telemetry::metrics_enabled()) {
+    if (timed) {
       const auto t1 = std::chrono::steady_clock::now();
       const auto dur_ns =
           std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count();
-      node.ema.observe(dur_ns);  // always-available smoothed per-stage latency
       if (timings != nullptr) {
         timings->push_back({where, static_cast<double>(dur_ns) / 1e6});
       }

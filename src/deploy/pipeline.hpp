@@ -18,17 +18,16 @@
 // multipliers — before ReLU.
 //
 // On top of the compiled graph sits a compiler middle-end
-// (src/deploy/passes): a pass manager that fuses standalone relu / requant /
-// batch-norm stages into their producing conv/linear/add stage (as in-place
-// *epilogue ops*, so the intermediate tensor never round-trips through a
-// slot), eliminates dead stages, and computes a static memory plan —
-// per-value live ranges over the schedule, an arena offset assignment with
-// buffer reuse (in-place residual add where a branch dies at the join,
-// in-place convolution where the input dies inside the kernel), and the
-// resulting peak activation byte count. The plan travels with the pipeline
-// (serialized in .wam v2) and run() honors it; optimized execution is
-// bit-identical to unoptimized execution (locked down by
-// tests/test_pipeline_fuzz.cpp).
+// (src/deploy/passes, passes::optimize_pipeline): it fuses standalone
+// relu / requant / batch-norm stages into their producing conv/linear/add
+// stage (as in-place *epilogue ops*, so the intermediate tensor never
+// round-trips through a slot), eliminates dead stages, and computes a
+// static memory plan — which stages write their output over a dying operand
+// (in-place residual add where a branch dies at the join, in-place
+// convolution where the input dies inside the kernel) and the resulting
+// peak activation byte count. The plan travels with the pipeline (the .wam
+// plan section) and run() honors it; optimized execution is bit-identical
+// to unoptimized execution (locked down by tests/test_pipeline_fuzz.cpp).
 //
 // Two compilers are provided: compile_lenet (sequential, the paper's
 // 5x5-filter model) and compile_resnet18 (residual, the paper's
@@ -47,7 +46,6 @@
 #include "models/resnet.hpp"
 #include "models/resnext.hpp"
 #include "models/squeezenet.hpp"
-#include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 
 namespace wa::deploy {
@@ -217,27 +215,20 @@ struct StageTiming {
   double ms = 0.0;
 };
 
-/// Static memory plan computed by the planner pass (src/deploy/passes) for a
-/// reference input shape: per-value sizes and live ranges over the schedule,
-/// a single-arena offset assignment with buffer reuse, and the resulting
-/// peak. "Values" are the dataflow results: value 0 is the quantized
-/// pipeline input, value i+1 is stage i's output. Activation bytes are the
-/// int8 tensors that travel BETWEEN stages; kernel-internal scratch (the
-/// per-thread ScratchArena) is accounted separately and unchanged by the
-/// plan.
+/// Static memory plan computed by the planner (src/deploy/passes) for a
+/// reference input shape: which stages write their output over a dying
+/// operand, and the peak activation bytes with and without those rewrites.
+/// Activation bytes are the int8 tensors that travel BETWEEN stages;
+/// kernel-internal scratch (the per-thread ScratchArena) is accounted
+/// separately and unchanged by the plan.
 struct MemoryPlan {
-  Shape reference_input;                  // shape sizes/offsets were computed for
-  std::vector<std::int64_t> value_bytes;  // per value, at the reference shape
-  std::vector<std::int64_t> offsets;      // per value: arena offset (reused buffers share one)
-  std::vector<std::int32_t> last_use;     // per value: last consuming stage, -1 = never read
+  Shape reference_input;  // shape the peaks were computed for
   /// Per stage: 0 = fresh output buffer, 1 = write the output into the first
   /// operand's storage, 2 = into the second operand's (AddStage only). Only
   /// honored when the operand actually dies at this stage and fits.
   std::vector<std::uint8_t> in_place;
-  std::int64_t arena_bytes = 0;       // contiguous first-fit layout size
   std::int64_t peak_bytes = 0;        // planned live-byte high-water (run() measures this)
   std::int64_t naive_peak_bytes = 0;  // same schedule without the plan, reference shape
-  bool empty() const { return in_place.empty(); }
 };
 
 /// Counters one run() fills when asked: measured activation-buffer traffic.
@@ -280,11 +271,9 @@ struct RunStats {
 ///     which are monotone counters: concurrent bumps cannot tear, and a
 ///     flat window observed around concurrent forwards proves no thread
 ///     re-transformed or repacked weights;
-///   - per-stage timing writes (each Node's telemetry::EmaNs, and span
-///     emission into the tracer's per-thread rings for traced runs) are
-///     relaxed atomics / thread-local rings: concurrent runs may interleave
-///     EMA blends (a smoothed estimate tolerates a lost update) but never
-///     race on the stage data itself;
+///   - per-stage timing goes only to the caller's StageTiming vector and,
+///     for traced runs, into the tracer's per-thread rings, so concurrent
+///     runs never race on it;
 ///   - stages with *dynamic* scales (output_scale <= 0, resolved from each
 ///     batch's own statistics) are still data-race-free — the derived scale
 ///     is a per-call local — but they are batch-composition dependent, so a
@@ -303,18 +292,15 @@ class Int8Pipeline {
     Stage op;
     StageIO io;
     std::vector<EpilogueOp> epilogue;
-    /// Always-available smoothed per-stage latency, fed by every run() while
-    /// metrics are enabled (telemetry::metrics_enabled()); mutable because
-    /// observing a timing does not change the compiled graph. Copied nodes
-    /// (take_nodes + re-push) carry their EMA along.
-    mutable telemetry::EmaNs ema;
   };
 
   void push(Stage s) { push(std::move(s), StageIO{}); }
   void push(Stage s, StageIO io) { push(std::move(s), std::move(io), {}); }
   /// Full form: the loader and the passes re-push nodes with their fused
-  /// epilogues. Pushing invalidates any attached memory plan (stage indices
-  /// shift); re-run the planner afterwards.
+  /// epilogues. The node is validated with resolve_wiring(false) and its
+  /// stage prepared; if either throws, the pipeline (nodes and plan) is left
+  /// as it was. A successful push invalidates any attached memory plan
+  /// (stage indices shift); re-run the planner afterwards.
   void push(Stage s, StageIO io, std::vector<EpilogueOp> epilogue);
   std::size_t size() const { return nodes_.size(); }
   const std::vector<Node>& nodes() const { return nodes_; }
@@ -346,7 +332,6 @@ class Int8Pipeline {
   /// baseline).
   void set_plan(MemoryPlan plan);
   const MemoryPlan* plan() const { return plan_.has_value() ? &*plan_ : nullptr; }
-  void clear_plan() { plan_.reset(); }
 
   /// Run a float input end-to-end; returns dequantized logits [N, classes].
   /// Activations stay int8 between stages. When `timings` is non-null it is

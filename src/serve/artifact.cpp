@@ -341,8 +341,6 @@ ConvStage load_conv(std::istream& is) {
     sc.u00.u_blocked = load_vector<std::uint8_t>(is);
     sc.rect_wt = load_vector<std::int8_t>(is);
     sc.rect_scale = load_pod<float>(is);
-    sc.out_channels = st.out_channels;
-    sc.in_channels = st.in_channels;
     // The polyphase executor indexes u00 as [t*t, K, Cpad] (F(m,2): r == 2,
     // not the stage's 3x3 kernel) and rect_wt as [5*C, K], all unchecked.
     const std::int64_t t = sc.u00.tile;
@@ -638,11 +636,7 @@ void save_plan(std::ostream& os, const MemoryPlan* plan) {
   save_pod(os, static_cast<std::uint8_t>(plan != nullptr ? 1 : 0));
   if (plan == nullptr) return;
   save_vector(os, plan->reference_input);
-  save_vector(os, plan->value_bytes);
-  save_vector(os, plan->offsets);
-  save_vector(os, plan->last_use);
   save_vector(os, plan->in_place);
-  save_pod(os, plan->arena_bytes);
   save_pod(os, plan->peak_bytes);
   save_pod(os, plan->naive_peak_bytes);
 }
@@ -655,11 +649,7 @@ void load_plan(std::istream& is, Int8Pipeline& pipe) {
   if (load_pod<std::uint8_t>(is) == 0) return;
   MemoryPlan plan;
   plan.reference_input = load_vector<std::int64_t>(is);
-  plan.value_bytes = load_vector<std::int64_t>(is);
-  plan.offsets = load_vector<std::int64_t>(is);
-  plan.last_use = load_vector<std::int32_t>(is);
   plan.in_place = load_vector<std::uint8_t>(is);
-  plan.arena_bytes = load_pod<std::int64_t>(is);
   plan.peak_bytes = load_pod<std::int64_t>(is);
   plan.naive_peak_bytes = load_pod<std::int64_t>(is);
   try {

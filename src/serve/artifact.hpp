@@ -44,7 +44,7 @@
 namespace wa::serve {
 
 /// The one format version the writer emits and the reader accepts.
-constexpr std::uint32_t kWamVersion = 6;
+constexpr std::uint32_t kWamVersion = 7;
 
 void save_pipeline(std::ostream& os, const deploy::Int8Pipeline& pipe);
 void save_pipeline(const std::string& path, const deploy::Int8Pipeline& pipe);

@@ -266,9 +266,9 @@ std::vector<double> exponential_bounds(double first, double factor, std::size_t 
 /// range for any q in [0, 1].
 double percentile_sorted(const std::vector<double>& sorted, double q);
 
-/// Copyable relaxed-atomic EMA cell in nanoseconds — the always-available
-/// per-stage timing Int8Pipeline::Node carries (fed by every run() when
-/// metrics are enabled). The first kWarmup observations average arithmetically
+/// Copyable relaxed-atomic EMA cell in nanoseconds — the inference server's
+/// per-model dispatch-time estimate, which its deadline admission reads.
+/// The first kWarmup observations average arithmetically
 /// (so short profiling runs converge immediately), then updates blend with
 /// alpha = 1/kWarmup. observe() applies each blend via a compare-exchange
 /// loop, so concurrent observers never lose an update (the blend order under

@@ -198,7 +198,9 @@ TEST(ResNet18, ExtensionKnobsPropagateToBlockConvs) {
                             const std::string& name) -> std::shared_ptr<nn::Module> {
     EXPECT_TRUE(opts.per_channel_weights) << name;
     EXPECT_TRUE(opts.qspec_m.has_value()) << name;
-    if (opts.qspec_m) EXPECT_EQ(opts.qspec_m->bits, 16) << name;
+    if (opts.qspec_m) {
+      EXPECT_EQ(opts.qspec_m->bits, 16) << name;
+    }
     ++seen;
     return core::make_conv(opts, rng);
   };

@@ -1,10 +1,9 @@
 // Unit tests for the compiler middle-end (src/deploy/passes): stage fusion
 // preserves bits and collapses chains, dead-stage elimination prunes
 // unreachable work, the static memory planner's predicted peak equals what
-// the executor measures, the arena offsets never alias two live values, and
-// a plan is honored (and safely re-checked) at shapes other than the
-// reference. The broad randomized lockdown lives in test_pipeline_fuzz.cpp;
-// these are the targeted cases.
+// the executor measures, and a plan is honored (and safely re-checked) at
+// shapes other than the reference. The broad randomized lockdown lives in
+// test_pipeline_fuzz.cpp; these are the targeted cases.
 #include <gtest/gtest.h>
 
 #include "data/synthetic.hpp"
@@ -252,36 +251,6 @@ TEST(MemoryPlan, PredictedPeakMatchesMeasuredPeakOnFrozenPipelines) {
   EXPECT_GT(on.inplace_reuses, 0);
 }
 
-TEST(MemoryPlan, OffsetsNeverAliasTwoConcurrentlyLiveValues) {
-  Rng rng(77);
-  Int8Pipeline opt = fusable_pipeline(rng);
-  optimize_pipeline(opt, ref_opts({1, 3, 10, 10}));
-  const MemoryPlan* plan = opt.plan();
-  ASSERT_NE(plan, nullptr);
-  const auto w = opt.resolve_wiring();
-  const std::size_t values = plan->value_bytes.size();
-
-  const auto death = [&](std::size_t v) {
-    // Conservative interval: birth at production, death one past last use.
-    return w.last_use[v] >= 0 ? static_cast<std::int64_t>(w.last_use[v]) + 2
-                              : static_cast<std::int64_t>(v) + 1;
-  };
-  for (std::size_t a = 0; a < values; ++a) {
-    for (std::size_t b = a + 1; b < values; ++b) {
-      const bool time_overlap =
-          static_cast<std::int64_t>(a) < death(b) && static_cast<std::int64_t>(b) < death(a);
-      const bool space_overlap = plan->offsets[a] < plan->offsets[b] + plan->value_bytes[b] &&
-                                 plan->offsets[b] < plan->offsets[a] + plan->value_bytes[a];
-      const bool shared_buffer = plan->offsets[a] == plan->offsets[b];  // planned reuse
-      if (time_overlap && space_overlap && !shared_buffer) {
-        FAIL() << "values " << a << " and " << b << " overlap in time and space";
-      }
-    }
-  }
-  EXPECT_GE(plan->arena_bytes, plan->peak_bytes - plan->peak_bytes / 4)
-      << "arena layout should be in the same ballpark as the live-byte peak";
-}
-
 TEST(MemoryPlan, ResNet18PeakDropsAtLeastThirtyPercentAndStaysBitExact) {
   Rng rng(42);
   models::ResNetConfig cfg;
@@ -363,21 +332,42 @@ TEST(MemoryPlan, SetPlanRejectsInconsistentPlans) {
     p.in_place[0] = 7;  // mark out of range
     EXPECT_THROW(donor.set_plan(std::move(p)), std::invalid_argument);
   }
-  {
-    MemoryPlan p = *donor.plan();
-    p.offsets[1] = p.arena_bytes + 1;  // value past the arena
-    EXPECT_THROW(donor.set_plan(std::move(p)), std::invalid_argument);
-  }
-  {
-    MemoryPlan p = *donor.plan();
-    p.last_use[0] = static_cast<std::int32_t>(donor.size());  // out of range
-    EXPECT_THROW(donor.set_plan(std::move(p)), std::invalid_argument);
-  }
   // The stale-plan guard: pushing a stage after planning clears the plan.
   optimize_pipeline(donor, ref_opts({1, 3, 8, 8}));
   ASSERT_NE(donor.plan(), nullptr);
   donor.push(ReluStage{}, io("", "", "", "tail.relu"));
   EXPECT_EQ(donor.plan(), nullptr);
+}
+
+TEST(PipelinePush, RejectedPushLeavesStagesAndPlanUnchanged) {
+  Rng rng(80);
+  Int8Pipeline pipe = fusable_pipeline(rng);
+  optimize_pipeline(pipe, ref_opts({1, 3, 8, 8}));
+  ASSERT_NE(pipe.plan(), nullptr);
+  const MemoryPlan plan = *pipe.plan();
+  std::vector<std::string> labels;
+  for (const Int8Pipeline::Node& n : pipe.nodes()) labels.push_back(n.io.label);
+  const auto expect_unchanged = [&](const char* what) {
+    EXPECT_EQ(pipe.size(), labels.size()) << what;
+    std::vector<std::string> now;
+    for (const Int8Pipeline::Node& n : pipe.nodes()) now.push_back(n.io.label);
+    EXPECT_EQ(now, labels) << what;
+    ASSERT_NE(pipe.plan(), nullptr) << what << " dropped the attached plan";
+    EXPECT_EQ(pipe.plan()->reference_input, plan.reference_input) << what;
+    EXPECT_EQ(pipe.plan()->in_place, plan.in_place) << what;
+    EXPECT_EQ(pipe.plan()->peak_bytes, plan.peak_bytes) << what;
+    EXPECT_EQ(pipe.plan()->naive_peak_bytes, plan.naive_peak_bytes) << what;
+  };
+
+  // Bad wiring: reads a slot no stage publishes.
+  EXPECT_THROW(pipe.push(ReluStage{}, io("nope", "", "", "bad-wiring")), std::invalid_argument);
+  expect_unchanged("a badly wired push");
+
+  // Valid wiring, but prepare() throws: the batch-norm's input scale is not
+  // frozen.
+  EXPECT_THROW(pipe.push(bn_stage(rng, 5, 0.F, 0.2F), io("", "", "", "unfrozen-bn")),
+               std::invalid_argument);
+  expect_unchanged("a push whose prepare() throws");
 }
 
 TEST(InferValueShapes, RejectsShapeInconsistentGraphsWithTheStageName) {

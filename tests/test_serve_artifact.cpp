@@ -157,11 +157,11 @@ TEST(WamArtifact, RejectsForeignAndGarbageFiles) {
 }
 
 TEST(WamArtifact, RejectsWrongVersion) {
-  // The reader handles exactly kWamVersion: older headers (1-5 were written
+  // The reader handles exactly kWamVersion: older headers (1-6 were written
   // by earlier serializers) and newer ones are refused, naming the version.
   Rng rng(34);
   const std::string bytes = saved_bytes(compiled_lenet(nn::ConvAlgo::kIm2row, rng));
-  for (const std::uint32_t version : {0U, 1U, 2U, 3U, 4U, 5U, kWamVersion + 1}) {
+  for (const std::uint32_t version : {0U, 1U, 2U, 3U, 4U, 5U, 6U, kWamVersion + 1}) {
     SCOPED_TRACE("version=" + std::to_string(version));
     std::string other = bytes;
     std::memcpy(other.data() + 4, &version, sizeof(version));  // follows the magic
@@ -357,9 +357,7 @@ TEST(WamArtifact, RoundTripPreservesEpiloguesAndPlan) {
   ASSERT_NE(loaded.plan(), nullptr);
   EXPECT_EQ(loaded.plan()->peak_bytes, pipe.plan()->peak_bytes);
   EXPECT_EQ(loaded.plan()->naive_peak_bytes, pipe.plan()->naive_peak_bytes);
-  EXPECT_EQ(loaded.plan()->arena_bytes, pipe.plan()->arena_bytes);
   EXPECT_EQ(loaded.plan()->in_place, pipe.plan()->in_place);
-  EXPECT_EQ(loaded.plan()->offsets, pipe.plan()->offsets);
 
   const Tensor x = Tensor::randn({3, 3, 32, 32}, rng);
   deploy::RunStats a{}, b{};
@@ -485,7 +483,7 @@ TEST(WamArtifact, RejectsCorruptedPlanSection) {
   EXPECT_NO_THROW(loaded_from(bytes));  // sanity: intact artifact loads
 
   // The plan tail layout (docs/WAM_FORMAT.md): [in_place len u64][marks
-  // stages][arena i64][peak i64][naive i64]. Both corruptions below keep the
+  // stages][peak i64][naive i64]. Both corruptions below keep the
   // artifact checksummed-valid, so the PLAN validator must reject them.
   {
     std::string corrupt = bytes;  // negative byte total
@@ -502,7 +500,7 @@ TEST(WamArtifact, RejectsCorruptedPlanSection) {
   }
   {
     std::string corrupt = bytes;  // in_place mark out of range
-    corrupt[corrupt.size() - 24 - stages] = static_cast<char>(9);
+    corrupt[corrupt.size() - 16 - stages] = static_cast<char>(9);
     reseal(corrupt);
     try {
       loaded_from(corrupt);

@@ -653,7 +653,10 @@ TEST_P(SimdBackendTest, BlockedWinogradIsBitIdenticalToFlatAcrossShapes) {
     g.out_channels = cfg.k;
     g.kernel = 3;
     g.pad = 1;
-    const WinogradStageScales frozen{0.02F, 0.1F, 0.05F, 0.1F};
+    const WinogradStageScales frozen{.weights_transformed = 0.02F,
+                                     .input_transformed = 0.1F,
+                                     .hadamard = 0.05F,
+                                     .output = 0.1F};
     Tensor bias = Tensor::randn({cfg.k}, rng);
     const QTensor blocked = winograd_conv_s8_prepared(in, prep, g, tr, frozen, &bias);
     QTensor flat;
@@ -684,7 +687,10 @@ TEST_P(SimdBackendTest, BlockedWinogradHonorsDonatedStorage) {
   g.out_channels = 8;
   g.kernel = 3;
   g.pad = 1;
-  const WinogradStageScales frozen{0.02F, 0.1F, 0.05F, 0.1F};
+  const WinogradStageScales frozen{.weights_transformed = 0.02F,
+                                   .input_transformed = 0.1F,
+                                   .hadamard = 0.05F,
+                                   .output = 0.1F};
   const QTensor fresh = winograd_conv_s8_prepared(in, prep, g, tr, frozen);
   // Donate a copy of the input's bytes: the aliasing-shaped case.
   std::vector<std::int8_t> donated = in.data;
@@ -982,7 +988,10 @@ TEST(BlockedWinogradGate, DynamicScalesAlwaysTakeTheFlatPath) {
   g.out_channels = 4;
   g.kernel = 3;
   g.pad = 1;
-  const WinogradStageScales dynamic{0.02F, -1.F, 0.05F, 0.1F};
+  const WinogradStageScales dynamic{.weights_transformed = 0.02F,
+                                    .input_transformed = -1.F,
+                                    .hadamard = 0.05F,
+                                    .output = 0.1F};
   const QTensor with_toggle = winograd_conv_s8_prepared(in, prep, g, tr, dynamic);
   QTensor without;
   {

@@ -252,34 +252,9 @@ TEST(EmaNs, WarmupMeanThenBlend) {
   f.observe(9000);
   EXPECT_GT(f.value_ns(), 1000.0);
   EXPECT_LT(f.value_ns(), 9000.0);
-  // Copyable (Node carries one by value).
+  // Copyable.
   const EmaNs g = f;
   EXPECT_DOUBLE_EQ(g.value_ns(), f.value_ns());
-}
-
-TEST(EmaNs, PipelineNodesAccumulateStageTimings) {
-  TelemetryGuard guard;
-  set_metrics_enabled(true);
-  Rng rng(11);
-  deploy::ConvStage conv;
-  conv.algo = nn::ConvAlgo::kIm2row;
-  conv.in_channels = 3;
-  conv.out_channels = 4;
-  conv.input_scale = 0.05F;
-  conv.output_scale = 0.1F;
-  conv.weights_q = backend::quantize_s8(Tensor::randn({4, 3, 3, 3}, rng, 0.3F));
-  deploy::Int8Pipeline pipe;
-  pipe.push(std::move(conv));
-  const Tensor x = Tensor::randn({1, 3, 8, 8}, rng);
-  pipe.run(x);
-  pipe.run(x);
-  ASSERT_EQ(pipe.nodes().size(), 1u);
-  EXPECT_EQ(pipe.nodes()[0].ema.count(), 2u);
-  EXPECT_GT(pipe.nodes()[0].ema.value_ns(), 0.0);
-  // The gate also stops EMA feeding (the A/B off-arm measures zero-cost).
-  set_metrics_enabled(false);
-  pipe.run(x);
-  EXPECT_EQ(pipe.nodes()[0].ema.count(), 2u);
 }
 
 // ---- tracer -----------------------------------------------------------------
