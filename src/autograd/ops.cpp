@@ -85,14 +85,19 @@ Variable linear(const Variable& x, const Variable& weight, const Variable& bias)
 
 Variable relu(const Variable& x) {
   Tensor out = x.value();
-  for (auto& v : out.data()) v = v > 0.F ? v : 0.F;
+  const std::int64_t count = out.numel();
+  float* o = out.raw();
+#pragma omp parallel for schedule(static) if (count >= kParallelSweepMin)
+  for (std::int64_t i = 0; i < count; ++i) o[i] = o[i] > 0.F ? o[i] : 0.F;
   auto xn = x.node();
   return apply_op("relu", {x}, std::move(out), [xn](Node& n) {
     if (!xn->requires_grad) return;
     Tensor dx = n.grad;
-    auto xv = xn->value.data();
-    auto dxv = dx.data();
-    for (std::size_t i = 0; i < dxv.size(); ++i) {
+    const float* xv = xn->value.raw();
+    float* dxv = dx.raw();
+    const std::int64_t len = dx.numel();
+#pragma omp parallel for schedule(static) if (len >= kParallelSweepMin)
+    for (std::int64_t i = 0; i < len; ++i) {
       if (xv[i] <= 0.F) dxv[i] = 0.F;
     }
     xn->accum_grad(dx);

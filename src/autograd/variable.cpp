@@ -12,7 +12,12 @@ void Node::accum_grad(const Tensor& g) {
     grad_allocated = true;
   }
   check_same_shape(grad.shape(), g.shape(), "accum_grad");
-  grad += g;
+  // grad += g, split across the team for large activations' gradients.
+  const std::int64_t n = grad.numel();
+  float* dst = grad.raw();
+  const float* src = g.raw();
+#pragma omp parallel for schedule(static) if (n >= kParallelSweepMin)
+  for (std::int64_t i = 0; i < n; ++i) dst[i] += src[i];
 }
 
 Tensor& Node::ensure_grad() {

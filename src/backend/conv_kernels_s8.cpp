@@ -1044,6 +1044,10 @@ QTensor strided_winograd_conv_s8_prepared(const QTensor& input,
   if (!u_matches(weights.u00, g00, tr.tile)) {
     throw std::invalid_argument("strided_winograd_conv_s8: prepared weights do not match geometry");
   }
+  if (static_cast<std::int64_t>(weights.rect_wt.size()) != wa::numel({5 * C, K})) {
+    throw std::invalid_argument(
+        "strided_winograd_conv_s8: rect-phase weights must hold 5*C*K levels");
+  }
   if (!scales.input_transformed_taps.empty() || !scales.hadamard_taps.empty() ||
       !scales.weights_transformed_taps.empty()) {
     throw std::invalid_argument("strided_winograd_conv_s8: per-tap scales are not supported");

@@ -18,8 +18,9 @@
 //     FMA), the same av == 0 skip as wino::smm_nn — with SIMD lanes running
 //     across Winograd tiles. This file is compiled with -ffp-contract=off so
 //     its scalar tail loops cannot be contracted either.
-//   - gemm_f32_packed_nn is the one deliberate exception: it uses FMA for
-//     throughput, and fp32 GEMM consumers carry tolerances, not bit checks.
+//   - gemm_f32_packed_nn is the one deliberate exception: its 32-column body
+//     uses FMA for throughput, and fp32 GEMM consumers carry tolerances, not
+//     bit checks. Its 8-column remainder uses mul + add and matches scalar.
 #include "backend/simd/kernel_table.hpp"
 
 #if defined(__AVX2__) && defined(__FMA__)
@@ -178,6 +179,19 @@ void gemm_f32_packed_nn_avx2(std::int64_t mb, std::int64_t n, std::int64_t k, fl
       _mm256_storeu_ps(crow + j0 + 8, c1);
       _mm256_storeu_ps(crow + j0 + 16, c2);
       _mm256_storeu_ps(crow + j0 + 24, c3);
+    }
+    // 8-wide remainder with a separate multiply and add: each element still
+    // adds its products in k order, so it is bit-identical to the scalar
+    // tail below (and to the scalar table).
+    for (; j0 + 8 <= n; j0 += 8) {
+      __m256 c0 = _mm256_loadu_ps(crow + j0);
+      for (std::int64_t kk = 0; kk < k; ++kk) {
+        const float av = alpha * arow[kk];
+        if (av == 0.F) continue;
+        const __m256 prod = _mm256_mul_ps(_mm256_set1_ps(av), _mm256_loadu_ps(b + kk * ldb + j0));
+        c0 = _mm256_add_ps(c0, prod);
+      }
+      _mm256_storeu_ps(crow + j0, c0);
     }
     if (j0 < n) {
       for (std::int64_t kk = 0; kk < k; ++kk) {

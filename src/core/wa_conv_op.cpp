@@ -3,6 +3,7 @@
 #include <cstring>
 #include <memory>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "backend/perf_counters.hpp"
@@ -12,12 +13,14 @@
 
 namespace wa::core {
 
+using wino::kLanes;
 using wino::kMaxTile;
 using wino::kSmallMatCap;
 using wino::smm_add;
 using wino::smm_nn;
 using wino::smm_nt;
 using wino::smm_sandwich;
+using wino::smm_sandwich_lanes;
 using wino::smm_sandwich_t;
 using wino::smm_tn;
 
@@ -59,14 +62,6 @@ void fake_quant_stage_taps(Tensor& x, quant::TapRangeObserver& obs, std::int64_t
   obs.configure(taps, group_size);
   if (training) obs.observe(x, /*tap_dim=*/1);
   quant::fake_quant_taps_(x, obs.scale_vector(spec), /*tap_dim=*/1, spec, mask);
-}
-
-void apply_mask(Tensor& t, const std::vector<std::uint8_t>& mask) {
-  if (mask.empty()) return;
-  auto d = t.data();
-  for (std::size_t i = 0; i < d.size(); ++i) {
-    if (!mask[i]) d[i] = 0.F;
-  }
 }
 
 /// FNV-1a over arbitrary bytes, word-at-a-time (the U-cache key).
@@ -132,6 +127,9 @@ ag::Variable winograd_aware_conv2d(const ag::Variable& input, const ag::Variable
     throw std::invalid_argument("winograd_aware_conv2d: transform shapes inconsistent with F(" +
                                 std::to_string(m) + "," + std::to_string(r) + ")");
   }
+  if (bias.defined() && bias.value().numel() != geom.out_channels) {
+    throw std::invalid_argument("winograd_aware_conv2d: bias must have out_channels elements");
+  }
   if (t > kMaxTile) {
     throw std::invalid_argument("winograd_aware_conv2d: tile size " + std::to_string(t) +
                                 " exceeds supported maximum " + std::to_string(kMaxTile));
@@ -147,6 +145,15 @@ ag::Variable winograd_aware_conv2d(const ag::Variable& input, const ag::Variable
 
   const Tensor& x = input.value();
   const Tensor& w = weight.value();
+  if (x.shape() != Shape{geom.batch, geom.in_channels, geom.height, geom.width} ||
+      w.shape() != Shape{geom.out_channels, cg, r, r}) {
+    throw std::invalid_argument("winograd_aware_conv2d: input " + to_string(x.shape()) +
+                                " or weight " + to_string(w.shape()) +
+                                " does not match the geometry");
+  }
+  // Raw-index strides of the NCHW input and output.
+  const std::int64_t in_plane = geom.height * geom.width;
+  const std::int64_t out_plane = oh * ow;
   const float* gm = g_mat.value().raw();
   const float* bt = bt_mat.value().raw();
   const float* at = at_mat.value().raw();
@@ -167,16 +174,30 @@ ag::Variable winograd_aware_conv2d(const ag::Variable& input, const ag::Variable
   } else {
     u = Tensor(Shape{groups, tt, kg, cg});
     backend::count_weight_transform();
+    float* ud = u.raw();
 #pragma omp parallel for collapse(2) schedule(static)
     for (std::int64_t grp = 0; grp < groups; ++grp) {
       for (std::int64_t k = 0; k < kg; ++k) {
-        float tmp[kSmallMatCap], gg[kSmallMatCap];
-        for (std::int64_t c = 0; c < cg; ++c) {
-          const float* filt = w.raw() + ((grp * kg + k) * cg + c) * r * r;
-          smm_sandwich(gm, ti_, ri_, filt, tmp, gg);  // [t, t]
-          for (std::int64_t ab = 0; ab < tt; ++ab) {
-            u.raw()[((grp * tt + ab) * kg + k) * cg + c] = gg[ab];
+        const float* filters = w.raw() + (grp * kg + k) * cg * r * r;
+        float* u_gk = ud + (grp * tt * kg + k) * cg;  // + ab * kg * cg + c
+        std::int64_t c = 0;
+        // Lane blocks of kLanes consecutive input channels.
+        float lanes[kSmallMatCap * kLanes], tmp[kSmallMatCap * kLanes];
+        float gg[kSmallMatCap * kLanes];
+        for (; c + kLanes <= cg; c += kLanes) {
+          for (std::int64_t l = 0; l < kLanes; ++l) {
+            for (std::int64_t e = 0; e < r * r; ++e) {
+              lanes[e * kLanes + l] = filters[(c + l) * r * r + e];
+            }
           }
+          smm_sandwich_lanes(gm, ti_, ri_, lanes, tmp, gg);  // [t, t] per lane
+          for (std::int64_t ab = 0; ab < tt; ++ab) {
+            std::memcpy(u_gk + ab * kg * cg + c, gg + ab * kLanes, sizeof(float) * kLanes);
+          }
+        }
+        for (; c < cg; ++c) {
+          smm_sandwich(gm, ti_, ri_, filters + c * r * r, tmp, gg);  // [t, t]
+          for (std::int64_t ab = 0; ab < tt; ++ab) u_gk[ab * kg * cg + c] = gg[ab];
         }
       }
     }
@@ -219,30 +240,50 @@ ag::Variable winograd_aware_conv2d(const ag::Variable& input, const ag::Variable
   // ---- 2) input transform V = Qx(Bᵀ d B) ----------------------------------
   Tensor patches(Shape{groups, cg, np, t, t});
   Tensor v(Shape{groups, tt, cg, np});
+  {
+    float* vd = v.raw();
+    float* pd = patches.raw();
 #pragma omp parallel for collapse(2) schedule(static)
-  for (std::int64_t grp = 0; grp < groups; ++grp) {
-    for (std::int64_t c = 0; c < cg; ++c) {
-      float tmp[kSmallMatCap], bv[kSmallMatCap];
-      for (std::int64_t n = 0; n < geom.batch; ++n) {
-        for (std::int64_t ti = 0; ti < th; ++ti) {
-          for (std::int64_t tj = 0; tj < tw; ++tj) {
-            const std::int64_t tile = (n * th + ti) * tw + tj;
-            const std::int64_t i0 = ti * m - geom.pad, j0 = tj * m - geom.pad;
-            float* patch = patches.raw() + (((grp * cg + c) * np + tile) * t) * t;
-            for (std::int64_t a = 0; a < t; ++a) {
-              const std::int64_t ii = i0 + a;
-              for (std::int64_t b = 0; b < t; ++b) {
-                const std::int64_t jj = j0 + b;
-                patch[a * t + b] = (ii >= 0 && ii < geom.height && jj >= 0 && jj < geom.width)
-                                       ? x(n, grp * cg + c, ii, jj)
-                                       : 0.F;
-              }
-            }
-            smm_sandwich(bt, ti_, ti_, patch, tmp, bv);  // [t, t]
-            for (std::int64_t ab = 0; ab < tt; ++ab) {
-              v.raw()[((grp * tt + ab) * cg + c) * np + tile] = bv[ab];
+    for (std::int64_t grp = 0; grp < groups; ++grp) {
+      for (std::int64_t c = 0; c < cg; ++c) {
+        const float* xc = x.raw() + (grp * cg + c) * in_plane;  // + n * C * H * W
+        float* pc = pd + (grp * cg + c) * np * tt;               // + tile * t * t
+        float* v_gc = vd + (grp * tt * cg + c) * np;             // + ab * cg * np + tile
+        // Zero-padded input tile `tile` into pc[tile].
+        const auto load_patch = [&](std::int64_t tile) {
+          const std::int64_t n = tile / (th * tw), ti = (tile / tw) % th, tj = tile % tw;
+          const std::int64_t i0 = ti * m - geom.pad, j0 = tj * m - geom.pad;
+          const float* src = xc + n * geom.in_channels * in_plane;
+          float* patch = pc + tile * tt;
+          for (std::int64_t a = 0; a < t; ++a) {
+            const std::int64_t ii = i0 + a;
+            for (std::int64_t b = 0; b < t; ++b) {
+              const std::int64_t jj = j0 + b;
+              patch[a * t + b] = (ii >= 0 && ii < geom.height && jj >= 0 && jj < geom.width)
+                                     ? src[ii * geom.width + jj]
+                                     : 0.F;
             }
           }
+        };
+        std::int64_t tile0 = 0;
+        // Lane blocks of kLanes consecutive tiles.
+        float lanes[kSmallMatCap * kLanes], tmp[kSmallMatCap * kLanes];
+        float bv[kSmallMatCap * kLanes];
+        for (; tile0 + kLanes <= np; tile0 += kLanes) {
+          for (std::int64_t l = 0; l < kLanes; ++l) {
+            load_patch(tile0 + l);
+            const float* patch = pc + (tile0 + l) * tt;
+            for (std::int64_t e = 0; e < tt; ++e) lanes[e * kLanes + l] = patch[e];
+          }
+          smm_sandwich_lanes(bt, ti_, ti_, lanes, tmp, bv);  // [t, t] per lane
+          for (std::int64_t ab = 0; ab < tt; ++ab) {
+            std::memcpy(v_gc + ab * cg * np + tile0, bv + ab * kLanes, sizeof(float) * kLanes);
+          }
+        }
+        for (std::int64_t tile = tile0; tile < np; ++tile) {
+          load_patch(tile);
+          smm_sandwich(bt, ti_, ti_, pc + tile * tt, tmp, bv);  // [t, t]
+          for (std::int64_t ab = 0; ab < tt; ++ab) v_gc[ab * cg * np + tile] = bv[ab];
         }
       }
     }
@@ -267,35 +308,54 @@ ag::Variable winograd_aware_conv2d(const ag::Variable& input, const ag::Variable
 
   // ---- 4) output transform Y = Qx(Aᵀ M A), scatter -----------------------
   Tensor out(Shape{geom.batch, geom.out_channels, oh, ow});
+  {
+    const float* md = mm.raw();
+    float* od = out.raw();
 #pragma omp parallel for collapse(2) schedule(static)
-  for (std::int64_t grp = 0; grp < groups; ++grp) {
-    for (std::int64_t k = 0; k < kg; ++k) {
-      float mtile[kSmallMatCap], tmp[kSmallMatCap], y[kSmallMatCap];
-      for (std::int64_t n = 0; n < geom.batch; ++n) {
-        for (std::int64_t ti = 0; ti < th; ++ti) {
-          for (std::int64_t tj = 0; tj < tw; ++tj) {
-            const std::int64_t tile = (n * th + ti) * tw + tj;
-            for (std::int64_t ab = 0; ab < tt; ++ab) {
-              mtile[ab] = mm.raw()[((grp * tt + ab) * kg + k) * np + tile];
-            }
-            smm_sandwich(at, mi_, ti_, mtile, tmp, y);  // [m, m]
-            for (std::int64_t a = 0; a < m && ti * m + a < oh; ++a) {
-              for (std::int64_t b = 0; b < m && tj * m + b < ow; ++b) {
-                out(n, grp * kg + k, ti * m + a, tj * m + b) = y[a * m + b];
-              }
+    for (std::int64_t grp = 0; grp < groups; ++grp) {
+      for (std::int64_t k = 0; k < kg; ++k) {
+        const float* m_gk = md + (grp * tt * kg + k) * np;  // + ab * kg * np + tile
+        float* ok = od + (grp * kg + k) * out_plane;         // + n * K * oh * ow
+        // Write lane `l` of the [m, m] tile block `y` (stride `ls`) to tile
+        // `tile`, clipping at the bottom and right edges.
+        const auto store_tile = [&](std::int64_t tile, const float* y, std::int64_t ls) {
+          const std::int64_t n = tile / (th * tw), ti = (tile / tw) % th, tj = tile % tw;
+          float* dst = ok + n * geom.out_channels * out_plane;
+          for (std::int64_t a = 0; a < m && ti * m + a < oh; ++a) {
+            for (std::int64_t b = 0; b < m && tj * m + b < ow; ++b) {
+              dst[(ti * m + a) * ow + tj * m + b] = y[(a * m + b) * ls];
             }
           }
+        };
+        std::int64_t tile0 = 0;
+        float lanes[kSmallMatCap * kLanes], tmp[kSmallMatCap * kLanes];
+        float y[kSmallMatCap * kLanes];
+        for (; tile0 + kLanes <= np; tile0 += kLanes) {
+          for (std::int64_t ab = 0; ab < tt; ++ab) {
+            std::memcpy(lanes + ab * kLanes, m_gk + ab * kg * np + tile0, sizeof(float) * kLanes);
+          }
+          smm_sandwich_lanes(at, mi_, ti_, lanes, tmp, y);  // [m, m] per lane
+          for (std::int64_t l = 0; l < kLanes; ++l) store_tile(tile0 + l, y + l, kLanes);
+        }
+        for (std::int64_t tile = tile0; tile < np; ++tile) {
+          for (std::int64_t ab = 0; ab < tt; ++ab) lanes[ab] = m_gk[ab * kg * np + tile];
+          smm_sandwich(at, mi_, ti_, lanes, tmp, y);  // [m, m]
+          store_tile(tile, y, 1);
         }
       }
     }
   }
   if (bias.defined()) {
-    for (std::int64_t n = 0; n < geom.batch; ++n)
+    const float* bd = bias.value().raw();
+    float* od = out.raw();
+#pragma omp parallel for collapse(2) schedule(static) if (out.numel() >= kParallelSweepMin)
+    for (std::int64_t n = 0; n < geom.batch; ++n) {
       for (std::int64_t k = 0; k < geom.out_channels; ++k) {
-        const float bv = bias.value().at(k);
-        for (std::int64_t i = 0; i < oh; ++i)
-          for (std::int64_t j = 0; j < ow; ++j) out(n, k, i, j) += bv;
+        float* plane = od + (n * geom.out_channels + k) * out_plane;
+        const float bv = bd[k];
+        for (std::int64_t i = 0; i < out_plane; ++i) plane[i] += bv;
       }
+    }
   }
   fake_quant_stage(out, stages.y, stages.y_spec(), training, &saved->mask_y);
 
@@ -323,14 +383,22 @@ ag::Variable winograd_aware_conv2d(const ag::Variable& input, const ag::Variable
 
     // dY with the output-stage STE mask applied.
     Tensor dy_full = node.grad;
-    apply_mask(dy_full, saved->mask_y);
+    quant::apply_ste_mask(dy_full, saved->mask_y);
+    const float* dyd = dy_full.raw();
 
     if (bn && bn->requires_grad) {
+      // Per channel, the serial (n, i, j) sum.
       Tensor db(Shape{geom.out_channels});
-      for (std::int64_t n = 0; n < geom.batch; ++n)
-        for (std::int64_t k = 0; k < geom.out_channels; ++k)
-          for (std::int64_t i = 0; i < oh; ++i)
-            for (std::int64_t j = 0; j < ow; ++j) db.at(k) += dy_full(n, k, i, j);
+      float* dbd = db.raw();
+#pragma omp parallel for schedule(static) if (dy_full.numel() >= kParallelSweepMin)
+      for (std::int64_t k = 0; k < geom.out_channels; ++k) {
+        float acc = 0.F;
+        for (std::int64_t n = 0; n < geom.batch; ++n) {
+          const float* plane = dyd + (n * geom.out_channels + k) * out_plane;
+          for (std::int64_t i = 0; i < out_plane; ++i) acc += plane[i];
+        }
+        dbd[k] = acc;
+      }
       bn->accum_grad(db);
     }
 
@@ -341,161 +409,203 @@ ag::Variable winograd_aware_conv2d(const ag::Variable& input, const ag::Variable
     const bool need_dat = atn->requires_grad;
     if (!(need_dx || need_dw || need_dg || need_dbt || need_dat)) return;
 
-    // ---- dM = Aᵀ dY A (per tile), plus dAᵀ accumulation -------------------
-    Tensor dm(Shape{groups, tt, kg, np});
-    Tensor dat_acc(Shape{m, t});
-#pragma omp parallel for collapse(2) schedule(static)
-    for (std::int64_t grp = 0; grp < groups; ++grp) {
-      for (std::int64_t k = 0; k < kg; ++k) {
-        float dytile[kSmallMatCap], mtile[kSmallMatCap];
-        float tmp[kSmallMatCap], res[kSmallMatCap];
-        float dat_local[kSmallMatCap] = {};
-        for (std::int64_t n = 0; n < geom.batch; ++n) {
-          for (std::int64_t ti = 0; ti < th; ++ti) {
-            for (std::int64_t tj = 0; tj < tw; ++tj) {
-              const std::int64_t tile = (n * th + ti) * tw + tj;
-              for (std::int64_t a = 0; a < m; ++a) {
-                for (std::int64_t b = 0; b < m; ++b) {
-                  dytile[a * m + b] = (ti * m + a < oh && tj * m + b < ow)
-                                          ? dy_full(n, grp * kg + k, ti * m + a, tj * m + b)
-                                          : 0.F;
-                }
-              }
-              // dM = Atᵀ dY At.
-              smm_sandwich_t(at_v, mi_, ti_, dytile, tmp, res);  // [t, t]
-              for (std::int64_t ab = 0; ab < tt; ++ab) {
-                dm.raw()[((grp * tt + ab) * kg + k) * np + tile] = res[ab];
-              }
-              if (need_dat) {
-                for (std::int64_t ab = 0; ab < tt; ++ab) {
-                  mtile[ab] = saved->m_q.raw()[((grp * tt + ab) * kg + k) * np + tile];
-                }
-                // dAt += dY·At·Mᵀ + dYᵀ·At·M.
-                smm_nn(dytile, mi_, mi_, at_v, ti_, tmp);      // [m, t]
-                smm_nt(tmp, mi_, ti_, mtile, ti_, res);        // [m, t]
-                smm_add(dat_local, res, mi_ * ti_);
-                smm_tn(dytile, mi_, mi_, at_v, ti_, tmp);      // [m, t]
-                smm_nn(tmp, mi_, ti_, mtile, ti_, res);        // [m, t]
-                smm_add(dat_local, res, mi_ * ti_);
-              }
-            }
-          }
-        }
-        if (need_dat) {
-#pragma omp critical(wa_dat)
-          smm_add(dat_acc.raw(), dat_local, mi_ * ti_);
-        }
-      }
-    }
-    apply_mask(dm, saved->mask_m);
+    // The per-tile products run with compile-time sizes for the two tiles
+    // the models use (F4 and F2 with 3x3 filters), so the small-matrix loops
+    // unroll; any other F(m, r) takes the same code with runtime sizes.
+    const auto run = [&](auto t_c, auto m_c, auto r_c) {
+      const int ti_ = t_c, mi_ = m_c, ri_ = r_c;
+      // The transform gradients dAᵀ, dG and dBᵀ sum over every (group, filter)
+      // or (group, channel) of the layer. Each parallel iteration leaves its
+      // partial in its own slot; the slots are then added serially in index
+      // order, so the sums are the same at any team size.
 
-    // ---- dU / dV through the GEMM stage ------------------------------------
-    Tensor du(Shape{groups, tt, kg, cg});
-    Tensor dv(Shape{groups, tt, cg, np});
-    // dU[xy] = dM[xy] (Kg x NP) x V[xy]ᵀ (NP x Cg)
-    gemm_batched_f32(false, true, groups * tt, kg, cg, np, dm.raw(), kg * np, saved->v_q.raw(),
-                     cg * np, du.raw(), kg * cg);
-    // dV[xy] = U[xy]ᵀ (Cg x Kg) x dM[xy] (Kg x NP)
-    gemm_batched_f32(true, false, groups * tt, cg, np, kg, saved->u_q.raw(), kg * cg, dm.raw(),
-                     kg * np, dv.raw(), cg * np);
-    apply_mask(du, saved->mask_u);
-    apply_mask(dv, saved->mask_v);
-
-    // ---- dw and dG from U = G g Gᵀ ------------------------------------------
-    if (need_dw || need_dg) {
-      Tensor dw = Tensor::zeros(w_v.shape());
-      Tensor dg_acc(Shape{t, r});
+      // ---- dM = Aᵀ dY A (per tile), plus dAᵀ accumulation -------------------
+      Tensor dm(Shape{groups, tt, kg, np});
+      Tensor dat_acc(Shape{m, t});
+      std::vector<float> dat_part(need_dat ? static_cast<std::size_t>(groups * kg * m * t) : 0);
+      {
+        float* dmd = dm.raw();
+        const float* mqd = saved->m_q.raw();
 #pragma omp parallel for collapse(2) schedule(static)
-      for (std::int64_t grp = 0; grp < groups; ++grp) {
-        for (std::int64_t k = 0; k < kg; ++k) {
-          float dut[kSmallMatCap], tmp[kSmallMatCap], res[kSmallMatCap];
-          float dg_local[kSmallMatCap] = {};
-          for (std::int64_t c = 0; c < cg; ++c) {
-            for (std::int64_t ab = 0; ab < tt; ++ab) {
-              dut[ab] = du.raw()[((grp * tt + ab) * kg + k) * cg + c];
-            }
-            if (need_dw) {
-              // dg = Gᵀ dU G.
-              smm_sandwich_t(gm_v, ti_, ri_, dut, tmp, res);  // [r, r]
-              float* dst = dw.raw() + ((grp * kg + k) * cg + c) * r * r;
-              smm_add(dst, res, ri_ * ri_);
-            }
-            if (need_dg) {
-              const float* filt = w_v.raw() + ((grp * kg + k) * cg + c) * r * r;
-              // dG += dU·G·gᵀ + dUᵀ·G·g.
-              smm_nn(dut, ti_, ti_, gm_v, ri_, tmp);    // [t, r]
-              smm_nt(tmp, ti_, ri_, filt, ri_, res);    // [t, r]
-              smm_add(dg_local, res, ti_ * ri_);
-              smm_tn(dut, ti_, ti_, gm_v, ri_, tmp);    // [t, r]
-              smm_nn(tmp, ti_, ri_, filt, ri_, res);    // [t, r]
-              smm_add(dg_local, res, ti_ * ri_);
-            }
-          }
-          if (need_dg) {
-#pragma omp critical(wa_dg)
-            smm_add(dg_acc.raw(), dg_local, ti_ * ri_);
-          }
-        }
-      }
-      if (need_dw) wn->accum_grad(dw);
-      if (need_dg) gn->accum_grad(dg_acc);
-    }
-
-    // ---- dx and dBᵀ from V = Bᵀ d B -----------------------------------------
-    if (need_dx || need_dbt) {
-      Tensor dx = Tensor::zeros(x.shape());
-      Tensor dbt_acc(Shape{t, t});
-#pragma omp parallel for collapse(2) schedule(static)
-      for (std::int64_t grp = 0; grp < groups; ++grp) {
-        for (std::int64_t c = 0; c < cg; ++c) {
-          float dvt[kSmallMatCap], tmp[kSmallMatCap], res[kSmallMatCap];
-          float dbt_local[kSmallMatCap] = {};
-          for (std::int64_t n = 0; n < geom.batch; ++n) {
-            for (std::int64_t ti = 0; ti < th; ++ti) {
-              for (std::int64_t tj = 0; tj < tw; ++tj) {
-                const std::int64_t tile = (n * th + ti) * tw + tj;
-                for (std::int64_t ab = 0; ab < tt; ++ab) {
-                  dvt[ab] = dv.raw()[((grp * tt + ab) * cg + c) * np + tile];
-                }
-                if (need_dx) {
-                  // dd = Bt'ᵀ... : with V = Bᵀ d B, dd = B dV Bᵀ = (Bᵀ)ᵀ dV (Bᵀ).
-                  smm_sandwich_t(bt_v, ti_, ti_, dvt, tmp, res);  // [t, t]
-                  const std::int64_t i0 = ti * m - geom.pad, j0 = tj * m - geom.pad;
-                  for (std::int64_t a = 0; a < t; ++a) {
-                    const std::int64_t ii = i0 + a;
-                    if (ii < 0 || ii >= geom.height) continue;
-                    for (std::int64_t b = 0; b < t; ++b) {
-                      const std::int64_t jj = j0 + b;
-                      if (jj < 0 || jj >= geom.width) continue;
-                      dx(n, grp * cg + c, ii, jj) += res[a * t + b];
+        for (std::int64_t grp = 0; grp < groups; ++grp) {
+          for (std::int64_t k = 0; k < kg; ++k) {
+            float dytile[kSmallMatCap], mtile[kSmallMatCap];
+            float tmp[kSmallMatCap], res[kSmallMatCap];
+            float dat_local[kSmallMatCap] = {};
+            const float* dy_k = dyd + (grp * kg + k) * out_plane;  // + n * K * oh * ow
+            const std::int64_t gk = (grp * tt * kg + k) * np;      // + ab * kg * np + tile
+            for (std::int64_t n = 0; n < geom.batch; ++n) {
+              const float* dy_plane = dy_k + n * geom.out_channels * out_plane;
+              for (std::int64_t ti = 0; ti < th; ++ti) {
+                for (std::int64_t tj = 0; tj < tw; ++tj) {
+                  const std::int64_t tile = (n * th + ti) * tw + tj;
+                  for (std::int64_t a = 0; a < m; ++a) {
+                    for (std::int64_t b = 0; b < m; ++b) {
+                      dytile[a * m + b] = (ti * m + a < oh && tj * m + b < ow)
+                                              ? dy_plane[(ti * m + a) * ow + tj * m + b]
+                                              : 0.F;
                     }
                   }
-                }
-                if (need_dbt) {
-                  const float* patch =
-                      saved->patches.raw() + (((grp * cg + c) * np + tile) * t) * t;
-                  // dBᵀ += dV·Bᵀ·dᵀ + dVᵀ·Bᵀ·d.
-                  smm_nn(dvt, ti_, ti_, bt_v, ti_, tmp);
-                  smm_nt(tmp, ti_, ti_, patch, ti_, res);
-                  smm_add(dbt_local, res, ti_ * ti_);
-                  smm_tn(dvt, ti_, ti_, bt_v, ti_, tmp);
-                  smm_nn(tmp, ti_, ti_, patch, ti_, res);
-                  smm_add(dbt_local, res, ti_ * ti_);
+                  // dM = Atᵀ dY At.
+                  smm_sandwich_t(at_v, mi_, ti_, dytile, tmp, res);  // [t, t]
+                  for (std::int64_t ab = 0; ab < tt; ++ab) dmd[gk + ab * kg * np + tile] = res[ab];
+                  if (need_dat) {
+                    for (std::int64_t ab = 0; ab < tt; ++ab) {
+                      mtile[ab] = mqd[gk + ab * kg * np + tile];
+                    }
+                    // dAt += dY·At·Mᵀ + dYᵀ·At·M.
+                    smm_nn(dytile, mi_, mi_, at_v, ti_, tmp);      // [m, t]
+                    smm_nt(tmp, mi_, ti_, mtile, ti_, res);        // [m, t]
+                    smm_add(dat_local, res, mi_ * ti_);
+                    smm_tn(dytile, mi_, mi_, at_v, ti_, tmp);      // [m, t]
+                    smm_nn(tmp, mi_, ti_, mtile, ti_, res);        // [m, t]
+                    smm_add(dat_local, res, mi_ * ti_);
+                  }
                 }
               }
             }
-          }
-          if (need_dbt) {
-#pragma omp critical(wa_dbt)
-            smm_add(dbt_acc.raw(), dbt_local, ti_ * ti_);
+            if (need_dat) {
+              std::memcpy(dat_part.data() + (grp * kg + k) * m * t, dat_local,
+                          sizeof(float) * static_cast<std::size_t>(m * t));
+            }
           }
         }
       }
-      if (need_dx) xn->accum_grad(dx);
-      if (need_dbt) btn->accum_grad(dbt_acc);
-    }
+      for (std::int64_t i = 0; need_dat && i < groups * kg; ++i) {
+        smm_add(dat_acc.raw(), dat_part.data() + i * m * t, mi_ * ti_);
+      }
+      quant::apply_ste_mask(dm, saved->mask_m);
 
-    if (need_dat) atn->accum_grad(dat_acc);
+      // ---- dU / dV through the GEMM stage ------------------------------------
+      Tensor du(Shape{groups, tt, kg, cg});
+      Tensor dv(Shape{groups, tt, cg, np});
+      // dU[xy] = dM[xy] (Kg x NP) x V[xy]ᵀ (NP x Cg)
+      gemm_batched_f32(false, true, groups * tt, kg, cg, np, dm.raw(), kg * np, saved->v_q.raw(),
+                       cg * np, du.raw(), kg * cg);
+      // dV[xy] = U[xy]ᵀ (Cg x Kg) x dM[xy] (Kg x NP)
+      gemm_batched_f32(true, false, groups * tt, cg, np, kg, saved->u_q.raw(), kg * cg, dm.raw(),
+                       kg * np, dv.raw(), cg * np);
+      quant::apply_ste_mask(du, saved->mask_u);
+      quant::apply_ste_mask(dv, saved->mask_v);
+
+      // ---- dw and dG from U = G g Gᵀ ------------------------------------------
+      if (need_dw || need_dg) {
+        Tensor dw = Tensor::zeros(w_v.shape());
+        Tensor dg_acc(Shape{t, r});
+        std::vector<float> dg_part(need_dg ? static_cast<std::size_t>(groups * kg * t * r) : 0);
+        const float* dud = du.raw();
+        float* dwd = dw.raw();
+#pragma omp parallel for collapse(2) schedule(static)
+        for (std::int64_t grp = 0; grp < groups; ++grp) {
+          for (std::int64_t k = 0; k < kg; ++k) {
+            float dut[kSmallMatCap], tmp[kSmallMatCap], res[kSmallMatCap];
+            float dg_local[kSmallMatCap] = {};
+            const float* du_gk = dud + (grp * tt * kg + k) * cg;  // + ab * kg * cg + c
+            for (std::int64_t c = 0; c < cg; ++c) {
+              for (std::int64_t ab = 0; ab < tt; ++ab) dut[ab] = du_gk[ab * kg * cg + c];
+              if (need_dw) {
+                // dg = Gᵀ dU G.
+                smm_sandwich_t(gm_v, ti_, ri_, dut, tmp, res);  // [r, r]
+                float* dst = dwd + ((grp * kg + k) * cg + c) * r * r;
+                smm_add(dst, res, ri_ * ri_);
+              }
+              if (need_dg) {
+                const float* filt = w_v.raw() + ((grp * kg + k) * cg + c) * r * r;
+                // dG += dU·G·gᵀ + dUᵀ·G·g.
+                smm_nn(dut, ti_, ti_, gm_v, ri_, tmp);    // [t, r]
+                smm_nt(tmp, ti_, ri_, filt, ri_, res);    // [t, r]
+                smm_add(dg_local, res, ti_ * ri_);
+                smm_tn(dut, ti_, ti_, gm_v, ri_, tmp);    // [t, r]
+                smm_nn(tmp, ti_, ri_, filt, ri_, res);    // [t, r]
+                smm_add(dg_local, res, ti_ * ri_);
+              }
+            }
+            if (need_dg) {
+              std::memcpy(dg_part.data() + (grp * kg + k) * t * r, dg_local,
+                          sizeof(float) * static_cast<std::size_t>(t * r));
+            }
+          }
+        }
+        for (std::int64_t i = 0; need_dg && i < groups * kg; ++i) {
+          smm_add(dg_acc.raw(), dg_part.data() + i * t * r, ti_ * ri_);
+        }
+        if (need_dw) wn->accum_grad(dw);
+        if (need_dg) gn->accum_grad(dg_acc);
+      }
+
+      // ---- dx and dBᵀ from V = Bᵀ d B -----------------------------------------
+      if (need_dx || need_dbt) {
+        Tensor dx = Tensor::zeros(x.shape());
+        Tensor dbt_acc(Shape{t, t});
+        std::vector<float> dbt_part(need_dbt ? static_cast<std::size_t>(groups * cg * tt) : 0);
+        const float* dvd = dv.raw();
+        const float* pd = saved->patches.raw();
+        float* dxd = dx.raw();
+#pragma omp parallel for collapse(2) schedule(static)
+        for (std::int64_t grp = 0; grp < groups; ++grp) {
+          for (std::int64_t c = 0; c < cg; ++c) {
+            float dvt[kSmallMatCap], tmp[kSmallMatCap], res[kSmallMatCap];
+            float dbt_local[kSmallMatCap] = {};
+            const float* dv_gc = dvd + (grp * tt * cg + c) * np;  // + ab * cg * np + tile
+            const float* pc = pd + (grp * cg + c) * np * tt;      // + tile * t * t
+            float* dx_c = dxd + (grp * cg + c) * in_plane;        // + n * C * H * W
+            for (std::int64_t n = 0; n < geom.batch; ++n) {
+              float* dx_plane = dx_c + n * geom.in_channels * in_plane;
+              for (std::int64_t ti = 0; ti < th; ++ti) {
+                for (std::int64_t tj = 0; tj < tw; ++tj) {
+                  const std::int64_t tile = (n * th + ti) * tw + tj;
+                  for (std::int64_t ab = 0; ab < tt; ++ab) dvt[ab] = dv_gc[ab * cg * np + tile];
+                  if (need_dx) {
+                    // dd = Bt'ᵀ... : with V = Bᵀ d B, dd = B dV Bᵀ = (Bᵀ)ᵀ dV (Bᵀ).
+                    smm_sandwich_t(bt_v, ti_, ti_, dvt, tmp, res);  // [t, t]
+                    const std::int64_t i0 = ti * m - geom.pad, j0 = tj * m - geom.pad;
+                    for (std::int64_t a = 0; a < t; ++a) {
+                      const std::int64_t ii = i0 + a;
+                      if (ii < 0 || ii >= geom.height) continue;
+                      for (std::int64_t b = 0; b < t; ++b) {
+                        const std::int64_t jj = j0 + b;
+                        if (jj < 0 || jj >= geom.width) continue;
+                        dx_plane[ii * geom.width + jj] += res[a * t + b];
+                      }
+                    }
+                  }
+                  if (need_dbt) {
+                    const float* patch = pc + tile * tt;
+                    // dBᵀ += dV·Bᵀ·dᵀ + dVᵀ·Bᵀ·d.
+                    smm_nn(dvt, ti_, ti_, bt_v, ti_, tmp);
+                    smm_nt(tmp, ti_, ti_, patch, ti_, res);
+                    smm_add(dbt_local, res, ti_ * ti_);
+                    smm_tn(dvt, ti_, ti_, bt_v, ti_, tmp);
+                    smm_nn(tmp, ti_, ti_, patch, ti_, res);
+                    smm_add(dbt_local, res, ti_ * ti_);
+                  }
+                }
+              }
+            }
+            if (need_dbt) {
+              std::memcpy(dbt_part.data() + (grp * cg + c) * tt, dbt_local,
+                          sizeof(float) * static_cast<std::size_t>(tt));
+            }
+          }
+        }
+        for (std::int64_t i = 0; need_dbt && i < groups * cg; ++i) {
+          smm_add(dbt_acc.raw(), dbt_part.data() + i * tt, ti_ * ti_);
+        }
+        if (need_dx) xn->accum_grad(dx);
+        if (need_dbt) btn->accum_grad(dbt_acc);
+      }
+
+      if (need_dat) atn->accum_grad(dat_acc);
+    };
+    if (t == 6 && m == 4 && r == 3) {
+      run(std::integral_constant<int, 6>{}, std::integral_constant<int, 4>{},
+          std::integral_constant<int, 3>{});
+    } else if (t == 4 && m == 2 && r == 3) {
+      run(std::integral_constant<int, 4>{}, std::integral_constant<int, 2>{},
+          std::integral_constant<int, 3>{});
+    } else {
+      run(ti_, mi_, ri_);
+    }
   };
 
   return ag::apply_op("winograd_aware_conv2d[F" + std::to_string(m) + "]", std::move(parents),

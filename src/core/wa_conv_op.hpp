@@ -15,7 +15,9 @@
 //   dBᵀ = dV·Bᵀ·dᵀ + dVᵀ·Bᵀ·d        (from V = Bᵀ d B)
 //   dAᵀ = dY·Aᵀ·Mᵀ + dYᵀ·Aᵀ·M        (from Y = Aᵀ M A)
 // with straight-through clip masks from each Qx. All of it is verified by
-// finite-difference grad-checks in tests/test_core.cpp.
+// finite-difference grad-checks in tests/test_core.cpp. Forward and backward
+// give the same bits at every OpenMP team size (docs/NUMERICS.md, "Training
+// numerics").
 #pragma once
 
 #include <optional>

@@ -186,12 +186,79 @@ void RequantStage::prepare() {
   prepared_ = true;
 }
 
+namespace {
+
+/// The per-stage wiring rules shared by resolve_wiring and push: resolves
+/// stage i's operands (value indices, -1 none) against the slots published
+/// by the stages before it, and checks that its own output slot is free.
+/// Throws std::invalid_argument labeled with the stage.
+std::pair<std::int32_t, std::int32_t> wire_stage(
+    const Int8Pipeline::Node& node, std::size_t i, const Int8Pipeline::Node* prev,
+    const std::map<std::string, std::int32_t>& slot_value) {
+  // Error labels are built lazily: this resolution runs on every forward
+  // and must stay allocation-lean on the success path.
+  const auto where = [&node, i] { return stage_where(node, i); };
+  const bool is_join = std::holds_alternative<AddStage>(node.op) ||
+                       std::holds_alternative<ConcatStage>(node.op);
+  if (is_join && node.io.input2.empty()) {
+    throw std::invalid_argument(
+        where() +
+        ": a join stage (add/concat) needs a second operand — set io.input2 to a published "
+        "slot");
+  }
+  if (!is_join && !node.io.input2.empty()) {
+    throw std::invalid_argument(where() +
+                                ": io.input2 is only meaningful for a join stage (add/concat)");
+  }
+
+  std::int32_t in1 = -1, in2 = -1;
+  if (node.io.input.empty()) {
+    if (prev != nullptr && !prev->io.output.empty()) {
+      throw std::invalid_argument(where() +
+                                  ": no implicit input — the previous stage publishes to slot '" +
+                                  prev->io.output + "'; name it as io.input");
+    }
+    in1 = static_cast<std::int32_t>(i);
+  } else {
+    if (prev != nullptr && prev->io.output.empty()) {
+      throw std::invalid_argument(where() + ": reading slot '" + node.io.input +
+                                  "' would drop the previous stage's chained output — publish "
+                                  "that output to a slot (io.output) or consume it implicitly");
+    }
+    const auto it = slot_value.find(node.io.input);
+    if (it == slot_value.end()) {
+      throw std::invalid_argument(where() + ": input slot '" + node.io.input +
+                                  "' is not produced by any earlier stage");
+    }
+    in1 = it->second;
+  }
+  if (!node.io.input2.empty()) {
+    const auto it = slot_value.find(node.io.input2);
+    if (it == slot_value.end()) {
+      throw std::invalid_argument(where() + ": input slot '" + node.io.input2 +
+                                  "' is not produced by any earlier stage");
+    }
+    in2 = it->second;
+  }
+  if (!node.io.output.empty() && slot_value.count(node.io.output) != 0) {
+    throw std::invalid_argument(where() + ": output slot '" + node.io.output +
+                                "' is already taken");
+  }
+  return {in1, in2};
+}
+
+}  // namespace
+
 void Int8Pipeline::push(Stage s, StageIO io, std::vector<EpilogueOp> epilogue) {
-  nodes_.push_back({std::move(s), std::move(io), std::move(epilogue)});
+  Node node{std::move(s), std::move(io), std::move(epilogue)};
+  // Graph sanity at load time: the wiring rules run() also applies, checked
+  // for the new stage only against the slot table (minus the dead-slot rule:
+  // a later stage may still read the slot), so loading stays linear in the
+  // stage count.
+  wire_stage(node, nodes_.size(), nodes_.empty() ? nullptr : &nodes_.back(), slots_);
+  const std::string published = node.io.output;
+  nodes_.push_back(std::move(node));
   try {
-    // Graph sanity at load time: the one wiring check run() also applies,
-    // minus the dead-slot rule (a later stage may still read the slot).
-    resolve_wiring(/*reject_dead=*/false);
     // Finalise weight caches / fixed-point multipliers at load so no
     // forward ever pays for them.
     std::visit(
@@ -204,6 +271,7 @@ void Int8Pipeline::push(Stage s, StageIO io, std::vector<EpilogueOp> epilogue) {
           }
         },
         nodes_.back().op);
+    if (!published.empty()) slots_.emplace(published, static_cast<std::int32_t>(nodes_.size()));
   } catch (...) {
     nodes_.pop_back();
     throw;
@@ -214,6 +282,7 @@ void Int8Pipeline::push(Stage s, StageIO io, std::vector<EpilogueOp> epilogue) {
 
 std::vector<Int8Pipeline::Node> Int8Pipeline::take_nodes() {
   plan_.reset();
+  slots_.clear();
   std::vector<Node> out;
   out.swap(nodes_);
   return out;
@@ -230,57 +299,10 @@ Int8Pipeline::Wiring Int8Pipeline::resolve_wiring(bool reject_dead) const {
 
   for (std::size_t i = 0; i < n; ++i) {
     const Node& node = nodes_[i];
-    // Error labels are built lazily: this resolution runs on every forward
-    // and must stay allocation-lean on the success path.
-    const auto where = [&node, i] { return stage_where(node, i); };
-    const bool is_join = std::holds_alternative<AddStage>(node.op) ||
-                         std::holds_alternative<ConcatStage>(node.op);
-    if (is_join && node.io.input2.empty()) {
-      throw std::invalid_argument(
-          where() +
-          ": a join stage (add/concat) needs a second operand — set io.input2 to a published "
-          "slot");
-    }
-    if (!is_join && !node.io.input2.empty()) {
-      throw std::invalid_argument(where() +
-                                  ": io.input2 is only meaningful for a join stage (add/concat)");
-    }
-
-    if (node.io.input.empty()) {
-      if (i > 0 && !nodes_[i - 1].io.output.empty()) {
-        throw std::invalid_argument(where() +
-                                    ": no implicit input — the previous stage publishes to slot '" +
-                                    nodes_[i - 1].io.output + "'; name it as io.input");
-      }
-      w.in1[i] = i == 0 ? 0 : static_cast<std::int32_t>(i);
-    } else {
-      if (i > 0 && nodes_[i - 1].io.output.empty()) {
-        throw std::invalid_argument(where() + ": reading slot '" + node.io.input +
-                                    "' would drop the previous stage's chained output — publish "
-                                    "that output to a slot (io.output) or consume it implicitly");
-      }
-      const auto it = slot_value.find(node.io.input);
-      if (it == slot_value.end()) {
-        throw std::invalid_argument(where() + ": input slot '" + node.io.input +
-                                    "' is not produced by any earlier stage");
-      }
-      w.in1[i] = it->second;
-    }
-    if (!node.io.input2.empty()) {
-      const auto it = slot_value.find(node.io.input2);
-      if (it == slot_value.end()) {
-        throw std::invalid_argument(where() + ": input slot '" + node.io.input2 +
-                                    "' is not produced by any earlier stage");
-      }
-      w.in2[i] = it->second;
-    }
-    if (!node.io.output.empty()) {
-      if (slot_value.count(node.io.output) != 0) {
-        throw std::invalid_argument(where() + ": output slot '" + node.io.output +
-                                    "' is already taken");
-      }
-      slot_value[node.io.output] = static_cast<std::int32_t>(i + 1);
-    }
+    const auto [in1, in2] = wire_stage(node, i, i > 0 ? &nodes_[i - 1] : nullptr, slot_value);
+    w.in1[i] = in1;
+    w.in2[i] = in2;
+    if (!node.io.output.empty()) slot_value[node.io.output] = static_cast<std::int32_t>(i + 1);
 
     for (const std::int32_t v : {w.in1[i], w.in2[i]}) {
       if (v < 0) continue;

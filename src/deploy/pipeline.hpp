@@ -34,6 +34,7 @@
 // pool-instead-of-stride ResNet-18 — Tables 2-3's workload).
 #pragma once
 
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -297,9 +298,10 @@ class Int8Pipeline {
   void push(Stage s) { push(std::move(s), StageIO{}); }
   void push(Stage s, StageIO io) { push(std::move(s), std::move(io), {}); }
   /// Full form: the loader and the passes re-push nodes with their fused
-  /// epilogues. The node is validated with resolve_wiring(false) and its
-  /// stage prepared; if either throws, the pipeline (nodes and plan) is left
-  /// as it was. A successful push invalidates any attached memory plan
+  /// epilogues. The new node alone is checked against the published slots
+  /// with resolve_wiring's rules (minus the dead-slot rule) and its stage
+  /// prepared; if either throws, the pipeline (nodes, slots and plan) is
+  /// left as it was. A successful push invalidates any attached memory plan
   /// (stage indices shift); re-run the planner afterwards.
   void push(Stage s, StageIO io, std::vector<EpilogueOp> epilogue);
   std::size_t size() const { return nodes_.size(); }
@@ -398,6 +400,9 @@ class Int8Pipeline {
                   telemetry::TraceContext trace) const;
 
   std::vector<Node> nodes_;
+  /// Published slot -> value index (i + 1 for stage i) over nodes_: push()
+  /// checks a new stage against it and extends it, take_nodes() clears it.
+  std::map<std::string, std::int32_t> slots_;
   std::optional<MemoryPlan> plan_;
 };
 

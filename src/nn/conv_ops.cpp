@@ -1,6 +1,7 @@
 #include "nn/conv_ops.hpp"
 
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 
@@ -169,35 +170,51 @@ ag::Variable max_pool2d(const ag::Variable& input, std::int64_t kernel, std::int
   Tensor out(Shape{n, c, oh, ow});
   auto argmax = std::make_shared<std::vector<std::int64_t>>(
       static_cast<std::size_t>(n * c * oh * ow));
-  for (std::int64_t b = 0; b < n; ++b) {
-    for (std::int64_t ch = 0; ch < c; ++ch) {
-      for (std::int64_t i = 0; i < oh; ++i) {
-        for (std::int64_t j = 0; j < ow; ++j) {
-          float best = -std::numeric_limits<float>::infinity();
-          std::int64_t best_idx = 0;
-          for (std::int64_t fi = 0; fi < kernel; ++fi) {
-            for (std::int64_t fj = 0; fj < kernel; ++fj) {
-              const std::int64_t ii = i * stride + fi, jj = j * stride + fj;
-              const float v = x(b, ch, ii, jj);
-              if (v > best) {
-                best = v;
-                best_idx = ((b * c + ch) * h + ii) * w + jj;
-              }
+  const float* xp = x.raw();
+  float* op = out.raw();
+  std::int64_t* ap = argmax->data();
+  // (n, c) planes are independent: each reads and, in backward, writes only
+  // its own input plane.
+#pragma omp parallel for schedule(static) if (x.numel() >= kParallelSweepMin)
+  for (std::int64_t plane = 0; plane < n * c; ++plane) {
+    const std::int64_t in_base = plane * h * w, out_base = plane * oh * ow;
+    for (std::int64_t i = 0; i < oh; ++i) {
+      for (std::int64_t j = 0; j < ow; ++j) {
+        float best = -std::numeric_limits<float>::infinity();
+        // A window with no value above -inf (all -inf or NaN) routes to its
+        // first element, so every plane writes only its own input plane.
+        std::int64_t best_idx = in_base + i * stride * w + j * stride;
+        for (std::int64_t fi = 0; fi < kernel; ++fi) {
+          for (std::int64_t fj = 0; fj < kernel; ++fj) {
+            const std::int64_t idx = in_base + (i * stride + fi) * w + j * stride + fj;
+            const float v = xp[idx];
+            if (v > best) {
+              best = v;
+              best_idx = idx;
             }
           }
-          out(b, ch, i, j) = best;
-          (*argmax)[static_cast<std::size_t>(((b * c + ch) * oh + i) * ow + j)] = best_idx;
         }
+        op[out_base + i * ow + j] = best;
+        ap[out_base + i * ow + j] = best_idx;
       }
     }
   }
 
   auto xn = input.node();
-  return ag::apply_op("max_pool2d", {input}, std::move(out), [xn, argmax](ag::Node& node) {
+  const std::int64_t planes = n * c, per_plane = oh * ow;
+  return ag::apply_op("max_pool2d", {input}, std::move(out),
+                      [xn, argmax, planes, per_plane](ag::Node& node) {
     if (!xn->requires_grad) return;
     Tensor dx = Tensor::zeros(xn->value.shape());
-    auto g = node.grad.data();
-    for (std::size_t i = 0; i < g.size(); ++i) dx.at((*argmax)[i]) += g[i];
+    const float* g = node.grad.raw();
+    const std::int64_t* src = argmax->data();
+    float* dxp = dx.raw();
+#pragma omp parallel for schedule(static) if (dx.numel() >= kParallelSweepMin)
+    for (std::int64_t plane = 0; plane < planes; ++plane) {
+      for (std::int64_t i = plane * per_plane; i < (plane + 1) * per_plane; ++i) {
+        dxp[src[i]] += g[i];
+      }
+    }
     xn->accum_grad(dx);
   });
 }
@@ -239,32 +256,41 @@ ag::Variable batch_norm2d(const ag::Variable& input, const ag::Variable& gamma,
   if (gamma.numel() != c || beta.numel() != c) {
     throw std::invalid_argument("batch_norm2d: gamma/beta must have C elements");
   }
+  if (state.running_mean.numel() < c || state.running_var.numel() < c) {
+    throw std::out_of_range("batch_norm2d: running statistics hold fewer than C elements");
+  }
   const std::int64_t m = n * h * w;  // reduction size per channel
   const float eps = state.eps;
 
   auto mean = std::make_shared<Tensor>(Shape{c});
   auto inv_std = std::make_shared<Tensor>(Shape{c});
+  const std::int64_t hw = h * w;
+  const float* xp = x.raw();
   if (training) {
+    // Channels are independent; each keeps its serial (n, h, w) double sums.
+#pragma omp parallel for schedule(static) if (x.numel() >= kParallelSweepMin)
     for (std::int64_t ch = 0; ch < c; ++ch) {
       double acc = 0;
-      for (std::int64_t b = 0; b < n; ++b)
-        for (std::int64_t i = 0; i < h; ++i)
-          for (std::int64_t j = 0; j < w; ++j) acc += x(b, ch, i, j);
+      for (std::int64_t b = 0; b < n; ++b) {
+        const float* plane = xp + (b * c + ch) * hw;
+        for (std::int64_t i = 0; i < hw; ++i) acc += plane[i];
+      }
       const double mu = acc / static_cast<double>(m);
       double var_acc = 0;
-      for (std::int64_t b = 0; b < n; ++b)
-        for (std::int64_t i = 0; i < h; ++i)
-          for (std::int64_t j = 0; j < w; ++j) {
-            const double d = x(b, ch, i, j) - mu;
-            var_acc += d * d;
-          }
+      for (std::int64_t b = 0; b < n; ++b) {
+        const float* plane = xp + (b * c + ch) * hw;
+        for (std::int64_t i = 0; i < hw; ++i) {
+          const double d = plane[i] - mu;
+          var_acc += d * d;
+        }
+      }
       const double var = var_acc / static_cast<double>(m);
-      mean->at(ch) = static_cast<float>(mu);
-      inv_std->at(ch) = static_cast<float>(1.0 / std::sqrt(var + eps));
-      state.running_mean.at(ch) =
-          (1.F - state.momentum) * state.running_mean.at(ch) + state.momentum * static_cast<float>(mu);
-      state.running_var.at(ch) =
-          (1.F - state.momentum) * state.running_var.at(ch) + state.momentum * static_cast<float>(var);
+      mean->raw()[ch] = static_cast<float>(mu);
+      inv_std->raw()[ch] = static_cast<float>(1.0 / std::sqrt(var + eps));
+      float& rm = state.running_mean.raw()[ch];
+      float& rv = state.running_var.raw()[ch];
+      rm = (1.F - state.momentum) * rm + state.momentum * static_cast<float>(mu);
+      rv = (1.F - state.momentum) * rv + state.momentum * static_cast<float>(var);
     }
   } else {
     for (std::int64_t ch = 0; ch < c; ++ch) {
@@ -275,57 +301,79 @@ ag::Variable batch_norm2d(const ag::Variable& input, const ag::Variable& gamma,
 
   Tensor out(x.shape());
   auto xhat = std::make_shared<Tensor>(x.shape());
-  for (std::int64_t b = 0; b < n; ++b)
-    for (std::int64_t ch = 0; ch < c; ++ch) {
-      const float mu = mean->at(ch), is = inv_std->at(ch);
-      const float ga = gamma.value().at(ch), be = beta.value().at(ch);
-      for (std::int64_t i = 0; i < h; ++i)
-        for (std::int64_t j = 0; j < w; ++j) {
-          const float xh = (x(b, ch, i, j) - mu) * is;
-          (*xhat)(b, ch, i, j) = xh;
-          out(b, ch, i, j) = ga * xh + be;
-        }
+  {
+    const float* mp = mean->raw();
+    const float* isp = inv_std->raw();
+    const float* gp = gamma.value().raw();
+    const float* bp = beta.value().raw();
+    float* op = out.raw();
+    float* xhp = xhat->raw();
+#pragma omp parallel for schedule(static) if (x.numel() >= kParallelSweepMin)
+    for (std::int64_t plane = 0; plane < n * c; ++plane) {
+      const std::int64_t ch = plane % c;
+      const float mu = mp[ch], is = isp[ch];
+      const float ga = gp[ch], be = bp[ch];
+      const std::int64_t base = plane * hw;
+      for (std::int64_t i = 0; i < hw; ++i) {
+        const float xh = (xp[base + i] - mu) * is;
+        xhp[base + i] = xh;
+        op[base + i] = ga * xh + be;
+      }
     }
+  }
 
   auto xn = input.node();
   auto gn = gamma.node();
   auto bn = beta.node();
   return ag::apply_op(
       "batch_norm2d", {input, gamma, beta}, std::move(out),
-      [xn, gn, bn, xhat, inv_std, training, n, c, h, w, m](ag::Node& node) {
-        const Tensor& dy = node.grad;
-        // Per-channel reductions shared by all gradients.
+      [xn, gn, bn, xhat, inv_std, training, n, c, hw, m](ag::Node& node) {
+        const float* dy = node.grad.raw();
+        const float* xhp = xhat->raw();
+        const bool parallel = node.grad.numel() >= kParallelSweepMin;
+        // Per-channel reductions shared by all gradients: float sums in
+        // each channel's serial (n, h, w) order.
         Tensor sum_dy(Shape{c}), sum_dy_xhat(Shape{c});
-        for (std::int64_t b = 0; b < n; ++b)
-          for (std::int64_t ch = 0; ch < c; ++ch)
-            for (std::int64_t i = 0; i < h; ++i)
-              for (std::int64_t j = 0; j < w; ++j) {
-                sum_dy.at(ch) += dy(b, ch, i, j);
-                sum_dy_xhat.at(ch) += dy(b, ch, i, j) * (*xhat)(b, ch, i, j);
-              }
+        float* sdy = sum_dy.raw();
+        float* sdyx = sum_dy_xhat.raw();
+#pragma omp parallel for schedule(static) if (parallel)
+        for (std::int64_t ch = 0; ch < c; ++ch) {
+          float a = 0.F, ax = 0.F;
+          for (std::int64_t b = 0; b < n; ++b) {
+            const std::int64_t base = (b * c + ch) * hw;
+            for (std::int64_t i = 0; i < hw; ++i) {
+              a += dy[base + i];
+              ax += dy[base + i] * xhp[base + i];
+            }
+          }
+          sdy[ch] = a;
+          sdyx[ch] = ax;
+        }
         if (bn->requires_grad) bn->accum_grad(sum_dy);
         if (gn->requires_grad) gn->accum_grad(sum_dy_xhat);
         if (!xn->requires_grad) return;
 
         Tensor dx(xn->value.shape());
+        float* dxp = dx.raw();
+        const float* gp = gn->value.raw();
+        const float* isp = inv_std->raw();
         const float inv_m = 1.F / static_cast<float>(m);
-        for (std::int64_t b = 0; b < n; ++b)
-          for (std::int64_t ch = 0; ch < c; ++ch) {
-            const float ga = gn->value.at(ch), is = inv_std->at(ch);
-            for (std::int64_t i = 0; i < h; ++i)
-              for (std::int64_t j = 0; j < w; ++j) {
-                const float g = dy(b, ch, i, j);
-                if (training) {
-                  // d/dx of batch-normalized output (standard closed form).
-                  dx(b, ch, i, j) =
-                      ga * is *
-                      (g - inv_m * sum_dy.at(ch) -
-                       inv_m * (*xhat)(b, ch, i, j) * sum_dy_xhat.at(ch));
-                } else {
-                  dx(b, ch, i, j) = ga * is * g;
-                }
-              }
+#pragma omp parallel for schedule(static) if (parallel)
+        for (std::int64_t plane = 0; plane < n * c; ++plane) {
+          const std::int64_t ch = plane % c;
+          const float ga = gp[ch], is = isp[ch];
+          const float s1 = sdy[ch], s2 = sdyx[ch];
+          const std::int64_t base = plane * hw;
+          for (std::int64_t i = 0; i < hw; ++i) {
+            const float g = dy[base + i];
+            if (training) {
+              // d/dx of batch-normalized output (standard closed form).
+              dxp[base + i] = ga * is * (g - inv_m * s1 - inv_m * xhp[base + i] * s2);
+            } else {
+              dxp[base + i] = ga * is * g;
+            }
           }
+        }
         xn->accum_grad(dx);
       });
 }

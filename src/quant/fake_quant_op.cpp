@@ -15,10 +15,7 @@ wa::ag::Variable make_ste_node(const wa::ag::Variable& x, std::string name, Tens
                           [xn, mask](wa::ag::Node& n) {
                             if (!xn->requires_grad) return;
                             Tensor g = n.grad;
-                            auto gd = g.data();
-                            for (std::size_t i = 0; i < gd.size(); ++i) {
-                              if (!(*mask)[i]) gd[i] = 0.F;
-                            }
+                            apply_ste_mask(g, *mask);
                             xn->accum_grad(g);
                           });
 }

@@ -33,7 +33,8 @@ class RangeObserver {
   /// Update the tracked range from a batch (training / calibration).
   void observe(const Tensor& x) {
     if (x.empty()) return;
-    observe_range(x.min(), x.max());
+    const auto [lo, hi] = value_range(x);  // == {x.min(), x.max()}
+    observe_range(lo, hi);
   }
 
   /// Update from a pre-computed [lo, hi] batch range (the per-tap observer
@@ -140,15 +141,23 @@ class TapRangeObserver {
     }
     std::int64_t inner = 1;
     for (std::int64_t d = tap_dim + 1; d < x.dim(); ++d) inner *= x.size(d);
+    // One [lo, hi] per contiguous [outer, tap, inner] slab, folded into its
+    // tap's group in slab order: the serial per-group sweep's exact result.
+    // Slabs go kBatch at a time so the partials live on the stack.
+    constexpr std::int64_t kBatch = 256;
+    float slab_lo[kBatch], slab_hi[kBatch];
+    const std::int64_t slabs = x.numel() / inner;
     const std::size_t ng = groups_.size();
     std::vector<float> lo(ng, std::numeric_limits<float>::infinity());
     std::vector<float> hi(ng, -std::numeric_limits<float>::infinity());
-    const auto d = x.data();
-    for (std::size_t i = 0; i < d.size(); ++i) {
-      const auto g = static_cast<std::size_t>(
-          ((static_cast<std::int64_t>(i) / inner) % taps_) / group_size_);
-      lo[g] = std::min(lo[g], d[i]);
-      hi[g] = std::max(hi[g], d[i]);
+    for (std::int64_t s0 = 0; s0 < slabs; s0 += kBatch) {
+      const std::int64_t count = std::min(kBatch, slabs - s0);
+      slab_ranges(x.raw() + s0 * inner, count * inner, inner, slab_lo, slab_hi);
+      for (std::int64_t k = 0; k < count; ++k) {
+        const auto g = static_cast<std::size_t>(((s0 + k) % taps_) / group_size_);
+        lo[g] = std::min(lo[g], slab_lo[k]);
+        hi[g] = std::max(hi[g], slab_hi[k]);
+      }
     }
     for (std::size_t g = 0; g < ng; ++g) groups_[g].observe_range(lo[g], hi[g]);
   }

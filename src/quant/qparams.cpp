@@ -148,26 +148,39 @@ std::int64_t fake_quant_taps_(Tensor& x, const ScaleVector& sv, std::int64_t tap
   // expression must stay exactly fake_quant_'s (x * (1/s), nearbyint, clip,
   // q * s) so a splat vector reproduces the scalar path bit-for-bit and the
   // training grid matches the deployed executor's reciprocal-multiply
-  // quantization.
+  // quantization. The sweep walks contiguous [outer, tap, inner] slabs, so
+  // the tap is loop-invariant per slab, and splits the slabs across the team.
   std::vector<float> inv(sv.scales.size());
   for (std::size_t tap = 0; tap < inv.size(); ++tap) inv[tap] = 1.F / sv.scales[tap];
   const float qmax = static_cast<float>(spec.qmax());
+  const std::int64_t n = x.numel();
+  const std::int64_t slabs = g.inner > 0 ? n / g.inner : 0;
+  float* px = x.raw();
+  std::uint8_t* mask = nullptr;
+  if (clip_mask) {
+    clip_mask->assign(d.size(), 1);
+    mask = clip_mask->data();
+  }
   std::int64_t clipped = 0;
-  if (clip_mask) clip_mask->assign(d.size(), 1);
-  for (std::size_t i = 0; i < d.size(); ++i) {
-    const auto tap = static_cast<std::size_t>(
-        (static_cast<std::int64_t>(i) / g.inner) % g.channels);
-    float q = std::nearbyint(d[i] * inv[tap]);
-    if (q > qmax) {
-      q = qmax;
-      ++clipped;
-      if (clip_mask) (*clip_mask)[i] = 0;
-    } else if (q < -qmax) {
-      q = -qmax;
-      ++clipped;
-      if (clip_mask) (*clip_mask)[i] = 0;
+#pragma omp parallel for schedule(static) reduction(+ : clipped) if (n >= kParallelSweepMin)
+  for (std::int64_t s = 0; s < slabs; ++s) {
+    const auto tap = static_cast<std::size_t>(s % g.channels);
+    const float is = inv[tap], sc = sv.scales[tap];
+    float* p = px + s * g.inner;
+    std::uint8_t* pm = mask != nullptr ? mask + s * g.inner : nullptr;
+    for (std::int64_t i = 0; i < g.inner; ++i) {
+      float q = std::nearbyint(p[i] * is);
+      if (q > qmax) {
+        q = qmax;
+        ++clipped;
+        if (pm) pm[i] = 0;
+      } else if (q < -qmax) {
+        q = -qmax;
+        ++clipped;
+        if (pm) pm[i] = 0;
+      }
+      p[i] = q * sc;
     }
-    d[i] = q * sv.scales[tap];
   }
   return clipped;
 }

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "tensor/tensor.hpp"
@@ -53,6 +54,22 @@ std::int64_t fake_quant_(Tensor& x, float scale, const QuantSpec& spec,
 
 /// Out-of-place convenience wrapper around fake_quant_.
 Tensor fake_quant(const Tensor& x, float scale, const QuantSpec& spec);
+
+/// Zero `t` wherever `mask` is 0 (the STE backward of a clip mask); an empty
+/// mask passes every element.
+void apply_ste_mask(Tensor& t, const std::vector<std::uint8_t>& mask);
+
+/// Per-slab ranges of `d[0, n)`: slab s covers [s*slab, min((s+1)*slab, n))
+/// and gets lo[s] / hi[s] folded from +inf / -inf in index order with the
+/// strict comparisons of std::min / std::max, so NaNs are skipped and the
+/// first of equal values (-0 vs +0) is kept. Slabs split across the OpenMP
+/// team; each slab's result is independent of the split, and folding the
+/// slab results in index order reproduces the serial sweep bit-for-bit.
+void slab_ranges(const float* d, std::int64_t n, std::int64_t slab, float* lo, float* hi);
+
+/// {x.min(), x.max()} (std::min_element / std::max_element semantics,
+/// {0, 0} when empty) in one team-parallel sweep.
+std::pair<float, float> value_range(const Tensor& x);
 
 /// Quantize to integer levels: round(clamp(x/s)) as int32 (fits any bits<=16).
 std::vector<std::int32_t> quantize_levels(const Tensor& x, float scale, const QuantSpec& spec);

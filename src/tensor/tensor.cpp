@@ -51,16 +51,6 @@ std::int64_t Tensor::size(std::int64_t axis) const {
   return shape_[static_cast<std::size_t>(axis)];
 }
 
-std::size_t Tensor::idx2(std::int64_t i, std::int64_t j) const {
-  return static_cast<std::size_t>(i * shape_[1] + j);
-}
-std::size_t Tensor::idx3(std::int64_t i, std::int64_t j, std::int64_t k) const {
-  return static_cast<std::size_t>((i * shape_[1] + j) * shape_[2] + k);
-}
-std::size_t Tensor::idx4(std::int64_t n, std::int64_t c, std::int64_t h, std::int64_t w) const {
-  return static_cast<std::size_t>(((n * shape_[1] + c) * shape_[2] + h) * shape_[3] + w);
-}
-
 Tensor Tensor::reshape(Shape new_shape) const {
   if (wa::numel(new_shape) != numel()) {
     throw std::invalid_argument("reshape: cannot view " + wa::to_string(shape_) + " as " +

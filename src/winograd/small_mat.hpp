@@ -69,6 +69,42 @@ inline void smm_sandwich_t(const float* m, int mr, int mc, const float* x, float
   smm_nn(tmp, mc, mr, m, mc, out);    // out = tmp * m        [mc x mc]
 }
 
+/// Tiles per lane block of smm_sandwich_lanes.
+inline constexpr int kLanes = 8;
+
+/// smm_sandwich on kLanes independent tiles at once: x is [mc x mc] tiles,
+/// tmp [mr x mc] and out [mr x mr], each element stored as kLanes
+/// consecutive lane values (lane innermost). Every lane replays smm_nn and
+/// then smm_nt in their scalar operation order — the same zero skips on the
+/// transform's entries, sums from 0 in k order, separate multiply and add —
+/// so each lane's result is bit-identical to a scalar smm_sandwich call.
+inline void smm_sandwich_lanes(const float* m, int mr, int mc, const float* x, float* tmp,
+                               float* out) {
+  for (int i = 0; i < mr; ++i) {
+    float* crow = tmp + i * mc * kLanes;
+    std::memset(crow, 0, sizeof(float) * static_cast<std::size_t>(mc * kLanes));
+    for (int k = 0; k < mc; ++k) {
+      const float av = m[i * mc + k];
+      if (av == 0.F) continue;
+      const float* brow = x + k * mc * kLanes;
+#pragma omp simd
+      for (int j = 0; j < mc * kLanes; ++j) crow[j] += av * brow[j];
+    }
+  }
+  for (int i = 0; i < mr; ++i) {
+    for (int j = 0; j < mr; ++j) {
+      float acc[kLanes] = {};
+      const float* arow = tmp + i * mc * kLanes;
+      const float* brow = m + j * mc;
+      for (int k = 0; k < mc; ++k) {
+#pragma omp simd
+        for (int l = 0; l < kLanes; ++l) acc[l] += arow[k * kLanes + l] * brow[k];
+      }
+      std::memcpy(out + (i * mr + j) * kLanes, acc, sizeof(acc));
+    }
+  }
+}
+
 /// acc[n] += v[n].
 inline void smm_add(float* acc, const float* v, int n) {
   for (int i = 0; i < n; ++i) acc[i] += v[i];

@@ -8,6 +8,7 @@
 #include "backend/conv_kernels.hpp"
 #include "backend/conv_kernels_s8.hpp"
 #include "backend/qtensor.hpp"
+#include "winograd/cook_toom.hpp"
 
 namespace wa::backend {
 namespace {
@@ -308,6 +309,23 @@ TEST(BnFold, ShapeMismatchThrows) {
   const Tensor bad = Tensor::ones({3});
   EXPECT_THROW(fold_batchnorm(w, Tensor(), bad, ok, ok, ok), std::invalid_argument);
   EXPECT_THROW(fold_batchnorm(w, bad, ok, ok, ok, ok), std::invalid_argument);
+}
+
+TEST(StridedWinogradS8, RejectsRectWeightsOfTheWrongSize) {
+  // A hand-built cache whose u00 is valid but whose rect-phase weights are
+  // 8 bytes instead of [5*C, K]: the kernel must refuse it before its GEMM
+  // reads rect_wt as a 5*C x K matrix.
+  Rng rng(41);
+  const std::int64_t c = 8, k = 8;
+  const auto tr = wino::make_transforms(2, 2);
+  StridedWinogradWeightsS8 w =
+      prepare_strided_winograd_weights_s8(Tensor::randn({k, c, 3, 3}, rng, 0.3F), tr);
+  ConvGeometry g = geo(1, c, 8, 8, k);
+  g.stride = 2;
+  const QTensor in = quantize_s8(Tensor::randn({1, c, 8, 8}, rng));
+  EXPECT_NO_THROW(strided_winograd_conv_s8_prepared(in, w, g, tr));
+  w.rect_wt.assign(8, 1);
+  EXPECT_THROW(strided_winograd_conv_s8_prepared(in, w, g, tr), std::invalid_argument);
 }
 
 }  // namespace

@@ -7,12 +7,17 @@
 //     transforms G/Bᵀ/Aᵀ — match finite differences.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+
 #include "autograd/gradcheck.hpp"
 #include "autograd/ops.hpp"
 #include "backend/conv_kernels.hpp"
+#include "backend/simd/kernel_table.hpp"
 #include "core/wa_conv2d.hpp"
 #include "core/wa_conv_op.hpp"
 #include "nn/layers.hpp"
+#include "test_support.hpp"
 #include "winograd/cook_toom.hpp"
 
 namespace wa::core {
@@ -394,6 +399,104 @@ TEST(WaLayer, AdaptationLoadsConvWeightsOnly) {
   EXPECT_EQ(loaded, 1u);  // just the weight
   EXPECT_TRUE(Tensor::allclose(wa.weight().value(), direct.weight().value(), 0.F));
   EXPECT_TRUE(Tensor::allclose(wa.g_mat().value(), g_before, 0.F));
+}
+
+// ---- pinned bits across team sizes and kernel tables -------------------------
+//
+// One forward and backward of the op must give the same bits at every OpenMP
+// team size: each parallel sweep keeps its serial per-element order, and the
+// transform-gradient partials are summed in a fixed index order. The pins
+// are the team-1 bits of the code before the sweeps went team-parallel. The
+// body uses only IEEE basic operations, nearbyint and the fp32 GEMM kernel
+// (inputs come from an integer generator, not libm), so the pins hold on any
+// conforming libm; they differ per kernel table only through the GEMM.
+
+using test_support::BitGen;
+using test_support::fnv_bytes;
+using test_support::fnv_tensor;
+using test_support::kFnvOffset;
+using test_support::TeamSizeScope;
+
+std::uint64_t fnv_observer(std::uint64_t h, const quant::RangeObserver& o) {
+  const float r[2] = {o.tracked_min(), o.tracked_max()};
+  h = fnv_bytes(h, r, sizeof(r));
+  const bool init = o.initialized();
+  return fnv_bytes(h, &init, sizeof(init));
+}
+
+struct PinnedCase {
+  int m;
+  backend::ConvGeometry g;
+  std::int64_t tap_group_size;
+};
+
+/// One training step (forward, seeded backward) of the op with every
+/// transform learnable; hashes the output, all seven gradients and every
+/// observer's tracked range.
+std::uint64_t pinned_case_hash(const PinnedCase& pc) {
+  BitGen gen{0x5eedULL + static_cast<std::uint64_t>(pc.m)};
+  const backend::ConvGeometry& g = pc.g;
+  const auto tr = wino::make_transforms(pc.m, static_cast<int>(g.kernel));
+  const ag::Variable x = leaf(gen.tensor({g.batch, g.in_channels, g.height, g.width}, 1.F));
+  const ag::Variable w =
+      leaf(gen.tensor({g.out_channels, g.in_channels / g.groups, g.kernel, g.kernel}, 0.5F));
+  const ag::Variable b = leaf(gen.tensor({g.out_channels}, 0.25F));
+  const ag::Variable gm(tr.g_mat, true), btm(tr.bt_mat, true), atm(tr.at_mat, true);
+  WaQuantStages stages;
+  stages.spec = quant::QuantSpec{8};
+  stages.tap_group_size = pc.tap_group_size;
+  const ag::Variable y =
+      winograd_aware_conv2d(x, w, b, gm, btm, atm, g, pc.m, stages, /*training=*/true);
+  const Tensor dy = gen.tensor(y.shape(), 1.F);
+  y.backward(&dy);
+  std::uint64_t h = fnv_tensor(kFnvOffset, y.value());
+  for (const ag::Variable* v : {&x, &w, &b, &gm, &btm, &atm}) h = fnv_tensor(h, v->grad());
+  if (stages.per_tap()) {
+    for (const quant::TapRangeObserver* o : {&stages.u_taps, &stages.v_taps, &stages.m_taps}) {
+      for (const quant::RangeObserver& grp : o->groups()) h = fnv_observer(h, grp);
+    }
+  } else {
+    for (const quant::RangeObserver* o : {&stages.u, &stages.v, &stages.m}) {
+      h = fnv_observer(h, *o);
+    }
+  }
+  return fnv_observer(h, stages.y);
+}
+
+TEST(WaPinnedBits, SameBitsAtEveryTeamSizeOnScalarAndAvx2Tables) {
+  // Tile counts 243 and 450 leave a partial lane block, the bottom/right
+  // tiles are clipped, 84 and 90 input channels per group leave a partial
+  // weight lane block, and every swept tensor (x, U, V, M, Y) holds at least
+  // kParallelSweepMin (2^18) elements, so each parallel sweep runs split.
+  const PinnedCase f4_per_tap{4, geo(3, 84, 33, 33, 96), /*tap_group_size=*/5};
+  const PinnedCase f2_grouped{2, geo(2, 180, 29, 29, 184, 3, 1, /*groups=*/2), 0};
+  struct Pin {
+    const char* backend;
+    std::uint64_t f4, f2;
+  };
+  const Pin pins[] = {
+      {"scalar", 0xaadba025ce9c63d7ULL, 0xcacfe6c9e613ec03ULL},
+      {"avx2", 0x24eb5521af4d5a6cULL, 0x1d1a92affa2c0902ULL},
+  };
+  const std::vector<std::string> avail = backend::simd::available_backends();
+  const std::string active = backend::simd::active_backend();
+  for (const Pin& pin : pins) {
+    if (std::find(avail.begin(), avail.end(), pin.backend) == avail.end()) {
+      std::printf("[ SKIPPED  ] %s table not available on this CPU\n", pin.backend);
+      continue;
+    }
+    ASSERT_TRUE(backend::simd::set_backend(pin.backend));
+    for (const int threads : {1, 2, 3}) {
+      const TeamSizeScope team(threads);
+      EXPECT_EQ(pinned_case_hash(f4_per_tap), pin.f4)
+          << pin.backend << " F4 per-tap, team " << threads << ": 0x" << std::hex
+          << pinned_case_hash(f4_per_tap);
+      EXPECT_EQ(pinned_case_hash(f2_grouped), pin.f2)
+          << pin.backend << " F2 groups=2, team " << threads << ": 0x" << std::hex
+          << pinned_case_hash(f2_grouped);
+    }
+  }
+  backend::simd::set_backend(active);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include "nn/conv_ops.hpp"
 #include "nn/layers.hpp"
 #include "nn/module.hpp"
+#include "test_support.hpp"
 
 namespace wa::nn {
 namespace {
@@ -261,6 +262,58 @@ TEST(BatchNorm, GradCheckTrainingMode) {
   };
   const auto res = ag::grad_check(fn, inputs, 1e-2F, 8e-2F);
   EXPECT_TRUE(res.ok) << res.detail;
+}
+
+// ---- pinned bits across team sizes --------------------------------------------
+//
+// Batch-norm sums each channel in its serial (n, h, w) order (double forward,
+// float backward) and max-pool routes each plane on its own, so the bits are
+// the same at every OpenMP team size. The pins are the team-1 bits of the code
+// before these sweeps went team-parallel; inputs come from an integer
+// generator and the ops use only IEEE basic operations and sqrt, so the pins
+// do not depend on libm.
+
+using test_support::BitGen;
+using test_support::fnv_tensor;
+using test_support::kFnvOffset;
+using test_support::TeamSizeScope;
+
+/// Two training-mode batch-norm steps (running statistics carried over),
+/// then an eval-mode step, each followed by a 2x2 max-pool and a seeded
+/// backward; hashes every output, input gradient and running statistic.
+std::uint64_t batch_norm_pool_hash() {
+  BitGen gen{0xb17ULL};
+  const std::int64_t c = 32;
+  const ag::Variable gamma = leaf(gen.tensor({c}, 2.F));
+  const ag::Variable beta = leaf(gen.tensor({c}, 1.F));
+  BatchNormState st;
+  st.running_mean = gen.tensor({c}, 0.5F);
+  st.running_var = Tensor::full({c}, 1.5F);
+  std::uint64_t h = kFnvOffset;
+  for (const bool training : {true, true, false}) {
+    // [8, 32, 33, 33] holds 278,784 elements (>= kParallelSweepMin): every
+    // sweep runs split.
+    const ag::Variable x = leaf(gen.tensor({8, c, 33, 33}, 3.F));
+    const ag::Variable y = batch_norm2d(x, gamma, beta, st, training);
+    const ag::Variable p = max_pool2d(y, 2, 2);
+    const Tensor dy = gen.tensor(p.shape(), 1.F);
+    p.backward(&dy);
+    h = fnv_tensor(h, y.value());
+    h = fnv_tensor(h, p.value());
+    h = fnv_tensor(h, x.grad());
+    h = fnv_tensor(h, st.running_mean);
+    h = fnv_tensor(h, st.running_var);
+  }
+  h = fnv_tensor(h, gamma.grad());
+  return fnv_tensor(h, beta.grad());
+}
+
+TEST(BatchNormPinnedBits, SameBitsAtEveryTeamSize) {
+  for (const int threads : {1, 2, 3}) {
+    const TeamSizeScope team(threads);
+    const std::uint64_t h = batch_norm_pool_hash();
+    EXPECT_EQ(h, 0xa94462e3fee5da4aULL) << "team " << threads << ": 0x" << std::hex << h;
+  }
 }
 
 // ---- layers -------------------------------------------------------------------

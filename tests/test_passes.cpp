@@ -6,6 +6,8 @@
 // test_pipeline_fuzz.cpp; these are the targeted cases.
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 #include "data/synthetic.hpp"
 #include "deploy/passes/passes.hpp"
 #include "deploy/pipeline.hpp"
@@ -368,6 +370,52 @@ TEST(PipelinePush, RejectedPushLeavesStagesAndPlanUnchanged) {
   EXPECT_THROW(pipe.push(bn_stage(rng, 5, 0.F, 0.2F), io("", "", "", "unfrozen-bn")),
                std::invalid_argument);
   expect_unchanged("a push whose prepare() throws");
+}
+
+TEST(PipelinePush, RejectedPushLeavesTheSlotTableUnchanged) {
+  Rng rng(81);
+  Int8Pipeline pipe;
+  pipe.push(im2row_conv(rng, 3, 4, 0.05F, 0.1F), io("", "", "x", "stem"));
+  pipe.push(ReluStage{}, io("x", "", "", "relu"));
+  // A push that would publish "y" is refused by its prepare(): "y" must not
+  // be left behind as a published slot.
+  EXPECT_THROW(pipe.push(bn_stage(rng, 4, 0.F, 0.2F), io("", "", "y", "unfrozen-bn")),
+               std::invalid_argument);
+  // A push refused by its wiring (it re-publishes "x") changes nothing either.
+  EXPECT_THROW(pipe.push(ReluStage{}, io("", "", "x", "dup")), std::invalid_argument);
+  ASSERT_EQ(pipe.size(), 2U);
+  // So "y" is still unknown to readers and free to publish, and "x" still
+  // resolves to the stem's output.
+  pipe.push(ReluStage{}, io("", "", "y", "relu2"));
+  EXPECT_THROW(pipe.push(ReluStage{}, io("y", "", "y", "dup-y")), std::invalid_argument);
+  AddStage add;
+  add.lhs_scale = 0.1F;
+  add.rhs_scale = 0.1F;
+  add.output_scale = 0.1F;
+  pipe.push(std::move(add), io("y", "x", "", "join"));
+  const Int8Pipeline::Wiring w = pipe.resolve_wiring();
+  EXPECT_EQ(w.in1.back(), 3);  // value 3 = relu2's output ("y")
+  EXPECT_EQ(w.in2.back(), 1);  // value 1 = the stem's output ("x")
+  // take_nodes empties the table with the node list.
+  std::vector<Int8Pipeline::Node> nodes = pipe.take_nodes();
+  EXPECT_EQ(nodes.size(), 4U);
+  pipe.push(im2row_conv(rng, 3, 4, 0.05F, 0.1F), io("", "", "x", "stem-again"));
+  EXPECT_EQ(pipe.size(), 1U);
+}
+
+TEST(PipelinePush, LoadingIsLinearInTheStageCount) {
+  // Each push checks only the new stage against the slot table; re-resolving
+  // the whole graph per push made 4,000 stages take seconds.
+  Rng rng(82);
+  Int8Pipeline pipe;
+  pipe.push(im2row_conv(rng, 3, 4, 0.05F, 0.1F), io("", "", "", "stem"));
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < 20000; ++i) pipe.push(ReluStage{});
+  const double secs =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  EXPECT_EQ(pipe.size(), 20001U);
+  EXPECT_LT(secs, 2.0) << "20,000 relu pushes took " << secs << " s";
+  EXPECT_NO_THROW(pipe.resolve_wiring());
 }
 
 TEST(InferValueShapes, RejectsShapeInconsistentGraphsWithTheStageName) {

@@ -20,14 +20,11 @@
 #include <utility>
 #include <vector>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "backend/conv_kernels_s8.hpp"
 #include "backend/simd/kernel_table.hpp"
 #include "deploy/pipeline.hpp"
 #include "quant/requant.hpp"
+#include "test_support.hpp"
 #include "winograd/cook_toom.hpp"
 
 namespace wa::backend::simd {
@@ -700,26 +697,7 @@ TEST_P(SimdBackendTest, BlockedWinogradHonorsDonatedStorage) {
   EXPECT_EQ(fresh.scale, reused.scale);
 }
 
-// RAII: run a scope under an OpenMP team of `threads`, restoring the caller's
-// team size on exit. A no-op when OpenMP is off (every team is then 1).
-struct TeamSizeScope {
-  explicit TeamSizeScope(int threads) {
-#ifdef _OPENMP
-    previous_ = omp_get_max_threads();
-    omp_set_num_threads(threads);
-#else
-    (void)threads;
-#endif
-  }
-  ~TeamSizeScope() {
-#ifdef _OPENMP
-    omp_set_num_threads(previous_);
-#endif
-  }
-
- private:
-  int previous_ = 1;
-};
+using test_support::TeamSizeScope;
 
 TEST_P(SimdBackendTest, BlockedWinogradIsBitIdenticalAcrossTeamSizes) {
   // The blocked executor splits every tile block across the team: the

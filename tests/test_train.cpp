@@ -2,7 +2,10 @@
 #include <gtest/gtest.h>
 
 #include "autograd/ops.hpp"
+#include "data/synthetic.hpp"
 #include "models/lenet.hpp"
+#include "models/resnet.hpp"
+#include "test_support.hpp"
 #include "train/trainer.hpp"
 
 namespace wa::train {
@@ -140,6 +143,70 @@ TEST(Trainer, EvaluateIsDeterministic) {
   TrainerOptions opts;
   Trainer trainer(net, train_set, val_set, opts);
   EXPECT_FLOAT_EQ(trainer.evaluate(val_set), trainer.evaluate(val_set));
+}
+
+using test_support::TeamSizeScope;
+
+/// Losses of three Adam steps of a Winograd-aware QAT ResNet-18 (F4,
+/// learned transforms, per-tap int8 scales), then a hash of every parameter
+/// and gradient and of every buffer (batch-norm running statistics).
+struct QatRun {
+  std::vector<float> losses;
+  std::uint64_t hash = test_support::kFnvOffset;
+};
+
+QatRun three_qat_steps() {
+  auto spec = data::cifar10_like();
+  spec.seed = 5;
+  spec.height = 16;
+  spec.width = 16;
+  spec.train_size = 24;
+  spec.test_size = 8;
+  const auto ds = data::generate(spec, true);
+  data::DataLoader loader(ds, 8, false);
+  Rng rng(5);
+  models::ResNetConfig cfg;
+  cfg.width_mult = 0.125F;
+  cfg.algo = nn::ConvAlgo::kWinograd4;
+  cfg.qspec = quant::QuantSpec{8};
+  cfg.flex_transforms = true;
+  cfg.tap_group_size = 1;
+  models::ResNet18 net(cfg, rng);
+  net.set_training(true);
+  Adam opt(net.parameters(), AdamOptions{});
+  QatRun run;
+  for (std::int64_t step = 0; step < 3; ++step) {
+    const data::Batch b = loader.get(step);
+    const ag::Variable loss =
+        ag::softmax_cross_entropy(net.forward(ag::Variable(b.images, false)), b.labels);
+    opt.zero_grad();
+    loss.backward();
+    opt.step();
+    run.losses.push_back(loss.value().at(0));
+  }
+  for (const ag::Variable& p : net.parameters()) {
+    run.hash = test_support::fnv_tensor(run.hash, p.value());
+    run.hash = test_support::fnv_tensor(run.hash, p.grad());
+  }
+  for (const auto& [name, t] : net.state_dict()) run.hash = test_support::fnv_tensor(run.hash, t);
+  return run;
+}
+
+TEST(QatDeterminism, WinogradAwareResNetStepsAreBitIdenticalAcrossTeamSizes) {
+  // Every reduction of the step runs in a fixed order, so a team of 2 or 3
+  // reproduces a team of 1 bit for bit (the transform-gradient sums used to
+  // be added in thread-arrival order).
+  QatRun one;
+  {
+    const TeamSizeScope team(1);
+    one = three_qat_steps();
+  }
+  for (const int threads : {2, 3}) {
+    const TeamSizeScope team(threads);
+    const QatRun other = three_qat_steps();
+    EXPECT_EQ(other.losses, one.losses) << "team " << threads;
+    EXPECT_EQ(other.hash, one.hash) << "team " << threads;
+  }
 }
 
 }  // namespace
