@@ -176,9 +176,9 @@ int main(int argc, char** argv) {
   // ---- fused blocked executor vs flat (frozen per-stage scales) -------------
   // The tentpole trail for the streaming tile-block engine: with every
   // internal scale frozen (the deployment case — dynamic scales force flat),
-  // the fused transform->GEMM->inverse loop against the flat reference forced
-  // via set_winograd_blocked_enabled(false). Same shapes, same backend, the
-  // logits bit-identical by contract; only the schedule and layout differ.
+  // the fused transform->GEMM->inverse loop against the flat reference,
+  // winograd_conv_s8_flat. Same shapes, same backend, the logits
+  // bit-identical by contract; only the schedule and layout differ.
   std::printf("\nFused blocked executor vs flat Winograd path (frozen scales, batch 1)\n");
   struct BlockedCell {
     double flat_ms = 0.0, blocked_ms = 0.0;
@@ -206,12 +206,9 @@ int main(int argc, char** argv) {
       scales.hadamard = 0.05F;
       scales.output = 0.1F;
 
-      backend::set_winograd_blocked_enabled(false);
       const double flat_ms =
-          time_ms([&] { backend::winograd_conv_s8_prepared(qx, prepared, g, tr, scales); });
-      const backend::QTensor flat_out =
-          backend::winograd_conv_s8_prepared(qx, prepared, g, tr, scales);
-      backend::set_winograd_blocked_enabled(true);
+          time_ms([&] { backend::winograd_conv_s8_flat(qx, prepared, g, tr, scales); });
+      const backend::QTensor flat_out = backend::winograd_conv_s8_flat(qx, prepared, g, tr, scales);
       const double blocked_ms =
           time_ms([&] { backend::winograd_conv_s8_prepared(qx, prepared, g, tr, scales); });
       const backend::QTensor blocked_out =

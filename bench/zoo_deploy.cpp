@@ -136,16 +136,17 @@ int main(int argc, char** argv) {
   }
   const double wino_sparse = single_stage_ms(wino_conv(rng, ch, ch, 1, 1, mask), x, reps);
 
-  // Stride-2: the polyphase Winograd lowering vs the im2row fallback, both
-  // forced so the bar tracks the real kernels — then the prepare-time cost
-  // model's pick, which is what a compiled stage actually runs. The selected
-  // path must be the faster one (>= 1.0x vs the alternative) or the
-  // selection bugfix has regressed.
-  backend::set_strided_polyphase_policy(backend::StridedPolicy::kForcePolyphase);
-  const double strided_wino = single_stage_ms(wino_conv(rng, ch, ch, 1, 2), x, reps);
-  backend::set_strided_polyphase_policy(backend::StridedPolicy::kForceIm2row);
-  const double strided_gemm = single_stage_ms(wino_conv(rng, ch, ch, 1, 2), x, reps);
-  backend::set_strided_polyphase_policy(backend::StridedPolicy::kAuto);
+  // Stride-2: the polyphase Winograd lowering vs the im2row fallback, each
+  // stage's cache built before push() so the bar tracks the real kernels —
+  // then the prepare-time cost model's pick, which is what a compiled stage
+  // actually runs. The selected path must be the faster one (>= 1.0x vs the
+  // alternative) or the selection bugfix has regressed.
+  ConvStage polyphase = wino_conv(rng, ch, ch, 1, 2);
+  polyphase.prepare_polyphase();
+  const double strided_wino = single_stage_ms(std::move(polyphase), x, reps);
+  ConvStage strided_im2row = wino_conv(rng, ch, ch, 1, 2);
+  strided_im2row.prepare_strided_im2row();
+  const double strided_gemm = single_stage_ms(std::move(strided_im2row), x, reps);
   const bool poly_selected = backend::strided_polyphase_profitable(ch, ch);
   const char* strided_selected = poly_selected ? "polyphase" : "im2row";
   const double strided_sel_ms = poly_selected ? strided_wino : strided_gemm;

@@ -18,6 +18,7 @@
 #include "backend/perf_counters.hpp"
 #include "backend/simd/kernel_table.hpp"
 #include "tensor/arena.hpp"
+#include "winograd/small_mat.hpp"
 
 namespace wa::backend {
 
@@ -308,25 +309,6 @@ WinogradWeightsS8 prepare_winograd_weights_s8(const Tensor& weights_fp32,
   return w;
 }
 
-namespace {
-
-std::atomic<bool> g_wino_blocked{true};
-std::atomic<StridedPolicy> g_strided_policy{StridedPolicy::kAuto};
-
-}  // namespace
-
-bool winograd_blocked_enabled() { return g_wino_blocked.load(std::memory_order_relaxed); }
-void set_winograd_blocked_enabled(bool on) {
-  g_wino_blocked.store(on, std::memory_order_relaxed);
-}
-
-StridedPolicy strided_polyphase_policy() {
-  return g_strided_policy.load(std::memory_order_relaxed);
-}
-void set_strided_polyphase_policy(StridedPolicy p) {
-  g_strided_policy.store(p, std::memory_order_relaxed);
-}
-
 bool strided_polyphase_profitable(std::int64_t in_channels, std::int64_t out_channels) {
   const double c = static_cast<double>(in_channels);
   const double k = static_cast<double>(out_channels);
@@ -394,8 +376,40 @@ void interleave_k4(const std::int8_t* r0, const std::int8_t* r1, const std::int8
   }
 }
 
-// Caller guarantees (winograd_conv_s8_prepared): geometry/scale validation
-// passed, all of sv/sm/so frozen, u_blocked built.
+// The per-tap tables both executors read, at the resolved per-tensor V and
+// M scales sv and sm: each stage's tap vector where it carries one, else a
+// splat of its scalar. The gather always consumes the t²-long M-scale array;
+// the V quantize and M requant switch to per-tap sweeps only when `per_tap`,
+// so per-tensor layers keep their single-sweep call sequence (entry 0 is the
+// per-tensor value). The multipliers replay the scalar arithmetic exactly
+// (float product, double ratio). Dynamic scales are only ever derived
+// per-tensor — tap vectors arrive frozen from training. Stack-resident:
+// t² <= kSmallMatCap (prepare rejects larger tiles).
+struct TapTables {
+  bool per_tap = false;
+  float sm[wino::kSmallMatCap];
+  float v_inv[wino::kSmallMatCap];
+  quant::FixedPointMultiplier m_mult[wino::kSmallMatCap];
+};
+
+TapTables tap_tables(const WinogradWeightsS8& w, const WinogradStageScales& s, std::int64_t t2,
+                     float sv, float sm) {
+  TapTables tt;
+  tt.per_tap = !w.tap_scales.empty() || !s.input_transformed_taps.empty() ||
+               !s.hadamard_taps.empty();
+  for (std::int64_t ab = 0; ab < t2; ++ab) {
+    const auto i = static_cast<std::size_t>(ab);
+    const float su_ab = w.tap_scales.empty() ? w.scale : w.tap_scales[i];
+    const float sv_ab = s.input_transformed_taps.empty() ? sv : s.input_transformed_taps[i];
+    tt.sm[i] = s.hadamard_taps.empty() ? sm : s.hadamard_taps[i];
+    tt.v_inv[i] = 1.F / sv_ab;
+    tt.m_mult[i] = quant::quantize_multiplier(static_cast<double>(su_ab * sv_ab) / tt.sm[i]);
+  }
+  return tt;
+}
+
+// Caller guarantees (winograd_conv_s8_prepared): call validation passed,
+// all of sv/sm/so frozen.
 QTensor winograd_conv_s8_blocked(const QTensor& input, const WinogradWeightsS8& weights,
                                  const ConvGeometry& g, const wino::Transforms& tr,
                                  const WinogradStageScales& scales, const Tensor* bias,
@@ -413,52 +427,12 @@ QTensor winograd_conv_s8_blocked(const QTensor& input, const WinogradWeightsS8& 
   const std::int64_t cq = cpad / kWinoChannelBlock;
   const std::uint8_t* tap_mask = weights.tap_mask.empty() ? nullptr : weights.tap_mask.data();
 
-  const float su = weights.scale;
-  const float sv = scales.input_transformed;
-  const float sm = scales.hadamard;
   const float so = scales.output;
-  // Scale arithmetic replayed exactly as the flat path computes it (float
-  // product, double ratio) so the fixed-point multiplier is bit-identical.
-  const float m_acc_scale = su * sv;
-  const auto m_mult = quant::quantize_multiplier(static_cast<double>(m_acc_scale) / sm);
   const float in_scale = input.scale;
-  const float v_inv = 1.F / sv;
   const float o_inv = 1.F / so;
-
-  // Per-tap tables. The gather always consumes a t²-long M-scale array (splat
-  // when per-tensor); the V quantize and requant switch to per-tap sweeps only
-  // when some stage actually carries a tap vector, so legacy layers keep the
-  // exact single-sweep call sequence (and bytes) they had before.
-  const bool per_tap = !weights.tap_scales.empty() || !scales.input_transformed_taps.empty() ||
-                       !scales.hadamard_taps.empty();
-  std::vector<float> sm_taps = scales.hadamard_taps.empty()
-                                   ? std::vector<float>(static_cast<std::size_t>(t2), sm)
-                                   : scales.hadamard_taps;
-  std::vector<float> v_inv_taps;
-  std::vector<quant::FixedPointMultiplier> m_mults;
-  if (per_tap) {
-    const std::vector<float> su_taps =
-        weights.tap_scales.empty() ? std::vector<float>(static_cast<std::size_t>(t2), su)
-                                   : weights.tap_scales;
-    const std::vector<float> sv_taps =
-        scales.input_transformed_taps.empty()
-            ? std::vector<float>(static_cast<std::size_t>(t2), sv)
-            : scales.input_transformed_taps;
-    v_inv_taps.resize(static_cast<std::size_t>(t2));
-    m_mults.resize(static_cast<std::size_t>(t2));
-    for (std::int64_t ab = 0; ab < t2; ++ab) {
-      const auto i = static_cast<std::size_t>(ab);
-      v_inv_taps[i] = 1.F / sv_taps[i];
-      // Same float-product / double-ratio replay as the scalar multiplier.
-      m_mults[i] = quant::quantize_multiplier(
-          static_cast<double>(su_taps[i] * sv_taps[i]) / sm_taps[i]);
-    }
-  }
-
+  const TapTables taps = tap_tables(weights, scales, t2, scales.input_transformed, scales.hadamard);
+  const bool per_tap = taps.per_tap;
   const bool has_bias = bias != nullptr && !bias->empty();
-  if (has_bias && bias->numel() != g.out_channels) {
-    throw std::invalid_argument("winograd_conv_s8: bias/channel mismatch");
-  }
 
   // Tile-block width: as many tiles as keep the slab (V fp32/int8/blocked +
   // M int32/int8) around the L2 budget, in multiples of the 16-column GEMM
@@ -590,9 +564,9 @@ QTensor winograd_conv_s8_blocked(const QTensor& input, const WinogradWeightsS8& 
               // v_f is tap-major ([t², nt] for this lane): each tap's nt run
               // quantizes at its own scale, with the tap loop inside the
               // backend TU (nt is short — per-call dispatch would dominate).
-              kt.quantize_f32_s8_taps(v_f, vrow, t2, nt, v_inv_taps.data());
+              kt.quantize_f32_s8_taps(v_f, vrow, t2, nt, taps.v_inv);
             } else {
-              kt.quantize_f32_s8(v_f, vrow, t2 * nt, v_inv);
+              kt.quantize_f32_s8(v_f, vrow, t2 * nt, taps.v_inv[0]);
             }
           }
           for (std::int64_t ab = 0; ab < t2; ++ab) {
@@ -627,15 +601,14 @@ QTensor winograd_conv_s8_blocked(const QTensor& input, const WinogradWeightsS8& 
           // The whole block (a team of 1): m_acc is tap-major ([t², K, nt]),
           // so the requant is one sweep, or one K*nt block per tap.
           if (per_tap) {
-            kt.requant_s32_s8_taps(m_acc, m_q, t2, K * nt, m_mults.data());
+            kt.requant_s32_s8_taps(m_acc, m_q, t2, K * nt, taps.m_mult);
           } else {
-            kt.requant_s32_s8(m_acc, m_q, t2 * K * nt, m_mult);
+            kt.requant_s32_s8(m_acc, m_q, t2 * K * nt, taps.m_mult[0]);
           }
         } else {
           for (std::int64_t ab = 0; ab < t2; ++ab) {
             kt.requant_s32_s8(m_acc + (ab * K + k_lo) * nt, m_q + (ab * K + k_lo) * nt,
-                              (k_hi - k_lo) * nt,
-                              per_tap ? m_mults[static_cast<std::size_t>(ab)] : m_mult);
+                              (k_hi - k_lo) * nt, taps.m_mult[ab]);
           }
         }
         phase_mark(ns_requant);
@@ -644,8 +617,8 @@ QTensor winograd_conv_s8_blocked(const QTensor& input, const WinogradWeightsS8& 
         // to the int8 plane (edge tiles clipped inside the kernel).
         for (std::int64_t k = k_lo; k < k_hi; ++k) {
           const float bv = has_bias ? bias->at(k) : 0.F;
-          kt.wino_gather_q_s8(m_q + k * nt, K * nt, sm_taps.data(), tr.at_mat.raw(), t, m, th, tw,
-                              tile0, nt, oh, ow, bv, o_inv, stage + (n * K + k) * oh * ow);
+          kt.wino_gather_q_s8(m_q + k * nt, K * nt, taps.sm, tr.at_mat.raw(), t, m, th, tw, tile0,
+                              nt, oh, ow, bv, o_inv, stage + (n * K + k) * oh * ow);
         }
         phase_mark(ns_gather);
       }
@@ -707,19 +680,20 @@ float* winograd_flat_f32(const std::int8_t* in, float in_scale, const ConvGeomet
   const std::int64_t th = (oh + m - 1) / m, tw = (ow + m - 1) / m;
   const std::int64_t tiles = g.batch * th * tw;
   const std::int64_t C = g.in_channels, K = g.out_channels;
-  const float su = weights.scale;
   const auto& kt = simd::kernels();
 
   // V: dequantize each input tile on the fly (levels * scale — no full fp32
   // copy of the activation), transform in FP32, requantize to int8. The
-  // per-plane scatter (staged dequant + Bt d B + tile-major store) is a
-  // dispatched kernel; lanes run across tiles on the SIMD backends.
+  // scatter is the blocked executor's kernel over each plane's whole tile
+  // range (staged dequant + Bt d B + tile-major store); lanes run across
+  // tiles on the SIMD backends.
   float* v_f = arena.alloc<float>(t2 * C * tiles);
 #pragma omp parallel for schedule(static)
   for (std::int64_t nc = 0; nc < g.batch * C; ++nc) {
     const std::int64_t n = nc / C, c = nc % C;
-    kt.wino_scatter_f32(in + nc * g.height * g.width, g.height, g.width, g.pad, in_scale,
-                        tr.bt_mat.raw(), t, m, th, tw, v_f + c * tiles + n * th * tw, C * tiles);
+    kt.wino_scatter_block_f32(in + nc * g.height * g.width, g.height, g.width, g.pad, in_scale,
+                              tr.bt_mat.raw(), t, m, th, tw, 0, th * tw,
+                              v_f + c * tiles + n * th * tw, C * tiles);
   }
   float sv = scales.input_transformed;
   if (sv <= 0.F) {
@@ -782,53 +756,29 @@ float* winograd_flat_f32(const std::int8_t* in, float in_scale, const ConvGeomet
   clock.mark(&WinoPhaseNs::gemm);
 
   // M requantized to int8 (scale sm), then output transform in FP32.
-  const float m_acc_scale = su * sv;
   float sm = scales.hadamard;
   if (sm <= 0.F) {
+    const float m_acc_scale = weights.scale * sv;
     std::int32_t amax = 0;
     for (std::int64_t i = 0; i < t2 * K * tiles; ++i) amax = std::max(amax, std::abs(m_acc[i]));
     sm = std::max(m_acc_scale * static_cast<float>(amax), 1e-12F) / 127.F;
   }
-  const auto m_mult = quant::quantize_multiplier(static_cast<double>(m_acc_scale) / sm);
-
-  // Per-tap tables: the gather always takes a t²-long M-scale array (splat
-  // when per-tensor); the requant switches to a per-tap multiplier table only
-  // when some stage carries a tap vector. Dynamic scales are always derived
-  // per-tensor — tap vectors only ever arrive frozen from training.
-  const bool per_tap = !weights.tap_scales.empty() || !scales.input_transformed_taps.empty() ||
-                       !scales.hadamard_taps.empty();
-  std::vector<float> sm_taps = scales.hadamard_taps.empty()
-                                   ? std::vector<float>(static_cast<std::size_t>(t2), sm)
-                                   : scales.hadamard_taps;
+  const TapTables taps = tap_tables(weights, scales, t2, sv, sm);
 
   // Requantize the whole Hadamard buffer flat to int8 levels (the gather then
   // streams a quarter of the bytes), and run the per-plane output transform
   // as a dispatched kernel.
   std::int8_t* m_q = arena.alloc<std::int8_t>(t2 * K * tiles);
-  if (per_tap) {
-    const std::vector<float> su_taps =
-        weights.tap_scales.empty() ? std::vector<float>(static_cast<std::size_t>(t2), su)
-                                   : weights.tap_scales;
-    const std::vector<float> sv_taps =
-        scales.input_transformed_taps.empty()
-            ? std::vector<float>(static_cast<std::size_t>(t2), sv)
-            : scales.input_transformed_taps;
-    std::vector<quant::FixedPointMultiplier> m_mults(static_cast<std::size_t>(t2));
-    for (std::int64_t ab = 0; ab < t2; ++ab) {
-      const auto i = static_cast<std::size_t>(ab);
-      m_mults[i] = quant::quantize_multiplier(
-          static_cast<double>(su_taps[i] * sv_taps[i]) / sm_taps[i]);
-    }
+  if (taps.per_tap) {
     // m_acc is [t², K, tiles]: one contiguous K*tiles block per table entry.
     const std::int64_t per_tap_m = K * tiles;
 #pragma omp parallel for schedule(static)
     for (std::int64_t ab = 0; ab < t2; ++ab) {
-      kt.requant_s32_s8(m_acc + ab * per_tap_m, m_q + ab * per_tap_m, per_tap_m,
-                        m_mults[static_cast<std::size_t>(ab)]);
+      kt.requant_s32_s8(m_acc + ab * per_tap_m, m_q + ab * per_tap_m, per_tap_m, taps.m_mult[ab]);
     }
   } else {
     parallel_flat(t2 * K * tiles, [&](std::int64_t begin, std::int64_t len) {
-      kt.requant_s32_s8(m_acc + begin, m_q + begin, len, m_mult);
+      kt.requant_s32_s8(m_acc + begin, m_q + begin, len, taps.m_mult[0]);
     });
   }
   clock.mark(&WinoPhaseNs::requant);
@@ -841,8 +791,8 @@ float* winograd_flat_f32(const std::int8_t* in, float in_scale, const ConvGeomet
     // The output transform runs in FP32, so the bias joins there, before the
     // final requantization — same semantics as the training-time pipeline.
     const float bv = has_bias ? bias->at(k) : 0.F;
-    kt.wino_gather_f32(m_q + k * tiles + n * th * tw, K * tiles, sm_taps.data(), tr.at_mat.raw(),
-                       t, m, th, tw, oh, ow, bv, out_f + nk * oh * ow);
+    kt.wino_gather_f32(m_q + k * tiles + n * th * tw, K * tiles, taps.sm, tr.at_mat.raw(), t, m,
+                       th, tw, oh, ow, bv, out_f + nk * oh * ow);
   }
   return out_f;
 }
@@ -880,13 +830,11 @@ bool u_matches(const WinogradWeightsS8& w, const ConvGeometry& g, std::int64_t t
              tile * tile * w.out_channels * w.padded_in_channels();
 }
 
-}  // namespace
-
-QTensor winograd_conv_s8_prepared(const QTensor& input, const WinogradWeightsS8& weights,
-                                  const ConvGeometry& g, const wino::Transforms& tr,
-                                  const WinogradStageScales& scales, const Tensor* bias,
-                                  std::vector<std::int8_t>* reuse_storage,
-                                  WinoPhaseNs* phase_ns) {
+/// The argument checks both Winograd entry points share; the executors index
+/// U, the tap vectors and the bias unchecked after them.
+void check_winograd_call(const QTensor& input, const WinogradWeightsS8& weights,
+                         const ConvGeometry& g, const wino::Transforms& tr,
+                         const WinogradStageScales& scales, const Tensor* bias) {
   g.validate();
   if (g.stride != 1) {
     throw std::invalid_argument(
@@ -932,16 +880,33 @@ QTensor winograd_conv_s8_prepared(const QTensor& input, const WinogradWeightsS8&
     throw std::invalid_argument(
         "winograd_conv_s8: weights_transformed scale does not match the prepared weights");
   }
-  // Frozen internal scales let the stages fuse (no whole-tensor abs-max
-  // between them): take the streaming blocked executor. Any dynamic scale —
-  // or the set_winograd_blocked_enabled(false) override — runs the flat path.
-  if (scales.input_transformed > 0.F && scales.hadamard > 0.F && scales.output > 0.F &&
-      winograd_blocked_enabled()) {
-    return winograd_conv_s8_blocked(input, weights, g, tr, scales, bias, reuse_storage, phase_ns);
-  }
   if (bias != nullptr && !bias->empty() && bias->numel() != g.out_channels) {
     throw std::invalid_argument("winograd_conv_s8: bias/channel mismatch");
   }
+}
+
+}  // namespace
+
+QTensor winograd_conv_s8_prepared(const QTensor& input, const WinogradWeightsS8& weights,
+                                  const ConvGeometry& g, const wino::Transforms& tr,
+                                  const WinogradStageScales& scales, const Tensor* bias,
+                                  std::vector<std::int8_t>* reuse_storage,
+                                  WinoPhaseNs* phase_ns) {
+  // Frozen internal scales let the stages fuse (no whole-tensor abs-max
+  // between them): take the streaming blocked executor. Any dynamic scale
+  // runs the flat sequence.
+  if (scales.input_transformed > 0.F && scales.hadamard > 0.F && scales.output > 0.F) {
+    check_winograd_call(input, weights, g, tr, scales, bias);
+    return winograd_conv_s8_blocked(input, weights, g, tr, scales, bias, reuse_storage, phase_ns);
+  }
+  return winograd_conv_s8_flat(input, weights, g, tr, scales, bias, reuse_storage, phase_ns);
+}
+
+QTensor winograd_conv_s8_flat(const QTensor& input, const WinogradWeightsS8& weights,
+                              const ConvGeometry& g, const wino::Transforms& tr,
+                              const WinogradStageScales& scales, const Tensor* bias,
+                              std::vector<std::int8_t>* reuse_storage, WinoPhaseNs* phase_ns) {
+  check_winograd_call(input, weights, g, tr, scales, bias);
   ScratchArena& arena = ScratchArena::for_thread();
   ScratchArena::Scope frame(arena);
   PhaseClock clock(phase_ns);

@@ -137,7 +137,7 @@ WinogradWeightsS8 prepare_winograd_weights_s8(const Tensor& weights_fp32,
 
 /// Per-phase wall-clock accumulator for one Winograd conv call — the
 /// kernel-level tail of a request trace (src/telemetry). When a non-null
-/// accumulator is passed to winograd_conv_s8_prepared, every executor thread
+/// accumulator is passed to either Winograd entry point, every executor thread
 /// adds its nanoseconds per phase with relaxed atomics (once per call on the
 /// blocked path, once per stage on the flat path), so the totals are
 /// CPU-time aggregates across the OpenMP team, not wall-clock intervals. On
@@ -166,22 +166,33 @@ struct WinoPhaseNs {
 /// buffer that may alias input.data — the input is fully consumed by the
 /// scatter stage before the output tensor is materialized.
 ///
-/// Execution strategy: when every internal scale (input_transformed,
+/// Execution strategy: exactly when every internal scale (input_transformed,
 /// hadamard, output) is frozen, the conv runs the fused streaming executor —
 /// per block of tiles, transform -> t² blocked GEMMs -> inverse transform +
 /// requant in one loop whose V/M intermediates live in L1/L2-sized
 /// ScratchArena buffers, with each block split across the OpenMP team
-/// (channel quads, then output-channel slices). Any dynamic scale forces the
-/// flat path (deriving a scale needs the full tensor's abs-max before the
-/// next stage may quantize). Both executions are bit-identical;
-/// set_winograd_blocked_enabled(false) forces flat for differential tests
-/// and benchmarks.
+/// (channel quads, then output-channel slices). Any dynamic scale takes
+/// winograd_conv_s8_flat (deriving a scale needs the full tensor's abs-max
+/// before the next stage may quantize). Both executions are bit-identical.
 QTensor winograd_conv_s8_prepared(const QTensor& input, const WinogradWeightsS8& weights,
                                   const ConvGeometry& g, const wino::Transforms& tr,
                                   const WinogradStageScales& scales = {},
                                   const Tensor* bias = nullptr,
                                   std::vector<std::int8_t>* reuse_storage = nullptr,
                                   WinoPhaseNs* phase_ns = nullptr);
+
+/// The flat whole-tensor Winograd sequence: scatter + V quantize, t² GEMMs,
+/// M requant, then gather + output quantize, each stage over the whole
+/// tensor in the arena. Same arguments, validation and bytes as
+/// winograd_conv_s8_prepared, at any scales; that function runs it for
+/// dynamic-scale stages, and tests and benches call it directly as the
+/// blocked executor's differential reference.
+QTensor winograd_conv_s8_flat(const QTensor& input, const WinogradWeightsS8& weights,
+                              const ConvGeometry& g, const wino::Transforms& tr,
+                              const WinogradStageScales& scales = {},
+                              const Tensor* bias = nullptr,
+                              std::vector<std::int8_t>* reuse_storage = nullptr,
+                              WinoPhaseNs* phase_ns = nullptr);
 
 /// Stride-2 Winograd weights via the polyphase identity (src/winograd/
 /// strided): y = Σ_st corr1(x_st, g_st) over the four parity subplanes. The
@@ -190,8 +201,8 @@ QTensor winograd_conv_s8_prepared(const QTensor& input, const WinogradWeightsS8&
 /// phases (5 taps total: w01,w21 | w10,w12 | w11) collapse into one im2row
 /// GEMM over a 5*C patch lowered straight from the original (strided) input.
 /// Their int32 partials are combined in fp32 and quantized once at the
-/// output scale — a single code path, so blocked/flat toggles and backend
-/// pins cannot change the bytes.
+/// output scale — a single code path, so backend pins cannot change the
+/// bytes.
 struct StridedWinogradWeightsS8 {
   WinogradWeightsS8 u00;             // phase (0,0): 2x2 taps, F(m,2) Winograd
   std::vector<std::int8_t> rect_wt;  // [5*C, K]: rect-phase taps, im2row order
@@ -210,7 +221,7 @@ StridedWinogradWeightsS8 prepare_strided_winograd_weights_s8(const Tensor& weigh
 /// Stride-2 Winograd conv from the polyphase cache. Geometry must carry
 /// stride == 2, kernel == 3, groups == 1; scales are per-tensor only (the
 /// strided stage predates per-tap requant). Bit-identical across backends
-/// and independent of the blocked toggle by construction.
+/// by construction.
 QTensor strided_winograd_conv_s8_prepared(const QTensor& input,
                                           const StridedWinogradWeightsS8& weights,
                                           const ConvGeometry& g, const wino::Transforms& tr,
@@ -218,28 +229,15 @@ QTensor strided_winograd_conv_s8_prepared(const QTensor& input,
                                           const Tensor* bias = nullptr,
                                           std::vector<std::int8_t>* reuse_storage = nullptr);
 
-/// Whether winograd_conv_s8_prepared may take the fused blocked path.
-/// Defaults to on. The setter is a testing/bench hook — like
-/// simd::set_backend, do not flip it while forwards are in flight.
-bool winograd_blocked_enabled();
-void set_winograd_blocked_enabled(bool on);
-
-/// Prepare-time policy for stride-2 Winograd stages: whether the polyphase
-/// lowering or the strided-im2row fallback executes the stage.
-/// kAuto (the default) consults strided_polyphase_profitable; the force
-/// values are the bench/test hook.
-enum class StridedPolicy : std::uint8_t { kAuto = 0, kForceIm2row = 1, kForcePolyphase = 2 };
-StridedPolicy strided_polyphase_policy();
-void set_strided_polyphase_policy(StridedPolicy p);
-
-/// Calibrated per-output-pixel cost model deciding kAuto. The polyphase
+/// Calibrated per-output-pixel cost model behind ConvStage::prepare's
+/// stride-2 lowering of a 3x3 ungrouped Winograd stage. The polyphase
 /// lowering spends ~7.25·C·K MACs per output pixel (4.41 effective in the
 /// F(2,2) phase-00 sub-conv + 5·C·K rect GEMM) but pays a multi-pass fp32
 /// join whose traffic scales with C+K; strided im2row spends the full
 /// 9·C·K in ONE fused GEMM+requant pass. The overhead coefficient is
 /// calibrated against bench/zoo_deploy (0.60x at C=K=64), putting the
-/// crossover near C=K≈288 — below that the fallback wins and prepare()
-/// must pick it.
+/// crossover between C=K=287 and 288 — below that the fallback wins and
+/// prepare() picks it.
 bool strided_polyphase_profitable(std::int64_t in_channels, std::int64_t out_channels);
 
 }  // namespace wa::backend

@@ -373,97 +373,13 @@ void residual_add_s8_avx2(const std::int8_t* a, const std::int8_t* b, std::int8_
   if (i < n) scalar_kernels().residual_add_s8(a + i, b + i, out + i, n - i, a_mult, b_mult, relu);
 }
 
-// ---- Winograd scatter (input transform) ------------------------------------
-//
-// SIMD lanes run across 8 consecutive tiles of one tile row; each lane
-// replays the scalar smm_sandwich arithmetic element by element (mul+add
-// only, same av == 0 skip in the first product), so results are bit-equal.
-// The vector path handles t <= 8 (F2/F4/F6 for r=3, F4 for r=5); larger
-// tiles take the scalar per-tile path.
+// Winograd transforms: SIMD lanes run across 8 consecutive tiles of one tile
+// row; each lane replays the scalar smm_sandwich arithmetic element by
+// element (mul+add only, same av == 0 skip in the first product), so results
+// are bit-equal. The vector paths handle t <= 8 (F2/F4/F6 for r=3, F4 for
+// r=5); larger tiles take the scalar per-tile path.
 
 constexpr std::int64_t kMaxVecTile = 8;
-
-void wino_scatter_f32_avx2(const std::int8_t* plane, std::int64_t height, std::int64_t width,
-                           std::int64_t pad, float in_scale, const float* bt, std::int64_t t,
-                           std::int64_t m, std::int64_t th, std::int64_t tw, float* v_base,
-                           std::int64_t ab_stride) {
-  ScratchArena& arena = ScratchArena::for_thread();
-  ScratchArena::Scope frame(arena);
-  const std::int64_t fw = (tw - 1) * m + t;
-  float* fbuf = arena.alloc<float>(t * fw);
-  const __m256 scale = _mm256_set1_ps(in_scale);
-  const __m256i vidx =
-      _mm256_mullo_epi32(_mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
-                         _mm256_set1_epi32(static_cast<int>(m)));
-  float patch[wino::kSmallMatCap], tmp[wino::kSmallMatCap], out[wino::kSmallMatCap];
-  __m256 X[kMaxVecTile * kMaxVecTile], TMP[kMaxVecTile * kMaxVecTile];
-
-  for (std::int64_t ti = 0; ti < th; ++ti) {
-    const std::int64_t i0 = ti * m - pad;
-    // Stage the t input rows as dequantized floats with padding materialized.
-    for (std::int64_t a = 0; a < t; ++a) {
-      float* row = fbuf + a * fw;
-      const std::int64_t ii = i0 + a;
-      if (ii < 0 || ii >= height) {
-        std::fill(row, row + fw, 0.F);
-        continue;
-      }
-      const std::int8_t* src = plane + ii * width;
-      const std::int64_t p0 = std::min(pad, fw);
-      std::fill(row, row + p0, 0.F);
-      const std::int64_t len = std::min(width, fw - p0);
-      std::int64_t x = 0;
-      for (; x + 8 <= len; x += 8) {
-        const __m256i lv = _mm256_cvtepi8_epi32(
-            _mm_loadl_epi64(reinterpret_cast<const __m128i*>(src + x)));
-        _mm256_storeu_ps(row + p0 + x, _mm256_mul_ps(_mm256_cvtepi32_ps(lv), scale));
-      }
-      for (; x < len; ++x) row[p0 + x] = static_cast<float>(src[x]) * in_scale;
-      std::fill(row + p0 + std::max<std::int64_t>(len, 0), row + fw, 0.F);
-    }
-
-    std::int64_t tj = 0;
-    if (t <= kMaxVecTile) {
-      for (; tj + 8 <= tw; tj += 8) {
-        for (std::int64_t a = 0; a < t; ++a) {
-          const float* base = fbuf + a * fw + tj * m;
-          for (std::int64_t b = 0; b < t; ++b) {
-            X[a * t + b] = _mm256_i32gather_ps(base + b, vidx, 4);
-          }
-        }
-        for (std::int64_t i = 0; i < t; ++i) {  // TMP = Bt * X (smm_nn: skip zeros)
-          for (std::int64_t j = 0; j < t; ++j) {
-            __m256 acc = _mm256_setzero_ps();
-            for (std::int64_t kk = 0; kk < t; ++kk) {
-              const float av = bt[i * t + kk];
-              if (av == 0.F) continue;
-              acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(av), X[kk * t + j]));
-            }
-            TMP[i * t + j] = acc;
-          }
-        }
-        float* dst = v_base + ti * tw + tj;
-        for (std::int64_t i = 0; i < t; ++i) {  // V = TMP * Bt^T (smm_nt: no skip)
-          for (std::int64_t j = 0; j < t; ++j) {
-            __m256 acc = _mm256_setzero_ps();
-            for (std::int64_t kk = 0; kk < t; ++kk) {
-              acc = _mm256_add_ps(acc, _mm256_mul_ps(TMP[i * t + kk], _mm256_set1_ps(bt[j * t + kk])));
-            }
-            _mm256_storeu_ps(dst + (i * t + j) * ab_stride, acc);
-          }
-        }
-      }
-    }
-    for (; tj < tw; ++tj) {  // remaining tiles: scalar reference path
-      for (std::int64_t a = 0; a < t; ++a) {
-        for (std::int64_t b = 0; b < t; ++b) patch[a * t + b] = fbuf[a * fw + tj * m + b];
-      }
-      wino::smm_sandwich(bt, static_cast<int>(t), static_cast<int>(t), patch, tmp, out);
-      float* dst = v_base + ti * tw + tj;
-      for (std::int64_t ab = 0; ab < t * t; ++ab) dst[ab * ab_stride] = out[ab];
-    }
-  }
-}
 
 // ---- Winograd gather (output transform) ------------------------------------
 
@@ -573,13 +489,13 @@ void wino_gather_f32_avx2(const std::int8_t* m_base, std::int64_t ab_stride, con
 
 // ---- Blocked-layout kernels (streaming tile-block Winograd path) -----------
 
-// Blocked scatter: the flat AVX2 scatter's vector groups, restricted to the
-// tile range [tile0, tile0+ntiles). Rows are staged per tile-row segment with
-// the same per-element dequant expression; after the 8-tile groups a 4-tile
-// 128-bit group picks up narrow tile rows (out=8 F2 and out=16 F4 grids run
-// at tw <= 4, which the flat kernel leaves entirely scalar). Leftover tiles
-// take the scalar reference kernel so the bit-exactness-critical path has
-// exactly one scalar implementation.
+// Scatter (input transform) over the tile range [tile0, tile0+ntiles), the
+// whole plane when the flat executor calls it. Rows are staged per tile-row
+// segment with the scalar kernel's per-element dequant expression; after the
+// 8-tile groups a 4-tile 128-bit group picks up narrow tile rows (out=8 F2
+// and out=16 F4 grids run at tw <= 4). Leftover tiles take the scalar
+// reference kernel so the bit-exactness-critical path has exactly one
+// scalar implementation.
 void wino_scatter_block_f32_avx2(const std::int8_t* plane, std::int64_t height,
                                  std::int64_t width, std::int64_t pad, float in_scale,
                                  const float* bt, std::int64_t t, std::int64_t m, std::int64_t th,
@@ -944,7 +860,6 @@ const KernelTable* avx2_kernel_table() {
     t.requant_s32_s8 = requant_s32_s8_avx2;
     t.requant_s32_s8_taps = requant_s32_s8_taps_avx2;
     t.residual_add_s8 = residual_add_s8_avx2;
-    t.wino_scatter_f32 = wino_scatter_f32_avx2;
     t.wino_gather_f32 = wino_gather_f32_avx2;
     t.wino_scatter_block_f32 = wino_scatter_block_f32_avx2;
     t.gemm_u8s8_s32_k4 = gemm_u8s8_s32_k4_avx2;

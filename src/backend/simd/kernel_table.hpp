@@ -91,16 +91,6 @@ struct KernelTable {
                           std::int64_t n, const quant::FixedPointMultiplier* a_mult,
                           const quant::FixedPointMultiplier* b_mult, bool relu) = nullptr;
 
-  /// Winograd input transform (scatter) for one (batch, channel) plane:
-  /// dequantize each t x t input tile at in_scale, apply V = Bt d B (bt is
-  /// the row-major [t,t] Bt matrix), and scatter the t*t results of tile
-  /// (ti,tj) to v_base[ab * ab_stride + ti*tw + tj] for ab in [0, t*t).
-  /// Tiles step by m with symmetric zero padding `pad`.
-  void (*wino_scatter_f32)(const std::int8_t* plane, std::int64_t height, std::int64_t width,
-                           std::int64_t pad, float in_scale, const float* bt, std::int64_t t,
-                           std::int64_t m, std::int64_t th, std::int64_t tw, float* v_base,
-                           std::int64_t ab_stride) = nullptr;
-
   /// Winograd output transform (gather) for one (batch, out-channel) plane:
   /// gather the t*t requantized Hadamard levels of tile (ti,tj) from
   /// m_base[ab * ab_stride + ti*tw + tj], dequantize tap ab at sm[ab], apply
@@ -121,11 +111,15 @@ struct KernelTable {
   // intermediates stay in a small L1/L2-resident scratch slab. Tiles are
   // indexed flat over the th x tw grid; a block is the range
   // [tile0, tile0 + ntiles). Per-element arithmetic is identical to the flat
-  // kernels above, so flat and blocked executions are bit-identical.
+  // gather above, so flat and blocked executions are bit-identical.
 
-  /// Blocked wino_scatter_f32: transform only tiles [tile0, tile0+ntiles) of
-  /// one plane and write the t*t results of block-local tile `idx` to
-  /// v_block[ab * block_stride + idx].
+  /// Winograd input transform (scatter) for tiles [tile0, tile0+ntiles) of
+  /// one (batch, channel) plane: dequantize each t x t input tile at
+  /// in_scale, apply V = Bt d B (bt is the row-major [t,t] Bt matrix), and
+  /// write the t*t results of block-local tile `idx` to
+  /// v_block[ab * block_stride + idx] for ab in [0, t*t). Tiles step by m
+  /// with symmetric zero padding `pad`. The flat executor calls it once per
+  /// plane with the whole tile range.
   void (*wino_scatter_block_f32)(const std::int8_t* plane, std::int64_t height,
                                  std::int64_t width, std::int64_t pad, float in_scale,
                                  const float* bt, std::int64_t t, std::int64_t m, std::int64_t th,

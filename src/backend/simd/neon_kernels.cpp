@@ -203,8 +203,8 @@ const KernelTable* neon_kernel_table() {
     t.quantize_f32_s8_taps = quantize_f32_s8_taps_neon;
     t.requant_s32_s8 = requant_s32_s8_neon;
     t.requant_s32_s8_taps = requant_s32_s8_taps_neon;
-    // gemm_f32_packed_nn / wino_scatter_f32 / wino_gather_f32 stay null: the
-    // registry fills them from the scalar reference.
+    // gemm_f32_packed_nn, the Winograd transforms and the k4 GEMM stay null:
+    // the registry fills them from the scalar reference.
     return t;
   }();
   return &table;

@@ -89,44 +89,6 @@ void residual_add_s8_scalar(const std::int8_t* a, const std::int8_t* b, std::int
   }
 }
 
-void wino_scatter_f32_scalar(const std::int8_t* plane, std::int64_t height, std::int64_t width,
-                             std::int64_t pad, float in_scale, const float* bt, std::int64_t t,
-                             std::int64_t m, std::int64_t th, std::int64_t tw, float* v_base,
-                             std::int64_t ab_stride) {
-  ScratchArena& arena = ScratchArena::for_thread();
-  ScratchArena::Scope frame(arena);
-  // Stage the t input rows of one tile row as dequantized floats with the
-  // zero padding materialized, so the per-tile loop reads without bounds
-  // checks: fbuf[a][x] holds the value at (i0 + a, x - pad).
-  const std::int64_t fw = (tw - 1) * m + t;
-  float* fbuf = arena.alloc<float>(t * fw);
-  float patch[wino::kSmallMatCap], tmp[wino::kSmallMatCap], out[wino::kSmallMatCap];
-  for (std::int64_t ti = 0; ti < th; ++ti) {
-    const std::int64_t i0 = ti * m - pad;
-    for (std::int64_t a = 0; a < t; ++a) {
-      float* row = fbuf + a * fw;
-      const std::int64_t ii = i0 + a;
-      if (ii < 0 || ii >= height) {
-        std::fill(row, row + fw, 0.F);
-        continue;
-      }
-      const std::int8_t* src = plane + ii * width;
-      for (std::int64_t x = 0; x < fw; ++x) {
-        const std::int64_t jj = x - pad;
-        row[x] = (jj >= 0 && jj < width) ? static_cast<float>(src[jj]) * in_scale : 0.F;
-      }
-    }
-    for (std::int64_t tj = 0; tj < tw; ++tj) {
-      for (std::int64_t a = 0; a < t; ++a) {
-        for (std::int64_t b = 0; b < t; ++b) patch[a * t + b] = fbuf[a * fw + tj * m + b];
-      }
-      wino::smm_sandwich(bt, static_cast<int>(t), static_cast<int>(t), patch, tmp, out);
-      float* dst = v_base + ti * tw + tj;
-      for (std::int64_t ab = 0; ab < t * t; ++ab) dst[ab * ab_stride] = out[ab];
-    }
-  }
-}
-
 void wino_gather_f32_scalar(const std::int8_t* m_base, std::int64_t ab_stride, const float* sm,
                             const float* at, std::int64_t t, std::int64_t m, std::int64_t th,
                             std::int64_t tw, std::int64_t oh, std::int64_t ow, float bias,
@@ -150,9 +112,10 @@ void wino_gather_f32_scalar(const std::int8_t* m_base, std::int64_t ab_stride, c
 
 // ---- Blocked-layout kernels (streaming tile-block Winograd path) -----------
 //
-// Same per-element arithmetic as the flat kernels above — a tile's transform
+// Same per-element arithmetic as the flat gather above — a tile's transform
 // does not depend on which other tiles share the call — so the fused blocked
-// executor reproduces the flat path byte-for-byte.
+// executor reproduces the flat path byte-for-byte. Both executors run the
+// one scatter below.
 
 void wino_scatter_block_f32_scalar(const std::int8_t* plane, std::int64_t height,
                                    std::int64_t width, std::int64_t pad, float in_scale,
@@ -163,8 +126,10 @@ void wino_scatter_block_f32_scalar(const std::int8_t* plane, std::int64_t height
   (void)th;
   ScratchArena& arena = ScratchArena::for_thread();
   ScratchArena::Scope frame(arena);
-  // Stage only the columns the block's tiles of one tile row touch; each
-  // staged element is computed exactly as in wino_scatter_f32_scalar.
+  // Stage the dequantized input rows of the block's tiles in one tile row,
+  // with the zero padding materialized, so the per-tile loop reads without
+  // bounds checks: fbuf[a][x] holds the value at (ti*m - pad + a,
+  // tjb*m + x - pad).
   float* fbuf = arena.alloc<float>(t * ((tw - 1) * m + t));
   float patch[wino::kSmallMatCap], tmp[wino::kSmallMatCap], out[wino::kSmallMatCap];
   std::int64_t tile = tile0;
@@ -261,7 +226,6 @@ const KernelTable& scalar_kernels() {
     t.requant_s32_s8 = requant_s32_s8_scalar;
     t.requant_s32_s8_taps = requant_s32_s8_taps_scalar;
     t.residual_add_s8 = residual_add_s8_scalar;
-    t.wino_scatter_f32 = wino_scatter_f32_scalar;
     t.wino_gather_f32 = wino_gather_f32_scalar;
     t.wino_scatter_block_f32 = wino_scatter_block_f32_scalar;
     t.gemm_u8s8_s32_k4 = gemm_u8s8_s32_k4_scalar;

@@ -94,42 +94,17 @@ std::string stage_where(const Int8Pipeline::Node& node, std::size_t index) {
 
 void ConvStage::prepare() {
   if (nn::is_winograd(algo) && stride == 2) {
-    // Stride-2 Winograd lowers through the polyphase cache — but only where
-    // the decomposition actually wins. The polyphase executor trades GEMM
-    // volume (7.25·C·K vs im2row's 9·C·K per output pixel) for a multi-pass
-    // fp32 join, which loses below C=K≈288 (bench/zoo_deploy measured it at
-    // 0.60x at C=K=64), and it cannot run grouped at all. The cost model
-    // picks the winner at prepare time; the policy setter forces either path
-    // for differential tests and benches.
-    const auto policy = backend::strided_polyphase_policy();
-    const bool use_poly =
-        groups == 1 &&
-        (policy == backend::StridedPolicy::kForcePolyphase ||
-         (policy == backend::StridedPolicy::kAuto &&
-          backend::strided_polyphase_profitable(in_channels, out_channels)));
-    if (!use_poly) {
-      // Fallback: requantize the fp32 taps and run the stage as a plain
-      // strided im2row GEMM. The algo flips to kIm2row so the stage's
-      // serialized cache kind (0) and algo stay consistent (.wam contract).
-      algo = nn::ConvAlgo::kIm2row;
-      if (output_scale <= 0.F && stage_scales.output > 0.F) output_scale = stage_scales.output;
-      weights_q = backend::quantize_s8(weights_f);
-      weights_f = Tensor();
-      im2row_cache = backend::prepare_im2row_weights_s8(weights_q, groups);
-      weights_q = backend::QTensor{};  // only the packed copy is consulted
-      return;
+    // Stride-2 Winograd lowers through the polyphase cache only where the
+    // decomposition applies and wins. It splits a 3x3 kernel's taps by
+    // parity and cannot run grouped, and it trades GEMM volume (7.25·C·K vs
+    // im2row's 9·C·K per output pixel) for a multi-pass fp32 join, which
+    // loses below C=K≈288 (bench/zoo_deploy measured 0.60x at C=K=64).
+    if (kernel == 3 && groups == 1 &&
+        backend::strided_polyphase_profitable(in_channels, out_channels)) {
+      prepare_polyphase();
+    } else {
+      prepare_strided_im2row();
     }
-    // The phase-00 subplane conv runs F(m, 2) over the 2x2 even/even weight
-    // taps, so the stage's training-time F(m, 3) transform set is replaced
-    // by the canonical F(m, 2) one here (the rect phases use no transform
-    // at all).
-    if (transforms.r != 2) {
-      transforms = wino::make_transforms(transforms.m > 0 ? transforms.m : 2, 2);
-    }
-    strided_cache = backend::prepare_strided_winograd_weights_s8(
-        weights_f, transforms, stage_scales.weights_transformed);
-    stage_scales.weights_transformed = strided_cache.u00.scale;
-    weights_f = Tensor();  // only the cached phases are consulted from here on
   } else if (nn::is_winograd(algo)) {
     wino_cache = backend::prepare_winograd_weights_s8(
         weights_f, transforms, stage_scales.weights_transformed,
@@ -146,6 +121,36 @@ void ConvStage::prepare() {
     im2row_cache = backend::prepare_im2row_weights_s8(weights_q, groups);
     weights_q = backend::QTensor{};  // only the packed copy is consulted
   }
+}
+
+void ConvStage::prepare_polyphase() {
+  if (!nn::is_winograd(algo) || stride != 2 || kernel != 3 || groups != 1) {
+    throw std::invalid_argument(
+        "ConvStage::prepare_polyphase: needs a 3x3, ungrouped, stride-2 Winograd stage");
+  }
+  // The phase-00 subplane conv runs F(m, 2) over the 2x2 even/even weight
+  // taps, so the stage's training-time F(m, 3) transform set is replaced by
+  // the canonical F(m, 2) one here (the rect phases use no transform at
+  // all).
+  if (transforms.r != 2) {
+    transforms = wino::make_transforms(transforms.m > 0 ? transforms.m : 2, 2);
+  }
+  strided_cache = backend::prepare_strided_winograd_weights_s8(
+      weights_f, transforms, stage_scales.weights_transformed);
+  stage_scales.weights_transformed = strided_cache.u00.scale;
+  weights_f = Tensor();  // only the cached phases are consulted from here on
+}
+
+void ConvStage::prepare_strided_im2row() {
+  // Requantize the fp32 taps and run the stage as a plain strided im2row
+  // GEMM. The algo flips to kIm2row so the stage's serialized cache kind (0)
+  // and algo stay consistent (.wam contract).
+  algo = nn::ConvAlgo::kIm2row;
+  if (output_scale <= 0.F && stage_scales.output > 0.F) output_scale = stage_scales.output;
+  weights_q = backend::quantize_s8(weights_f);
+  weights_f = Tensor();
+  im2row_cache = backend::prepare_im2row_weights_s8(weights_q, groups);
+  weights_q = backend::QTensor{};  // only the packed copy is consulted
 }
 
 void LinearStage::prepare() {

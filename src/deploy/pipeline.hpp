@@ -73,14 +73,26 @@ struct ConvStage {
   // Weight caches built once at load (Int8Pipeline::push calls prepare()):
   // the Winograd path never recomputes U = G g Gᵀ per forward, the GEMM path
   // never re-transposes its weight matrix per forward. A stride-2 Winograd
-  // stage builds the polyphase cache (strided_cache) instead of wino_cache.
+  // stage builds the polyphase cache (strided_cache) or, where that lowering
+  // does not apply or does not pay, the strided im2row cache instead of
+  // wino_cache.
   backend::WinogradWeightsS8 wino_cache;
   backend::StridedWinogradWeightsS8 strided_cache;
   backend::Im2rowWeightsS8 im2row_cache;
   bool prepared() const {
     return !wino_cache.empty() || !strided_cache.empty() || !im2row_cache.empty();
   }
+  /// Builds the one cache the stage's algo, shape and stride call for. A
+  /// stride-2 Winograd stage takes prepare_polyphase exactly when it is 3x3,
+  /// ungrouped and backend::strided_polyphase_profitable(C, K) holds, and
+  /// prepare_strided_im2row otherwise.
   void prepare();
+  /// The two stride-2 Winograd lowerings, from weights_f. A caller that
+  /// builds one before push() fixes the stage's lowering, as a loaded .wam
+  /// stage's cache does; prepare_polyphase throws std::invalid_argument
+  /// unless the stage is a 3x3, ungrouped, stride-2 Winograd stage.
+  void prepare_polyphase();
+  void prepare_strided_im2row();
 };
 
 struct PoolStage {

@@ -12,12 +12,13 @@
 // reviewer re-deriving their bit-exactness by hand.
 //
 // The same seeded graphs also lock down the fused Winograd executor: every
-// graph runs once on the blocked streaming path and once with the flat
-// reference forced (set_winograd_blocked_enabled(false)), on every backend,
-// and the logits must be bit-identical with the same measured peak — the
-// generator's odd spatial sizes (7..16) and channel counts (1..6, mostly not
-// multiples of the channel block) are exactly the shapes where a blocked
-// layout could slip in padding artifacts.
+// Winograd stage runs through winograd_conv_s8_prepared (the blocked
+// streaming path) and winograd_conv_s8_flat (the flat reference) at its
+// inferred input shape, fresh and into a donated buffer, on every backend,
+// and the outputs must be bit-identical — the generator's odd spatial sizes
+// (7..16) and channel counts (1..6, mostly not multiples of the channel
+// block) are exactly the shapes where a blocked layout could slip in padding
+// artifacts.
 //
 // The harness also fuzzes the failure surface: invalid wirings (unknown
 // slots, double publishes, missing/extra add operands, dropped chained
@@ -456,55 +457,70 @@ TEST(PipelineFuzz, OptimizedGraphsAreBitIdenticalAcrossBackends) {
 }
 
 TEST(PipelineFuzz, BlockedAndFlatWinogradAreBitIdenticalOnEveryBackend) {
+  // The generator freezes every internal scale of its Winograd stages, so
+  // winograd_conv_s8_prepared runs the blocked executor on each of them;
+  // winograd_conv_s8_flat runs the flat sequence on the same arguments.
   const std::vector<std::string> backends = available_backends();
   ASSERT_FALSE(backends.empty());
   const std::string before = backend::simd::active_backend();
-  ASSERT_TRUE(backend::winograd_blocked_enabled()) << "another test leaked the flat override";
 
-  // RAII so an ASSERT mid-loop cannot leak the flat override into later tests.
-  struct FlatScope {
-    explicit FlatScope(bool flat) { backend::set_winograd_blocked_enabled(!flat); }
-    ~FlatScope() { backend::set_winograd_blocked_enabled(true); }
-  };
-
+  int wino_stages = 0;
   for (int graph = 0; graph < kFuzzGraphs; ++graph) {
     SCOPED_TRACE("graph seed " + std::to_string(graph));
     Shape in_shape;
-    Int8Pipeline opt = fuzz_graph(static_cast<std::uint32_t>(graph), &in_shape);
+    const Int8Pipeline pipe = fuzz_graph(static_cast<std::uint32_t>(graph), &in_shape);
     in_shape[0] = 1 + graph % 2;
-    OptimizeOptions o;
-    o.reference_input = in_shape;
-    optimize_pipeline(opt, o);
+    const std::vector<Shape> shapes = passes::infer_value_shapes(pipe, in_shape);
+    const Int8Pipeline::Wiring wiring = pipe.resolve_wiring();
+    std::mt19937 data_rng(static_cast<std::uint32_t>(graph) * 41U + 7U);
+    std::uniform_int_distribution<int> level(-127, 127);
 
-    Rng data_rng(static_cast<unsigned>(graph) * 41U + 7U);
-    const Tensor x = Tensor::randn(in_shape, data_rng, 1.5F);
-    for (const std::string& backend_name : backends) {
-      ASSERT_TRUE(set_backend(backend_name));
-      RunStats blocked_stats{}, flat_stats{};
-      Tensor blocked_logits, flat_logits;
-      {
-        FlatScope scope(false);
-        blocked_logits = opt.run(x, nullptr, &blocked_stats);
-      }
-      {
-        FlatScope scope(true);
-        flat_logits = opt.run(x, nullptr, &flat_stats);
-      }
-      ASSERT_EQ(blocked_logits.shape(), flat_logits.shape());
-      ASSERT_EQ(Tensor::max_abs_diff(blocked_logits, flat_logits), 0.F)
-          << "backend " << backend_name << ": fused blocked executor diverged from flat";
-      // The streaming executor's V/M slab is kernel-internal ScratchArena
-      // memory, invisible to the activation accounting: both paths must
-      // report the same peak, and stay under the plan.
-      EXPECT_EQ(blocked_stats.peak_activation_bytes, flat_stats.peak_activation_bytes)
-          << "backend " << backend_name;
-      if (opt.plan() != nullptr) {
-        EXPECT_LE(blocked_stats.peak_activation_bytes, opt.plan()->peak_bytes)
-            << "backend " << backend_name;
+    for (std::size_t i = 0; i < pipe.size(); ++i) {
+      const auto* st = std::get_if<ConvStage>(&pipe.nodes()[i].op);
+      if (st == nullptr || st->wino_cache.empty()) continue;
+      SCOPED_TRACE("stage " + std::to_string(i));
+      ++wino_stages;
+      backend::QTensor x;
+      x.shape = shapes[static_cast<std::size_t>(wiring.in1[i])];
+      // A stem with a dynamic input quantizer (input_scale -1) gets a fixed
+      // positive scale; any other stage its frozen one.
+      x.scale = st->input_scale > 0.F ? st->input_scale : 0.05F;
+      x.data.resize(static_cast<std::size_t>(numel(x.shape)));
+      for (auto& v : x.data) v = static_cast<std::int8_t>(level(data_rng));
+      backend::ConvGeometry g;
+      g.batch = x.shape[0];
+      g.in_channels = st->in_channels;
+      g.height = x.shape[2];
+      g.width = x.shape[3];
+      g.out_channels = st->out_channels;
+      g.kernel = st->kernel;
+      g.pad = st->pad;
+      g.groups = st->groups;
+      const Tensor* bias = st->bias.empty() ? nullptr : &st->bias;
+
+      for (const std::string& backend_name : backends) {
+        ASSERT_TRUE(set_backend(backend_name));
+        for (const bool donate : {false, true}) {
+          SCOPED_TRACE("backend " + backend_name + (donate ? ", donated" : ", fresh"));
+          std::vector<std::int8_t> blocked_donation = x.data, flat_donation = x.data;
+          const backend::QTensor blocked = backend::winograd_conv_s8_prepared(
+              x, st->wino_cache, g, st->transforms, st->stage_scales, bias,
+              donate ? &blocked_donation : nullptr);
+          const backend::QTensor flat = backend::winograd_conv_s8_flat(
+              x, st->wino_cache, g, st->transforms, st->stage_scales, bias,
+              donate ? &flat_donation : nullptr);
+          ASSERT_EQ(blocked.shape, flat.shape);
+          ASSERT_EQ(blocked.scale, flat.scale);
+          ASSERT_EQ(blocked.data, flat.data) << "fused blocked executor diverged from flat";
+          EXPECT_EQ(blocked.data.capacity(), flat.data.capacity());
+        }
       }
     }
   }
   set_backend(before);
+  // The lockdown only means something if the generator emits Winograd
+  // stages (146 over the 220 seeds).
+  EXPECT_GE(wino_stages, kFuzzGraphs / 2);
 }
 
 TEST(PipelineFuzz, MeasuredPeakNeverExceedsThePlanAtTheReferenceShape) {

@@ -651,14 +651,9 @@ TEST(WamArtifact, RoundTripCarriesGroupedCachesVerbatim) {
 TEST(WamArtifact, RoundTripCarriesTheStridedPolyphaseCacheVerbatim) {
   // A stride-2 Winograd stage serializes as cache kind 2: the F(m,2) u00
   // cache plus the rect-phase im2row weights. Every byte must come back.
-  // Forced polyphase: 3->5 channels sit below the selection crossover and
-  // the subject here is the kind-2 wire format, not the cost model.
-  const backend::StridedPolicy prev_policy = backend::strided_polyphase_policy();
-  backend::set_strided_polyphase_policy(backend::StridedPolicy::kForcePolyphase);
-  struct Restore {
-    backend::StridedPolicy p;
-    ~Restore() { backend::set_strided_polyphase_policy(p); }
-  } restore{prev_policy};
+  // 3->5 channels sit below the selection crossover, so the stage builds its
+  // polyphase cache before push(): the subject here is the kind-2 wire
+  // format, not the cost model.
   Rng rng(61);
   Int8Pipeline pipe;
   {
@@ -672,10 +667,11 @@ TEST(WamArtifact, RoundTripCarriesTheStridedPolyphaseCacheVerbatim) {
     st.input_scale = 0.05F;
     st.output_scale = 0.08F;
     st.weights_f = Tensor::randn({5, 3, 3, 3}, rng, 0.3F);
-    st.transforms = wino::make_transforms(2, 3);  // prepare() swaps in F(2,2)
+    st.transforms = wino::make_transforms(2, 3);  // prepare_polyphase() swaps in F(2,2)
     st.stage_scales.weights_transformed = 0.02F;
     st.stage_scales.output = 0.08F;
     st.bias = Tensor::randn({5}, rng, 0.1F);
+    st.prepare_polyphase();
     pipe.push(std::move(st), make_io("", "", "", "strided"));
   }
   const auto* want = std::get_if<ConvStage>(&pipe.nodes()[0].op);

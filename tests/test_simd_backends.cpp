@@ -150,7 +150,6 @@ TEST(SimdRegistry, EveryResolvedEntryIsCallable) {
     EXPECT_NE(t.requant_s32_s8, nullptr);
     EXPECT_NE(t.requant_s32_s8_taps, nullptr);
     EXPECT_NE(t.residual_add_s8, nullptr);
-    EXPECT_NE(t.wino_scatter_f32, nullptr);
     EXPECT_NE(t.wino_gather_f32, nullptr);
     EXPECT_NE(t.wino_scatter_block_f32, nullptr);
     EXPECT_NE(t.gemm_u8s8_s32_k4, nullptr);
@@ -322,36 +321,6 @@ TEST_P(SimdBackendTest, QuantizeTapsMatchesScalarAndPerBlockSweeps) {
   EXPECT_EQ(got, blockwise);
 }
 
-TEST_P(SimdBackendTest, WinogradScatterMatchesScalarOnEdgeTilesAndPads) {
-  Rng rng(94);
-  struct Cfg {
-    int m, r;
-    std::int64_t hw, pad;
-  };
-  // F2/F4 on sizes that produce interior vector groups, partial groups and
-  // clipped edge tiles, with and without padding.
-  for (const Cfg cfg : {Cfg{2, 3, 8, 1}, Cfg{2, 3, 7, 1}, Cfg{2, 3, 34, 1}, Cfg{4, 3, 13, 1},
-                        Cfg{4, 3, 32, 1}, Cfg{2, 3, 6, 0}, Cfg{4, 5, 16, 2}}) {
-    SCOPED_TRACE("m=" + std::to_string(cfg.m) + " r=" + std::to_string(cfg.r) +
-                 " hw=" + std::to_string(cfg.hw) + " pad=" + std::to_string(cfg.pad));
-    const auto tr = wino::make_transforms(cfg.m, cfg.r);
-    const std::int64_t t = tr.tile, m = tr.m;
-    const std::int64_t oh = cfg.hw + 2 * cfg.pad - cfg.r + 1;
-    const std::int64_t th = (oh + m - 1) / m, tw = th;
-    const std::int64_t tiles = th * tw;
-    const auto plane = random_s8(rng, cfg.hw * cfg.hw);
-    std::vector<float> got(static_cast<std::size_t>(t * t * tiles), 1e9F);
-    std::vector<float> want(static_cast<std::size_t>(t * t * tiles), -1e9F);
-    kernels().wino_scatter_f32(plane.data(), cfg.hw, cfg.hw, cfg.pad, 0.043F, tr.bt_mat.raw(), t,
-                               m, th, tw, got.data(), tiles);
-    scalar_kernels().wino_scatter_f32(plane.data(), cfg.hw, cfg.hw, cfg.pad, 0.043F,
-                                      tr.bt_mat.raw(), t, m, th, tw, want.data(), tiles);
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      ASSERT_EQ(got[i], want[i]) << "element " << i;
-    }
-  }
-}
-
 TEST_P(SimdBackendTest, WinogradGatherMatchesScalarOnEdgeTilesAndBias) {
   Rng rng(95);
   struct Cfg {
@@ -409,7 +378,8 @@ TEST_P(SimdBackendTest, WinogradScatterBlockMatchesScalarOnTileRanges) {
     const std::int64_t tiles = th * tw;
     const auto plane = random_s8(rng, cfg.hw * cfg.hw);
     // Block starts that land mid-row, at row boundaries and on the last
-    // partial block, mirroring how the streaming executor walks tile ranges.
+    // partial block, mirroring how the streaming executor walks tile ranges;
+    // the full-range block (bs = tiles) is the flat executor's call.
     for (const std::int64_t bs : {std::int64_t{1}, std::int64_t{3}, tiles}) {
       SCOPED_TRACE("m=" + std::to_string(cfg.m) + " hw=" + std::to_string(cfg.hw) +
                    " block=" + std::to_string(bs));
@@ -427,16 +397,6 @@ TEST_P(SimdBackendTest, WinogradScatterBlockMatchesScalarOnTileRanges) {
         }
       }
     }
-    // The full-range block is the flat scatter with a different stride
-    // convention: same floats, so the two kernels must agree bit-for-bit.
-    std::vector<float> blocked(static_cast<std::size_t>(t * t * tiles), 1e9F);
-    std::vector<float> flat(static_cast<std::size_t>(t * t * tiles), -1e9F);
-    kernels().wino_scatter_block_f32(plane.data(), cfg.hw, cfg.hw, cfg.pad, 0.043F,
-                                     tr.bt_mat.raw(), t, m, th, tw, 0, tiles, blocked.data(),
-                                     tiles);
-    kernels().wino_scatter_f32(plane.data(), cfg.hw, cfg.hw, cfg.pad, 0.043F, tr.bt_mat.raw(), t,
-                               m, th, tw, flat.data(), tiles);
-    EXPECT_EQ(blocked, flat);
   }
 }
 
@@ -604,17 +564,6 @@ TEST_P(SimdBackendTest, ResNet18LogitsBitIdenticalToScalarBackend) {
 
 // ---- fused blocked executor vs flat reference -------------------------------
 
-// RAII: force the flat Winograd path for a scope, restoring on exit.
-struct FlatWinogradScope {
-  FlatWinogradScope() : previous_(winograd_blocked_enabled()) {
-    set_winograd_blocked_enabled(false);
-  }
-  ~FlatWinogradScope() { set_winograd_blocked_enabled(previous_); }
-
- private:
-  bool previous_;
-};
-
 QTensor random_activation(Rng& rng, std::int64_t n, std::int64_t c, std::int64_t h,
                           std::int64_t w, float scale) {
   QTensor q;
@@ -625,7 +574,6 @@ QTensor random_activation(Rng& rng, std::int64_t n, std::int64_t c, std::int64_t
 }
 
 TEST_P(SimdBackendTest, BlockedWinogradIsBitIdenticalToFlatAcrossShapes) {
-  ASSERT_TRUE(winograd_blocked_enabled()) << "another test leaked the flat override";
   Rng rng(198);
   struct Cfg {
     int m;
@@ -656,11 +604,7 @@ TEST_P(SimdBackendTest, BlockedWinogradIsBitIdenticalToFlatAcrossShapes) {
                                      .output = 0.1F};
     Tensor bias = Tensor::randn({cfg.k}, rng);
     const QTensor blocked = winograd_conv_s8_prepared(in, prep, g, tr, frozen, &bias);
-    QTensor flat;
-    {
-      FlatWinogradScope force_flat;
-      flat = winograd_conv_s8_prepared(in, prep, g, tr, frozen, &bias);
-    }
+    const QTensor flat = winograd_conv_s8_flat(in, prep, g, tr, frozen, &bias);
     EXPECT_EQ(blocked.scale, flat.scale);
     EXPECT_EQ(blocked.shape, flat.shape);
     EXPECT_EQ(blocked.data, flat.data);
@@ -704,7 +648,6 @@ TEST_P(SimdBackendTest, BlockedWinogradIsBitIdenticalAcrossTeamSizes) {
   // scatter by (conv group, channel quad), the GEMM -> requant -> gather by
   // output-channel slice. Which thread computes an element must not change
   // its bytes — teams of 1..4 all equal each other and the flat path.
-  ASSERT_TRUE(winograd_blocked_enabled()) << "another test leaked the flat override";
   Rng rng(203);
   struct Cfg {
     int m;
@@ -774,26 +717,22 @@ TEST_P(SimdBackendTest, BlockedWinogradIsBitIdenticalAcrossTeamSizes) {
     g.groups = cfg.groups;
     const Tensor bias = Tensor::randn({K}, rng);
     const Tensor* bias_ptr = cfg.with_bias ? &bias : nullptr;
-    const auto run = [&] {
+    const auto run = [&](auto conv) {
       std::vector<std::int8_t> donated = in.data;
-      QTensor out = winograd_conv_s8_prepared(in, prep, g, tr, scales, bias_ptr,
-                                              cfg.donate ? &donated : nullptr);
+      QTensor out =
+          conv(in, prep, g, tr, scales, bias_ptr, cfg.donate ? &donated : nullptr, nullptr);
       if (cfg.donate) {
         EXPECT_TRUE(donated.empty()) << "donated storage was not consumed";
       }
       return out;
     };
-    QTensor flat;
-    {
-      FlatWinogradScope force_flat;
-      flat = run();
-    }
+    const QTensor flat = run(winograd_conv_s8_flat);
     for (const int team : {1, 2, 3, 4}) {
       SCOPED_TRACE("team=" + std::to_string(team));
       QTensor blocked;
       {
         TeamSizeScope scope(team);
-        blocked = run();
+        blocked = run(winograd_conv_s8_prepared);
       }
       EXPECT_EQ(blocked.shape, flat.shape);
       EXPECT_EQ(blocked.scale, flat.scale);
@@ -952,7 +891,7 @@ TEST(BlockedWinogradPacking, BlockedUIsOffsetBinaryWithPadLanesAt128) {
 TEST(BlockedWinogradGate, DynamicScalesAlwaysTakeTheFlatPath) {
   // Any non-frozen internal scale needs a whole-tensor abs-max before the
   // next stage can quantize, which the streaming executor cannot provide;
-  // with such scales the toggle must be a no-op on the numbers.
+  // with such scales the prepared entry point must run the flat sequence.
   Rng rng(201);
   const auto tr = wino::make_transforms(2, 3);
   Tensor w = Tensor::randn({4, 3, 3, 3}, rng);
@@ -970,14 +909,10 @@ TEST(BlockedWinogradGate, DynamicScalesAlwaysTakeTheFlatPath) {
                                     .input_transformed = -1.F,
                                     .hadamard = 0.05F,
                                     .output = 0.1F};
-  const QTensor with_toggle = winograd_conv_s8_prepared(in, prep, g, tr, dynamic);
-  QTensor without;
-  {
-    FlatWinogradScope force_flat;
-    without = winograd_conv_s8_prepared(in, prep, g, tr, dynamic);
-  }
-  EXPECT_EQ(with_toggle.data, without.data);
-  EXPECT_EQ(with_toggle.scale, without.scale);
+  const QTensor prepared = winograd_conv_s8_prepared(in, prep, g, tr, dynamic);
+  const QTensor flat = winograd_conv_s8_flat(in, prep, g, tr, dynamic);
+  EXPECT_EQ(prepared.data, flat.data);
+  EXPECT_EQ(prepared.scale, flat.scale);
 }
 
 // ---- pinned output bytes ----------------------------------------------------

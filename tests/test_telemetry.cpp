@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "backend/conv_kernels_s8.hpp"
 #include "backend/perf_counters.hpp"
 #include "backend/simd/kernel_table.hpp"
 #include "deploy/pipeline.hpp"
@@ -405,6 +406,18 @@ TEST(TracingEndToEnd, LogitsBitIdenticalTracedOrNotAcrossBackends) {
   const deploy::Int8Pipeline pipe = wino_pipeline(rng);
   const Tensor x = Tensor::randn({2, 3, 8, 8}, rng);
 
+  // The pipeline's one Winograd stage, for direct calls of the flat sequence.
+  const auto& st = std::get<deploy::ConvStage>(pipe.nodes().front().op);
+  const backend::QTensor qx = backend::quantize_s8(x, st.input_scale);
+  backend::ConvGeometry g;
+  g.batch = 2;
+  g.in_channels = 3;
+  g.height = 8;
+  g.width = 8;
+  g.out_channels = 8;
+  g.kernel = 3;
+  g.pad = 1;
+
   const std::string active = backend::simd::active_backend();
   for (const auto& b : backend::simd::available_backends()) {
     backend::simd::set_backend(b);
@@ -413,11 +426,15 @@ TEST(TracingEndToEnd, LogitsBitIdenticalTracedOrNotAcrossBackends) {
     tracer.set_sampling(1);
     const Tensor traced = pipe.run(x, nullptr, nullptr, tracer.begin_trace());
     EXPECT_EQ(Tensor::max_abs_diff(plain, traced), 0.F) << "backend " << b;
-    // Flat path (blocked executor off) must stay bit-identical too.
-    backend::set_winograd_blocked_enabled(false);
-    const Tensor flat_traced = pipe.run(x, nullptr, nullptr, tracer.begin_trace());
-    backend::set_winograd_blocked_enabled(true);
-    EXPECT_EQ(Tensor::max_abs_diff(plain, flat_traced), 0.F) << "backend " << b << " (flat)";
+    // The flat sequence must give the same bytes with its phase clock on.
+    backend::WinoPhaseNs phase_ns;
+    const backend::QTensor flat_plain =
+        backend::winograd_conv_s8_flat(qx, st.wino_cache, g, st.transforms, st.stage_scales);
+    const backend::QTensor flat_traced = backend::winograd_conv_s8_flat(
+        qx, st.wino_cache, g, st.transforms, st.stage_scales, nullptr, nullptr, &phase_ns);
+    EXPECT_EQ(flat_plain.data, flat_traced.data) << "backend " << b << " (flat)";
+    EXPECT_EQ(flat_plain.scale, flat_traced.scale) << "backend " << b << " (flat)";
+    EXPECT_GT(phase_ns.total(), 0) << "backend " << b << " (flat)";
   }
   backend::simd::set_backend(active);
 }

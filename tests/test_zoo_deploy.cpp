@@ -387,14 +387,9 @@ TEST(ZooDeploy, StridedWinogradStageMatchesHandWiredKernel) {
   // A stride-2 Winograd conv stage must run the polyphase kernel the stage
   // prepared — identical bytes to calling strided_winograd_conv_s8_prepared
   // on the same quantized input with the same cache. The channel counts here
-  // sit below the cost model's crossover, so the polyphase path is forced —
-  // the subject is the kernel agreement, not the prepare-time selection.
-  const backend::StridedPolicy prev_policy = backend::strided_polyphase_policy();
-  backend::set_strided_polyphase_policy(backend::StridedPolicy::kForcePolyphase);
-  struct Restore {
-    backend::StridedPolicy p;
-    ~Restore() { backend::set_strided_polyphase_policy(p); }
-  } restore{prev_policy};
+  // sit below the cost model's crossover, so the stage builds its polyphase
+  // cache before push(), as a loaded .wam stage arrives — the subject is the
+  // kernel agreement, not the prepare-time selection.
   Rng rng(59);
   const std::int64_t in_ch = 3, out_ch = 5;
   const float in_s = 0.05F, out_s = 0.08F;
@@ -415,13 +410,14 @@ TEST(ZooDeploy, StridedWinogradStageMatchesHandWiredKernel) {
   const Tensor w_f = st.weights_f;
   const Tensor bias = st.bias;
   const auto scales = st.stage_scales;
-  // prepare() swaps the stage's F(2,3) set for the canonical F(2,2) one the
+  // prepare_polyphase() swaps the stage's F(2,3) set for the canonical F(2,2) one the
   // polyphase kernel requires; the hand-wired call must do the same.
   const auto tr = wino::make_transforms(2, 2);
 
+  st.prepare_polyphase();
   Int8Pipeline pipe;
   pipe.push(std::move(st), zio("", "", "", "strided"));
-  // The stage must have lowered to the polyphase cache, not im2row fallback.
+  // The stage must have kept the polyphase cache, not the im2row fallback.
   const auto* pushed = std::get_if<ConvStage>(&pipe.nodes().front().op);
   ASSERT_NE(pushed, nullptr);
   ASSERT_FALSE(pushed->strided_cache.empty()) << "stride-2 Winograd fell back to im2row";
@@ -448,6 +444,57 @@ TEST(ZooDeploy, StridedWinogradStageMatchesHandWiredKernel) {
     ASSERT_EQ(got.at(i),
               static_cast<float>(want_q.data[static_cast<std::size_t>(i)]) * want_q.scale)
         << "element " << i;
+  }
+}
+
+TEST(ZooDeploy, StridedLoweringFollowsTheShape) {
+  // A stride-2 Winograd stage lowers to polyphase exactly when it is 3x3,
+  // ungrouped and the cost model favours it — a function of the stage's
+  // shape alone. 287/288 straddle the model's crossover; the grouped and
+  // the 5x5 stage cannot run polyphase at any size. Each lowered stage then
+  // runs one forward.
+  Rng rng(63);
+  const auto stage = [&rng](std::int64_t kernel, std::int64_t channels, std::int64_t groups) {
+    ConvStage st;
+    st.algo = nn::ConvAlgo::kWinograd2;
+    st.in_channels = channels;
+    st.out_channels = channels;
+    st.kernel = kernel;
+    st.pad = kernel / 2;
+    st.groups = groups;
+    st.stride = 2;
+    st.input_scale = 0.05F;
+    st.output_scale = 0.08F;
+    st.weights_f = Tensor::randn({channels, channels / groups, kernel, kernel}, rng, 0.05F);
+    st.transforms = wino::make_transforms(2, kernel);
+    st.stage_scales.weights_transformed = 0.02F;
+    st.stage_scales.output = 0.08F;
+    return st;
+  };
+  struct Case {
+    std::int64_t kernel, channels, groups;
+    bool polyphase;
+  };
+  for (const Case c : {Case{3, 287, 1, false}, Case{3, 288, 1, true}, Case{3, 320, 2, false},
+                       Case{5, 320, 1, false}}) {
+    SCOPED_TRACE("kernel " + std::to_string(c.kernel) + ", C = K = " +
+                 std::to_string(c.channels) + ", groups " + std::to_string(c.groups));
+    EXPECT_EQ(backend::strided_polyphase_profitable(c.channels, c.channels),
+              c.channels >= 288);
+    Int8Pipeline pipe;
+    pipe.push(stage(c.kernel, c.channels, c.groups), zio("", "", "", "strided"));
+    const auto& pushed = std::get<ConvStage>(pipe.nodes().front().op);
+    EXPECT_EQ(!pushed.strided_cache.empty(), c.polyphase);
+    EXPECT_EQ(!pushed.im2row_cache.empty(), !c.polyphase);
+    EXPECT_TRUE(pushed.wino_cache.empty());
+    EXPECT_EQ(nn::is_winograd(pushed.algo), c.polyphase);
+
+    const Tensor y = pipe.run(Tensor::randn({1, c.channels, 8, 8}, rng));
+    EXPECT_EQ(y.shape(), (Shape{1, c.channels, 4, 4}));
+  }
+  // Building the polyphase cache by hand is refused where it cannot run.
+  for (ConvStage st : {stage(3, 8, 2), stage(5, 8, 1)}) {
+    EXPECT_THROW(st.prepare_polyphase(), std::invalid_argument);
   }
 }
 
