@@ -204,8 +204,8 @@ Tensor im2col_conv(const Tensor& input, const Tensor& weights, const ConvGeometr
 
 Tensor winograd_transform_weights(const Tensor& weights, const wino::Transforms& tr) {
   const std::int64_t k = weights.size(0), c = weights.size(1);
+  wino::check_transforms(tr, "winograd_transform_weights");
   const std::int64_t t = tr.tile;
-  if (t > wino::kMaxTile) throw std::invalid_argument("winograd_transform_weights: tile too large");
   count_weight_transform();
   Tensor u(Shape{t * t, k, c});
 #pragma omp parallel for schedule(static)
@@ -230,6 +230,7 @@ Tensor winograd_conv(const Tensor& input, const Tensor& weights, const ConvGeome
 
 Tensor winograd_conv_prepared(const Tensor& input, const Tensor& u, const ConvGeometry& g,
                               const wino::Transforms& tr) {
+  wino::check_transforms(tr, "winograd_conv_prepared");
   g.validate();
   if (g.groups != 1) throw std::invalid_argument("winograd_conv: groups must be 1 (split upstream)");
   if (g.kernel != tr.r) throw std::invalid_argument("winograd_conv: kernel != transform r");

@@ -8,9 +8,6 @@
 #include <stdexcept>
 #include <vector>
 
-#if defined(__SSE2__)
-#include <emmintrin.h>
-#endif
 #ifdef _OPENMP
 #include <omp.h>
 #endif
@@ -216,6 +213,7 @@ WinogradWeightsS8 prepare_winograd_weights_s8(const Tensor& weights_fp32,
                                               const wino::Transforms& tr, float scale,
                                               const std::vector<float>& tap_scales,
                                               std::int64_t groups, const Tensor* sparse_mask) {
+  wino::check_transforms(tr, "prepare_winograd_weights_s8");
   // U in FP32, then int8 — at one per-layer scale (the legacy training-time
   // Qx) or, when `tap_scales` is given, each tap's [K, C] slice at its own
   // scale (the per-tap Qx the F4/F6 QAT trains against). Grouped weights
@@ -343,48 +341,18 @@ namespace {
 //     pad channels are offset-binary 128 == level 0 (they drop out exactly);
 //   - splitting a block across the team changes only which thread computes
 //     an element, never the operations that produce it.
-//
-// Interleave four nt-long int8 rows into the k4 GEMM's native operand layout
-// (dst[idx*4 + lane] = row_lane[idx]). A pure byte shuffle — any
-// implementation produces identical bytes — so the SSE2 4x16 transpose needs
-// no dispatch-table entry; baseline x86-64 always has it.
-void interleave_k4(const std::int8_t* r0, const std::int8_t* r1, const std::int8_t* r2,
-                   const std::int8_t* r3, std::int8_t* dst, std::int64_t nt) {
-  std::int64_t idx = 0;
-#if defined(__SSE2__)
-  for (; idx + 16 <= nt; idx += 16) {
-    const __m128i a = _mm_loadu_si128(reinterpret_cast<const __m128i*>(r0 + idx));
-    const __m128i b = _mm_loadu_si128(reinterpret_cast<const __m128i*>(r1 + idx));
-    const __m128i c = _mm_loadu_si128(reinterpret_cast<const __m128i*>(r2 + idx));
-    const __m128i d = _mm_loadu_si128(reinterpret_cast<const __m128i*>(r3 + idx));
-    const __m128i ab_lo = _mm_unpacklo_epi8(a, b);  // a0 b0 a1 b1 ..
-    const __m128i ab_hi = _mm_unpackhi_epi8(a, b);
-    const __m128i cd_lo = _mm_unpacklo_epi8(c, d);
-    const __m128i cd_hi = _mm_unpackhi_epi8(c, d);
-    std::int8_t* out = dst + idx * 4;
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out), _mm_unpacklo_epi16(ab_lo, cd_lo));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + 16), _mm_unpackhi_epi16(ab_lo, cd_lo));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + 32), _mm_unpacklo_epi16(ab_hi, cd_hi));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + 48), _mm_unpackhi_epi16(ab_hi, cd_hi));
-  }
-#endif
-  for (; idx < nt; ++idx) {
-    dst[idx * 4 + 0] = r0[idx];
-    dst[idx * 4 + 1] = r1[idx];
-    dst[idx * 4 + 2] = r2[idx];
-    dst[idx * 4 + 3] = r3[idx];
-  }
-}
 
 // The per-tap tables both executors read, at the resolved per-tensor V and
 // M scales sv and sm: each stage's tap vector where it carries one, else a
-// splat of its scalar. The gather always consumes the t²-long M-scale array;
-// the V quantize and M requant switch to per-tap sweeps only when `per_tap`,
-// so per-tensor layers keep their single-sweep call sequence (entry 0 is the
-// per-tensor value). The multipliers replay the scalar arithmetic exactly
-// (float product, double ratio). Dynamic scales are only ever derived
-// per-tensor — tap vectors arrive frozen from training. Stack-resident:
-// t² <= kSmallMatCap (prepare rejects larger tiles).
+// splat of its scalar. The gathers always consume the t²-long M-scale array
+// and the blocked scatter the t²-long V reciprocals (a splat quantizes each
+// element exactly as one per-tensor sweep would); the M requant switches to
+// per-tap sweeps only when `per_tap`, so per-tensor layers keep their
+// single-sweep call sequence (entry 0 is the per-tensor value). The
+// multipliers replay the scalar arithmetic exactly (float product, double
+// ratio). Dynamic scales are only ever derived per-tensor — tap vectors
+// arrive frozen from training. Stack-resident: t² <= kSmallMatCap
+// (check_winograd_call rejects larger tiles).
 struct TapTables {
   bool per_tap = false;
   float sm[wino::kSmallMatCap];
@@ -434,11 +402,11 @@ QTensor winograd_conv_s8_blocked(const QTensor& input, const WinogradWeightsS8& 
   const bool per_tap = taps.per_tap;
   const bool has_bias = bias != nullptr && !bias->empty();
 
-  // Tile-block width: as many tiles as keep the slab (V fp32/int8/blocked +
-  // M int32/int8) around the L2 budget, in multiples of the 16-column GEMM
+  // Tile-block width: as many tiles as keep the slab (blocked int8 V + M
+  // int32/int8) around the L2 budget, in multiples of the 16-column GEMM
   // width, capped so small shapes still form one block.
   constexpr std::int64_t kSlabBudget = std::int64_t{384} << 10;
-  const std::int64_t per_tile = t2 * (4 + kWinoChannelBlock + gs * cpad + 5 * K);
+  const std::int64_t per_tile = t2 * (gs * cpad + 5 * K);
   std::int64_t tb = kSlabBudget / std::max<std::int64_t>(per_tile, 1);
   tb = std::min<std::int64_t>(tb, 64);
   tb = (tb / 16) * 16;
@@ -509,11 +477,6 @@ QTensor winograd_conv_s8_blocked(const QTensor& input, const WinogradWeightsS8& 
       acc += std::chrono::duration_cast<std::chrono::nanoseconds>(t - t_prev).count();
       t_prev = t;
     };
-    ScratchArena& slab = ScratchArena::for_thread();
-    ScratchArena::Scope thread_frame(slab);
-    float* v_f = slab.alloc<float>(t2 * tb);
-    std::int8_t* v_q4 = slab.alloc<std::int8_t>(kWinoChannelBlock * t2 * tb);
-
     // Output-channel slices, one per thread: ceil(kg / team) rows rounded up
     // to the GEMM's 4-row block, never crossing a conv group. Each thread
     // takes a contiguous run of slices, which is a contiguous run of channels
@@ -541,39 +504,22 @@ QTensor winograd_conv_s8_blocked(const QTensor& input, const WinogradWeightsS8& 
         // after its block-b GEMM.
         std::int8_t* v_blk = v_bufs[(n * nblocks + blk) % 2];
 
-        // Input transform + V quantization + k4 interleave, one channel quad
-        // at a time: a thread's V only ever holds 4 * t² * nt values. The
-        // four planar lane rows are transposed into the GEMM layout together.
+        // Input transform + per-tap V quantization, one (conv group, channel
+        // quad) per kernel call, written straight into v_blk's k4 layout
+        // (tap ab of the quad at v_blk + ((ab * gs + gi) * cq + cb) * nt * 4).
+        // Lanes past the group's last channel are pad lanes (level 0).
 #pragma omp for schedule(static)
         for (std::int64_t pair = 0; pair < gs * cq; ++pair) {
           const std::int64_t gi = pair / cq, cb = pair % cq;
+          const std::int8_t* planes[kWinoChannelBlock];
           for (std::int64_t lane = 0; lane < kWinoChannelBlock; ++lane) {
             const std::int64_t cl = cb * kWinoChannelBlock + lane;  // within the group
-            std::int8_t* vrow = v_q4 + lane * t2 * nt;
-            if (cl >= cg) {
-              // Pad lane: level 0 everywhere. Its GEMM contribution cancels
-              // for any value; zero keeps the bytes deterministic.
-              std::memset(vrow, 0, static_cast<std::size_t>(t2 * nt));
-              continue;
-            }
-            const std::int64_t c = gi * cg + cl;
-            const std::int8_t* plane = in_base + (n * C + c) * g.height * g.width;
-            kt.wino_scatter_block_f32(plane, g.height, g.width, g.pad, in_scale, tr.bt_mat.raw(),
-                                      t, m, th, tw, tile0, nt, v_f, nt);
-            if (per_tap) {
-              // v_f is tap-major ([t², nt] for this lane): each tap's nt run
-              // quantizes at its own scale, with the tap loop inside the
-              // backend TU (nt is short — per-call dispatch would dominate).
-              kt.quantize_f32_s8_taps(v_f, vrow, t2, nt, taps.v_inv);
-            } else {
-              kt.quantize_f32_s8(v_f, vrow, t2 * nt, taps.v_inv[0]);
-            }
+            planes[lane] =
+                cl < cg ? in_base + (n * C + gi * cg + cl) * g.height * g.width : nullptr;
           }
-          for (std::int64_t ab = 0; ab < t2; ++ab) {
-            interleave_k4(v_q4 + ab * nt, v_q4 + t2 * nt + ab * nt, v_q4 + 2 * t2 * nt + ab * nt,
-                          v_q4 + 3 * t2 * nt + ab * nt,
-                          v_blk + ((ab * gs + gi) * cq + cb) * nt * 4, nt);
-          }
+          kt.wino_scatter_q4_s8(planes, g.height, g.width, g.pad, in_scale, tr.bt_mat.raw(), t, m,
+                                tw, tile0, nt, taps.v_inv, v_blk + pair * nt * kWinoChannelBlock,
+                                gs * cpad * nt);
         }
         // The barrier above (every V quad is in v_blk; every thread is done
         // with the previous block's M rows) counts as scatter.
@@ -831,10 +777,11 @@ bool u_matches(const WinogradWeightsS8& w, const ConvGeometry& g, std::int64_t t
 }
 
 /// The argument checks both Winograd entry points share; the executors index
-/// U, the tap vectors and the bias unchecked after them.
+/// the transforms, U, the tap vectors and the bias unchecked after them.
 void check_winograd_call(const QTensor& input, const WinogradWeightsS8& weights,
                          const ConvGeometry& g, const wino::Transforms& tr,
                          const WinogradStageScales& scales, const Tensor* bias) {
+  wino::check_transforms(tr, "winograd_conv_s8");
   g.validate();
   if (g.stride != 1) {
     throw std::invalid_argument(
@@ -929,6 +876,7 @@ constexpr std::int64_t kRectTaps[5][2] = {{0, 1}, {2, 1}, {1, 0}, {1, 2}, {1, 1}
 StridedWinogradWeightsS8 prepare_strided_winograd_weights_s8(const Tensor& weights_fp32,
                                                              const wino::Transforms& tr,
                                                              float u00_scale, float rect_scale) {
+  wino::check_transforms(tr, "prepare_strided_winograd_weights_s8");
   if (weights_fp32.dim() != 4 || weights_fp32.size(2) != 3 || weights_fp32.size(3) != 3) {
     throw std::invalid_argument("prepare_strided_winograd_weights_s8: weights must be [K, C, 3, 3]");
   }
@@ -984,6 +932,7 @@ QTensor strided_winograd_conv_s8_prepared(const QTensor& input,
                                           const ConvGeometry& g, const wino::Transforms& tr,
                                           const WinogradStageScales& scales, const Tensor* bias,
                                           std::vector<std::int8_t>* reuse_storage) {
+  wino::check_transforms(tr, "strided_winograd_conv_s8");
   g.validate();
   if (g.stride != 2 || g.kernel != 3 || g.groups != 1) {
     throw std::invalid_argument("strided_winograd_conv_s8: requires stride 2, kernel 3, groups 1");

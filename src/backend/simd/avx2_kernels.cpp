@@ -296,11 +296,6 @@ void requant_s32_s8_avx2(const std::int32_t* acc, std::int8_t* dst, std::int64_t
   if (i < n) scalar_kernels().requant_s32_s8(acc + i, dst + i, n - i, mult);
 }
 
-void quantize_f32_s8_taps_avx2(const float* src, std::int8_t* dst, std::int64_t taps,
-                               std::int64_t per_tap, const float* inv_scales) {
-  quantize_f32_s8_taps_with(quantize_f32_s8_avx2, src, dst, taps, per_tap, inv_scales);
-}
-
 void requant_s32_s8_taps_avx2(const std::int32_t* acc, std::int8_t* dst, std::int64_t taps,
                               std::int64_t per_tap, const quant::FixedPointMultiplier* mults) {
   requant_s32_s8_taps_with(requant_s32_s8_avx2, acc, dst, taps, per_tap, mults);
@@ -405,23 +400,6 @@ inline void store_interleave4(float* dst, __m256 a, __m256 b, __m256 c, __m256 d
   _mm256_storeu_ps(dst + 8, _mm256_permute2f128_ps(u2, u3, 0x20));
   _mm256_storeu_ps(dst + 16, _mm256_permute2f128_ps(u0, u1, 0x31));
   _mm256_storeu_ps(dst + 24, _mm256_permute2f128_ps(u2, u3, 0x31));
-}
-
-// 128-bit variants of the two interleaves, for the 4-tile groups below.
-inline void store_interleave2_128(float* dst, __m128 a, __m128 b) {
-  _mm_storeu_ps(dst, _mm_unpacklo_ps(a, b));
-  _mm_storeu_ps(dst + 4, _mm_unpackhi_ps(a, b));
-}
-
-inline void store_interleave4_128(float* dst, __m128 a, __m128 b, __m128 c, __m128 d) {
-  const __m128 t0 = _mm_unpacklo_ps(a, b);
-  const __m128 t1 = _mm_unpacklo_ps(c, d);
-  const __m128 t2 = _mm_unpackhi_ps(a, b);
-  const __m128 t3 = _mm_unpackhi_ps(c, d);
-  _mm_storeu_ps(dst, _mm_movelh_ps(t0, t1));
-  _mm_storeu_ps(dst + 4, _mm_movehl_ps(t1, t0));
-  _mm_storeu_ps(dst + 8, _mm_movelh_ps(t2, t3));
-  _mm_storeu_ps(dst + 12, _mm_movehl_ps(t3, t2));
 }
 
 void wino_gather_f32_avx2(const std::int8_t* m_base, std::int64_t ab_stride, const float* sm,
@@ -613,6 +591,177 @@ void wino_scatter_block_f32_avx2(const std::int8_t* plane, std::int64_t height,
   }
 }
 
+// Fused scatter + V quantize for one channel quad (the blocked executor's V
+// producer). Lane p*4 + c runs channel c of the pair's tile p: exactly the
+// k4 byte order, so each tap's eight quantized bytes land with one 8-byte
+// store. The pair is any two consecutive block tiles, whatever their tile
+// row, so a 2x2 tile grid fills every lane. The input rows the block reads
+// are staged once per call as int8 levels with the zero padding
+// materialized (see wino_scatter_q4_s8_avx2); each lane loads its tile row
+// as 8 bytes, an 8x8 byte transpose turns the eight lane rows into one
+// vector per tile column, and the dequantize is the scalar expression
+// level * in_scale. The tile side T is a template argument so the
+// per-element accumulators live in registers; each element still sums its
+// products in the scalar k order (Bᵀ's zero entries skipped in the first
+// product, none in the second), with separate multiply and add.
+template <int T>
+void scatter_q4_pairs(const std::int8_t* stage, std::int64_t rows, std::int64_t cols,
+                      std::int64_t ti_lo, std::int64_t m, std::int64_t tw, std::int64_t tile0,
+                      std::int64_t ntiles, const float* bt, float in_scale, const float* v_inv,
+                      __m128i keep, std::int8_t* v_q4, std::int64_t tap_stride) {
+  // Bᵀ broadcast once per call, and each row's nonzero columns in order
+  // (smm_nn's av == 0 skip, hoisted out of the tile loop).
+  __m256 btv[T * T];
+  int nz[T][T], nnz[T];
+  for (int i = 0; i < T; ++i) {
+    nnz[i] = 0;
+    for (int k = 0; k < T; ++k) {
+      btv[i * T + k] = _mm256_set1_ps(bt[i * T + k]);
+      if (bt[i * T + k] != 0.F) nz[i][nnz[i]++] = k;
+    }
+  }
+  const __m256 scale = _mm256_set1_ps(in_scale);
+  const __m256 lo = _mm256_set1_ps(-127.F);
+  const __m256 hi = _mm256_set1_ps(127.F);
+  __m256 X[T * T], TMP[T * T];
+  for (std::int64_t idx = 0; idx < ntiles; idx += 2) {
+    // A lone last tile runs in both halves; only its four bytes are stored.
+    const bool pair = idx + 1 < ntiles;
+    const std::int8_t* base[8];
+    for (std::int64_t p = 0; p < 2; ++p) {
+      const std::int64_t tile = tile0 + idx + (pair ? p : 0);
+      const std::int64_t off = (tile / tw - ti_lo) * m * cols + (tile % tw) * m;
+      for (std::int64_t c = 0; c < 4; ++c) base[p * 4 + c] = stage + c * rows * cols + off;
+    }
+    for (int a = 0; a < T; ++a) {
+      __m128i r[8];
+#pragma GCC unroll 8
+      for (int l = 0; l < 8; ++l) {
+        r[l] = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(base[l] + a * cols));
+      }
+      // 8x8 byte transpose: column b's eight lane bytes end up in half b % 2
+      // of col2[b / 2].
+      const __m128i s01 = _mm_unpacklo_epi8(r[0], r[1]);
+      const __m128i s23 = _mm_unpacklo_epi8(r[2], r[3]);
+      const __m128i s45 = _mm_unpacklo_epi8(r[4], r[5]);
+      const __m128i s67 = _mm_unpacklo_epi8(r[6], r[7]);
+      const __m128i q0 = _mm_unpacklo_epi16(s01, s23);  // columns 0-3, lanes 0-3
+      const __m128i q1 = _mm_unpackhi_epi16(s01, s23);  // columns 4-7, lanes 0-3
+      const __m128i q2 = _mm_unpacklo_epi16(s45, s67);  // columns 0-3, lanes 4-7
+      const __m128i q3 = _mm_unpackhi_epi16(s45, s67);  // columns 4-7, lanes 4-7
+      const __m128i col2[4] = {_mm_unpacklo_epi32(q0, q2), _mm_unpackhi_epi32(q0, q2),
+                               _mm_unpacklo_epi32(q1, q3), _mm_unpackhi_epi32(q1, q3)};
+#pragma GCC unroll 8
+      for (int b = 0; b < T; ++b) {
+        const __m128i c2 = col2[b / 2];
+        const __m128i col = b % 2 != 0 ? _mm_unpackhi_epi64(c2, c2) : c2;
+        X[a * T + b] = _mm256_mul_ps(_mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(col)), scale);
+      }
+    }
+    for (int i = 0; i < T; ++i) {  // TMP = Bt * X (smm_nn: skip zeros)
+      __m256 acc[T] = {};
+      for (int n = 0; n < nnz[i]; ++n) {
+        const int k = nz[i][n];
+#pragma GCC unroll 8
+        for (int j = 0; j < T; ++j) {
+          acc[j] = _mm256_add_ps(acc[j], _mm256_mul_ps(btv[i * T + k], X[k * T + j]));
+        }
+      }
+#pragma GCC unroll 8
+      for (int j = 0; j < T; ++j) TMP[i * T + j] = acc[j];
+    }
+    std::int8_t* dst = v_q4 + idx * 4;
+    for (int i = 0; i < T; ++i) {  // V = TMP * Bt^T (smm_nt: no skip)
+      __m256 acc[T] = {};
+#pragma GCC unroll 8
+      for (int k = 0; k < T; ++k) {
+#pragma GCC unroll 8
+        for (int j = 0; j < T; ++j) {
+          acc[j] = _mm256_add_ps(acc[j], _mm256_mul_ps(TMP[i * T + k], btv[j * T + k]));
+        }
+      }
+#pragma GCC unroll 8
+      for (int j = 0; j < T; ++j) {
+        // quantize_f32_s8's element expression, data first in max/min so a
+        // NaN clamps to -127 as in the scalar reference.
+        const int ab = i * T + j;
+        const __m256 x = _mm256_min_ps(
+            _mm256_max_ps(_mm256_mul_ps(acc[j], _mm256_broadcast_ss(v_inv + ab)), lo), hi);
+        const __m256i q = _mm256_cvtps_epi32(x);  // MXCSR default: round to nearest even
+        const __m128i q16 =
+            _mm_packs_epi32(_mm256_castsi256_si128(q), _mm256_extracti128_si256(q, 1));
+        const __m128i q8 = _mm_and_si128(_mm_packs_epi16(q16, q16), keep);
+        if (pair) {
+          _mm_storel_epi64(reinterpret_cast<__m128i*>(dst + ab * tap_stride), q8);
+        } else {
+          const std::int32_t four = _mm_cvtsi128_si32(q8);
+          std::memcpy(dst + ab * tap_stride, &four, 4);
+        }
+      }
+    }
+  }
+}
+
+// The table entry: stages the block's input rows for scatter_q4_pairs and
+// picks its tile side, one of the three the engine's F2/F4/F6 layers use
+// (t = 4, 6, 8 at r = 3; 6, 8 at r = 5); other tiles take the scalar entry.
+// A staged pad level gives ±0 where the scalar kernel has 0.F, which no sum
+// that starts from +0 can tell apart; a non-finite in_scale, where they
+// differ, takes the scalar entry too.
+void wino_scatter_q4_s8_avx2(const std::int8_t* const* planes, std::int64_t height,
+                             std::int64_t width, std::int64_t pad, float in_scale,
+                             const float* bt, std::int64_t t, std::int64_t m, std::int64_t tw,
+                             std::int64_t tile0, std::int64_t ntiles, const float* v_inv,
+                             std::int8_t* v_q4, std::int64_t tap_stride) {
+  if ((t != 4 && t != 6 && t != 8) || !std::isfinite(in_scale)) {
+    scalar_kernels().wino_scatter_q4_s8(planes, height, width, pad, in_scale, bt, t, m, tw, tile0,
+                                        ntiles, v_inv, v_q4, tap_stride);
+    return;
+  }
+  ScratchArena& arena = ScratchArena::for_thread();
+  ScratchArena::Scope frame(arena);
+  // Staged row r of channel c is input row ti_lo*m - pad + r, column x
+  // input column x - pad: every tile's 8-byte row load stays inside.
+  const std::int64_t ti_lo = tile0 / tw;
+  const std::int64_t rows = ((tile0 + ntiles - 1) / tw - ti_lo) * m + t;
+  const std::int64_t cols = (tw - 1) * m + kMaxVecTile;
+  const std::int64_t lead = std::min(pad, cols);
+  const std::int64_t len = std::max<std::int64_t>(0, std::min(width, cols - lead));
+  std::int8_t* stage = arena.alloc<std::int8_t>(4 * rows * cols);
+  std::memset(stage, 0, static_cast<std::size_t>(4 * rows * cols));
+  for (std::int64_t c = 0; c < 4; ++c) {
+    if (planes[c] == nullptr) continue;
+    for (std::int64_t r = std::max<std::int64_t>(0, pad - ti_lo * m);
+         r < rows && ti_lo * m - pad + r < height; ++r) {
+      // Rows are tens of bytes: copy inline rather than through memcpy.
+      const std::int8_t* src = planes[c] + (ti_lo * m - pad + r) * width;
+      std::int8_t* dst = stage + (c * rows + r) * cols + lead;
+      std::int64_t x = 0;
+      for (; x + 16 <= len; x += 16) {
+        _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + x),
+                         _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + x)));
+      }
+      for (; x < len; ++x) dst[x] = src[x];
+    }
+  }
+  // A pad lane stores 0 whatever its arithmetic gives (a staged zero times
+  // an infinite reciprocal would not).
+  std::int8_t keep_bytes[16] = {};
+  for (int l = 0; l < 8; ++l) keep_bytes[l] = planes[l % 4] != nullptr ? std::int8_t{-1} : 0;
+  const __m128i keep = _mm_loadu_si128(reinterpret_cast<const __m128i*>(keep_bytes));
+  const auto run = [&](auto pairs) {
+    pairs(stage, rows, cols, ti_lo, m, tw, tile0, ntiles, bt, in_scale, v_inv, keep, v_q4,
+          tap_stride);
+  };
+  if (t == 4) {
+    run(scatter_q4_pairs<4>);
+  } else if (t == 6) {
+    run(scatter_q4_pairs<6>);
+  } else {
+    run(scatter_q4_pairs<8>);
+  }
+}
+
 // Blocked offset-binary GEMM. One madd accumulates a column's (k, k+1) or
 // (k+2, k+3) partial pair; pairs stay split across the k loop (col j lives in
 // int32 lanes 2j and 2j+1) and are combined once at the end. The offset is
@@ -731,120 +880,138 @@ void gemm_u8s8_s32_k4_avx2(std::int64_t m, std::int64_t n, std::int64_t kpad,
   }
 }
 
-// Blocked gather with the output quantization fused in: the flat AVX2
-// gather's vector transform produces Y + bias for 8 tiles, which is staged
-// contiguously (the same interleave the flat kernel stores to the plane) and
-// pushed through quantize_f32_s8 — elementwise and bit-exact across
-// backends, so fused and flat bytes agree. A 4-tile 128-bit group follows
-// the 8-tile groups for narrow tile rows (tw <= 4 grids the flat kernel
-// leaves scalar); edge/partial tiles take the scalar reference kernel.
+// Blocked gather with the output quantization fused in: the flat gather's
+// per-element Y = Aᵀ M A + bias for 8 consecutive block tiles, one per lane,
+// staged tile-major per output row and pushed through quantize_f32_s8 —
+// elementwise and bit-exact across backends, so fused and flat bytes agree.
+// A group takes any consecutive unclipped tiles, whatever their tile row,
+// and each lane's M x M tile is stored at its own (ti, tj), so 2x2 tile
+// grids run vectorized; a 4-tile group runs the same code with its upper
+// lanes unused. Clipped edge tiles and the 1-3 tiles left before one take
+// the scalar reference kernel. The output tile side M is a template
+// argument so each element's accumulators stay in registers; each element
+// still sums its products in the scalar k order (Aᵀ's zero entries skipped
+// in the first product, none in the second), with separate multiply and add.
+template <int M>
+void gather_q_tiles(const std::int8_t* m_block, std::int64_t block_stride, const float* sm,
+                    const float* at, std::int64_t t, std::int64_t th, std::int64_t tw,
+                    std::int64_t tile0, std::int64_t ntiles, std::int64_t oh, std::int64_t ow,
+                    float bias, float o_inv, std::int8_t* oplane) {
+  // Aᵀ broadcast once per call, and each row's nonzero columns in order
+  // (smm_nn's av == 0 skip, hoisted out of the tile loop).
+  __m256 atv[M * kMaxVecTile];
+  int nz[M][kMaxVecTile], nnz[M];
+  for (int i = 0; i < M; ++i) {
+    nnz[i] = 0;
+    for (int k = 0; k < t; ++k) {
+      atv[i * t + k] = _mm256_set1_ps(at[i * t + k]);
+      if (at[i * t + k] != 0.F) nz[i][nnz[i]++] = k;
+    }
+  }
+  const __m256 bv = _mm256_set1_ps(bias);
+  __m256 MV[kMaxVecTile * kMaxVecTile], TMP[M * kMaxVecTile];
+  float frows[M * 8 * M];  // [a][lane][b]
+  std::int8_t qrows[M * 8 * M];
+  const auto group = [&](std::int64_t tile, std::int64_t lanes) {
+    const std::int8_t* src = m_block + (tile - tile0);
+    for (std::int64_t ab = 0; ab < t * t; ++ab) {
+      __m128i lv;
+      if (lanes == 8) {
+        lv = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(src + ab * block_stride));
+      } else {
+        std::int32_t raw;  // 4-byte load: loadl would read past the block
+        std::memcpy(&raw, src + ab * block_stride, 4);
+        lv = _mm_cvtsi32_si128(raw);
+      }
+      MV[ab] = _mm256_mul_ps(_mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(lv)),
+                             _mm256_broadcast_ss(sm + ab));
+    }
+    for (std::int64_t j = 0; j < t; ++j) {  // TMP = At * M (smm_nn: skip zeros)
+#pragma GCC unroll 4
+      for (int i = 0; i < M; ++i) {
+        __m256 acc = _mm256_setzero_ps();
+        for (int n = 0; n < nnz[i]; ++n) {
+          const int k = nz[i][n];
+          acc = _mm256_add_ps(acc, _mm256_mul_ps(atv[i * t + k], MV[k * t + j]));
+        }
+        TMP[i * t + j] = acc;
+      }
+    }
+#pragma GCC unroll 4
+    for (int a = 0; a < M; ++a) {  // Y = TMP * At^T (smm_nt: no skip)
+      __m256 acc[M] = {};
+      for (std::int64_t k = 0; k < t; ++k) {
+        const __m256 tk = TMP[a * t + k];
+#pragma GCC unroll 4
+        for (int b = 0; b < M; ++b) {
+          acc[b] = _mm256_add_ps(acc[b], _mm256_mul_ps(tk, atv[b * t + k]));
+        }
+      }
+      if constexpr (M == 2) {
+        store_interleave2(frows + a * 16, _mm256_add_ps(acc[0], bv), _mm256_add_ps(acc[1], bv));
+      } else {
+        store_interleave4(frows + a * 32, _mm256_add_ps(acc[0], bv), _mm256_add_ps(acc[1], bv),
+                          _mm256_add_ps(acc[2], bv), _mm256_add_ps(acc[3], bv));
+      }
+    }
+    quantize_f32_s8_avx2(frows, qrows, M * 8 * M, o_inv);
+    // Each lane's tile lands at its own (ti, tj): one copy per output row
+    // and run of lanes that share a tile row.
+    for (std::int64_t l = 0; l < lanes;) {
+      const std::int64_t ti = (tile + l) / tw, tj = (tile + l) % tw;
+      const std::int64_t run = std::min(lanes - l, tw - tj);
+      for (int a = 0; a < M; ++a) {
+        std::memcpy(oplane + (ti * M + a) * ow + tj * M, qrows + (a * 8 + l) * M,
+                    static_cast<std::size_t>(run * M));
+      }
+      l += run;
+    }
+  };
+
+  // Tile (ti, tj) is unclipped when ti < full_rows and tj < full_cols.
+  const std::int64_t full_rows = oh / M, full_cols = ow / M;
+  std::int64_t tile = tile0;
+  const std::int64_t tend = tile0 + ntiles;
+  while (tile < tend) {
+    // Consecutive unclipped tiles from here: up to the last full tile row
+    // when every column is full, else to this row's last full column.
+    const std::int64_t ti = tile / tw, tj = tile % tw;
+    std::int64_t run = 0;
+    if (ti < full_rows && tj < full_cols) {
+      run = std::min(full_cols == tw ? full_rows * tw - tile : full_cols - tj, tend - tile);
+    }
+    if (run == 0) {  // a clipped edge tile
+      scalar_kernels().wino_gather_q_s8(m_block + (tile - tile0), block_stride, sm, at, t, M, th,
+                                        tw, tile, 1, oh, ow, bias, o_inv, oplane);
+      ++tile;
+      continue;
+    }
+    for (; run >= 8; run -= 8, tile += 8) group(tile, 8);
+    if (run >= 4) {
+      group(tile, 4);
+      run -= 4;
+      tile += 4;
+    }
+    if (run > 0) {  // the 1-3 unclipped tiles no group took
+      scalar_kernels().wino_gather_q_s8(m_block + (tile - tile0), block_stride, sm, at, t, M, th,
+                                        tw, tile, run, oh, ow, bias, o_inv, oplane);
+      tile += run;
+    }
+  }
+}
+
 void wino_gather_q_s8_avx2(const std::int8_t* m_block, std::int64_t block_stride, const float* sm,
                            const float* at, std::int64_t t, std::int64_t m, std::int64_t th,
                            std::int64_t tw, std::int64_t tile0, std::int64_t ntiles,
                            std::int64_t oh, std::int64_t ow, float bias, float o_inv,
                            std::int8_t* oplane) {
-  const __m256 bv = _mm256_set1_ps(bias);
-  const __m128 bv4 = _mm_set1_ps(bias);
-  __m256 M[kMaxVecTile * kMaxVecTile], TMP[kMaxVecTile * kMaxVecTile], Y[kMaxVecTile];
-  __m128 M4[kMaxVecTile * kMaxVecTile], TMP4[kMaxVecTile * kMaxVecTile], Y4[kMaxVecTile];
-  float frows[4 * 32];      // m rows x 8 tiles x m cols, m <= 4
-  std::int8_t qrows[4 * 32];
-  const bool vec_ok = t <= kMaxVecTile && (m == 2 || m == 4);
-
-  std::int64_t tile = tile0;
-  const std::int64_t tend = tile0 + ntiles;
-  while (tile < tend) {
-    const std::int64_t ti = tile / tw;
-    const std::int64_t tjb = tile % tw;
-    const std::int64_t tje = std::min(tw, tjb + (tend - tile));
-    std::int64_t tj = tjb;
-    if (vec_ok && ti * m + m <= oh) {
-      for (; tj + 8 <= tje && (tj + 8) * m <= ow; tj += 8) {
-        const std::int8_t* src = m_block + (ti * tw + tj - tile0);
-        for (std::int64_t ab = 0; ab < t * t; ++ab) {
-          const __m256i lv = _mm256_cvtepi8_epi32(
-              _mm_loadl_epi64(reinterpret_cast<const __m128i*>(src + ab * block_stride)));
-          M[ab] = _mm256_mul_ps(_mm256_cvtepi32_ps(lv), _mm256_set1_ps(sm[ab]));
-        }
-        for (std::int64_t i = 0; i < m; ++i) {  // TMP = At * M (smm_nn: skip zeros)
-          for (std::int64_t j = 0; j < t; ++j) {
-            __m256 acc = _mm256_setzero_ps();
-            for (std::int64_t kk = 0; kk < t; ++kk) {
-              const float av = at[i * t + kk];
-              if (av == 0.F) continue;
-              acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(av), M[kk * t + j]));
-            }
-            TMP[i * t + j] = acc;
-          }
-        }
-        for (std::int64_t a = 0; a < m; ++a) {
-          for (std::int64_t b = 0; b < m; ++b) {  // Y = TMP * At^T (smm_nt: no skip)
-            __m256 acc = _mm256_setzero_ps();
-            for (std::int64_t kk = 0; kk < t; ++kk) {
-              acc = _mm256_add_ps(acc,
-                                  _mm256_mul_ps(TMP[a * t + kk], _mm256_set1_ps(at[b * t + kk])));
-            }
-            Y[b] = _mm256_add_ps(acc, bv);
-          }
-          if (m == 2) {
-            store_interleave2(frows + a * 16, Y[0], Y[1]);
-          } else {
-            store_interleave4(frows + a * 32, Y[0], Y[1], Y[2], Y[3]);
-          }
-        }
-        quantize_f32_s8_avx2(frows, qrows, m * 8 * m, o_inv);
-        for (std::int64_t a = 0; a < m; ++a) {
-          std::memcpy(oplane + (ti * m + a) * ow + tj * m, qrows + a * 8 * m,
-                      static_cast<std::size_t>(8 * m));
-        }
-      }
-      for (; tj + 4 <= tje && (tj + 4) * m <= ow; tj += 4) {  // 4-tile group
-        const std::int8_t* src = m_block + (ti * tw + tj - tile0);
-        for (std::int64_t ab = 0; ab < t * t; ++ab) {
-          std::int32_t raw;  // 4-byte load: loadl would read past the block
-          std::memcpy(&raw, src + ab * block_stride, 4);
-          const __m128i lv = _mm_cvtepi8_epi32(_mm_cvtsi32_si128(raw));
-          M4[ab] = _mm_mul_ps(_mm_cvtepi32_ps(lv), _mm_set1_ps(sm[ab]));
-        }
-        for (std::int64_t i = 0; i < m; ++i) {
-          for (std::int64_t j = 0; j < t; ++j) {
-            __m128 acc = _mm_setzero_ps();
-            for (std::int64_t kk = 0; kk < t; ++kk) {
-              const float av = at[i * t + kk];
-              if (av == 0.F) continue;
-              acc = _mm_add_ps(acc, _mm_mul_ps(_mm_set1_ps(av), M4[kk * t + j]));
-            }
-            TMP4[i * t + j] = acc;
-          }
-        }
-        for (std::int64_t a = 0; a < m; ++a) {
-          for (std::int64_t b = 0; b < m; ++b) {
-            __m128 acc = _mm_setzero_ps();
-            for (std::int64_t kk = 0; kk < t; ++kk) {
-              acc = _mm_add_ps(acc, _mm_mul_ps(TMP4[a * t + kk], _mm_set1_ps(at[b * t + kk])));
-            }
-            Y4[b] = _mm_add_ps(acc, bv4);
-          }
-          if (m == 2) {
-            store_interleave2_128(frows + a * 8, Y4[0], Y4[1]);
-          } else {
-            store_interleave4_128(frows + a * 16, Y4[0], Y4[1], Y4[2], Y4[3]);
-          }
-        }
-        quantize_f32_s8_avx2(frows, qrows, m * 4 * m, o_inv);
-        for (std::int64_t a = 0; a < m; ++a) {
-          std::memcpy(oplane + (ti * m + a) * ow + tj * m, qrows + a * 4 * m,
-                      static_cast<std::size_t>(4 * m));
-        }
-      }
-    }
-    if (tj < tje) {  // edge/partial tiles: scalar reference path
-      scalar_kernels().wino_gather_q_s8(m_block + (ti * tw + tj - tile0), block_stride, sm, at, t,
-                                        m, th, tw, ti * tw + tj, tje - tj, oh, ow, bias, o_inv,
-                                        oplane);
-    }
-    tile += tje - tjb;
+  if (t > kMaxVecTile || (m != 2 && m != 4)) {
+    scalar_kernels().wino_gather_q_s8(m_block, block_stride, sm, at, t, m, th, tw, tile0, ntiles,
+                                      oh, ow, bias, o_inv, oplane);
+    return;
   }
+  (m == 2 ? gather_q_tiles<2> : gather_q_tiles<4>)(m_block, block_stride, sm, at, t, th, tw,
+                                                   tile0, ntiles, oh, ow, bias, o_inv, oplane);
 }
 
 }  // namespace
@@ -856,12 +1023,12 @@ const KernelTable* avx2_kernel_table() {
     t.gemm_s8_s32 = gemm_s8_s32_avx2;
     t.gemm_f32_packed_nn = gemm_f32_packed_nn_avx2;
     t.quantize_f32_s8 = quantize_f32_s8_avx2;
-    t.quantize_f32_s8_taps = quantize_f32_s8_taps_avx2;
     t.requant_s32_s8 = requant_s32_s8_avx2;
     t.requant_s32_s8_taps = requant_s32_s8_taps_avx2;
     t.residual_add_s8 = residual_add_s8_avx2;
     t.wino_gather_f32 = wino_gather_f32_avx2;
     t.wino_scatter_block_f32 = wino_scatter_block_f32_avx2;
+    t.wino_scatter_q4_s8 = wino_scatter_q4_s8_avx2;
     t.gemm_u8s8_s32_k4 = gemm_u8s8_s32_k4_avx2;
     t.wino_gather_q_s8 = wino_gather_q_s8_avx2;
     return t;

@@ -132,11 +132,6 @@ void requant_s32_s8_avx512(const std::int32_t* acc, std::int8_t* dst, std::int64
   if (i < n) scalar_kernels().requant_s32_s8(acc + i, dst + i, n - i, mult);
 }
 
-void quantize_f32_s8_taps_avx512(const float* src, std::int8_t* dst, std::int64_t taps,
-                                 std::int64_t per_tap, const float* inv_scales) {
-  quantize_f32_s8_taps_with(quantize_f32_s8_avx512, src, dst, taps, per_tap, inv_scales);
-}
-
 void requant_s32_s8_taps_avx512(const std::int32_t* acc, std::int8_t* dst, std::int64_t taps,
                                 std::int64_t per_tap, const quant::FixedPointMultiplier* mults) {
   requant_s32_s8_taps_with(requant_s32_s8_avx512, acc, dst, taps, per_tap, mults);
@@ -479,7 +474,6 @@ const KernelTable* avx512_kernel_table() {
     t.gemm_s8_s32 = gemm_s8_s32_avx512;
     t.gemm_u8s8_s32_k4 = gemm_u8s8_s32_k4_avx512;
     t.quantize_f32_s8 = quantize_f32_s8_avx512;
-    t.quantize_f32_s8_taps = quantize_f32_s8_taps_avx512;
     t.requant_s32_s8 = requant_s32_s8_avx512;
     t.requant_s32_s8_taps = requant_s32_s8_taps_avx512;
     t.residual_add_s8 = residual_add_s8_avx512;

@@ -70,9 +70,6 @@ std::vector<Entry>& entries() {
         e.resolved.gemm_f32_packed_nn = base.gemm_f32_packed_nn;
       }
       if (e.resolved.quantize_f32_s8 == nullptr) e.resolved.quantize_f32_s8 = base.quantize_f32_s8;
-      if (e.resolved.quantize_f32_s8_taps == nullptr) {
-        e.resolved.quantize_f32_s8_taps = base.quantize_f32_s8_taps;
-      }
       if (e.resolved.requant_s32_s8 == nullptr) e.resolved.requant_s32_s8 = base.requant_s32_s8;
       if (e.resolved.requant_s32_s8_taps == nullptr) {
         e.resolved.requant_s32_s8_taps = base.requant_s32_s8_taps;
@@ -81,6 +78,9 @@ std::vector<Entry>& entries() {
       if (e.resolved.wino_gather_f32 == nullptr) e.resolved.wino_gather_f32 = base.wino_gather_f32;
       if (e.resolved.wino_scatter_block_f32 == nullptr) {
         e.resolved.wino_scatter_block_f32 = base.wino_scatter_block_f32;
+      }
+      if (e.resolved.wino_scatter_q4_s8 == nullptr) {
+        e.resolved.wino_scatter_q4_s8 = base.wino_scatter_q4_s8;
       }
       if (e.resolved.gemm_u8s8_s32_k4 == nullptr) {
         e.resolved.gemm_u8s8_s32_k4 = base.gemm_u8s8_s32_k4;

@@ -53,14 +53,6 @@ struct KernelTable {
   void (*quantize_f32_s8)(const float* src, std::int8_t* dst, std::int64_t n,
                           float inv_scale) = nullptr;
 
-  /// Per-tap quantization: `taps` contiguous blocks of `per_tap` floats,
-  /// block ab quantized at inv_scales[ab]. Exactly equivalent to `taps`
-  /// calls of quantize_f32_s8 (the tap loop lives inside the backend TU so
-  /// the blocked executor's short tap-major V rows don't pay a dispatch per
-  /// tap; requant_common.hpp builds the driver once per backend).
-  void (*quantize_f32_s8_taps)(const float* src, std::int8_t* dst, std::int64_t taps,
-                               std::int64_t per_tap, const float* inv_scales) = nullptr;
-
   /// dst[i] = saturate_8(apply_multiplier(acc[i], mult)) — the fixed-point
   /// requantization loop under every int32 accumulator (im2row conv, linear,
   /// Winograd M stage). Must match quant::apply_multiplier bit-for-bit for
@@ -107,11 +99,13 @@ struct KernelTable {
   // --- Blocked-layout entries (the streaming tile-block Winograd path) -------
   //
   // The fused executor (winograd_conv_s8_blocked) processes one block of
-  // consecutive tiles of one (batch, channel) plane at a time so the V and M
+  // consecutive tiles of one batch element at a time so the V and M
   // intermediates stay in a small L1/L2-resident scratch slab. Tiles are
   // indexed flat over the th x tw grid; a block is the range
-  // [tile0, tile0 + ntiles). Per-element arithmetic is identical to the flat
-  // gather above, so flat and blocked executions are bit-identical.
+  // [tile0, tile0 + ntiles). Per-element arithmetic is the flat path's:
+  // wino_scatter_q4_s8 replays wino_scatter_block_f32 then quantize_f32_s8,
+  // wino_gather_q_s8 replays wino_gather_f32 then quantize_f32_s8, so flat
+  // and blocked executions are bit-identical.
 
   /// Winograd input transform (scatter) for tiles [tile0, tile0+ntiles) of
   /// one (batch, channel) plane: dequantize each t x t input tile at
@@ -119,12 +113,28 @@ struct KernelTable {
   /// write the t*t results of block-local tile `idx` to
   /// v_block[ab * block_stride + idx] for ab in [0, t*t). Tiles step by m
   /// with symmetric zero padding `pad`. The flat executor calls it once per
-  /// plane with the whole tile range.
+  /// plane with the whole tile range (it needs fp32 V: a dynamic V scale
+  /// and the polyphase join both read it before any quantize).
   void (*wino_scatter_block_f32)(const std::int8_t* plane, std::int64_t height,
                                  std::int64_t width, std::int64_t pad, float in_scale,
                                  const float* bt, std::int64_t t, std::int64_t m, std::int64_t th,
                                  std::int64_t tw, std::int64_t tile0, std::int64_t ntiles,
                                  float* v_block, std::int64_t block_stride) = nullptr;
+
+  /// The blocked executor's V producer: wino_scatter_block_f32, the per-tap
+  /// quantize and the k4 byte interleave fused, for one channel quad.
+  /// planes[lane] (lane in [0, 4)) is a (batch, channel) plane, or null for
+  /// a pad lane past the group's last channel. For block-local tile idx and
+  /// tap ab, lane's V element is quantized at v_inv[ab] (t*t reciprocals, a
+  /// splat for a per-tensor V scale) exactly as quantize_f32_s8 would, and
+  /// stored at v_q4[ab * tap_stride + idx * 4 + lane]; a pad lane stores 0.
+  /// The vector backends run their lanes across the quad's channels and
+  /// across consecutive block tiles, whatever their tile row.
+  void (*wino_scatter_q4_s8)(const std::int8_t* const* planes, std::int64_t height,
+                             std::int64_t width, std::int64_t pad, float in_scale,
+                             const float* bt, std::int64_t t, std::int64_t m, std::int64_t tw,
+                             std::int64_t tile0, std::int64_t ntiles, const float* v_inv,
+                             std::int8_t* v_q4, std::int64_t tap_stride) = nullptr;
 
   /// Channel-blocked int8 GEMM in offset-binary form, the Hadamard core of
   /// the fused path (and the layout vpdpbusd consumes directly):

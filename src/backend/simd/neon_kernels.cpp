@@ -12,8 +12,8 @@
 // from the scalar reference per-kernel, so this backend accelerates the
 // integer hot path (GEMM + requantization + quantization) and inherits
 // bit-exact scalar transforms. The blocked-executor entries
-// (wino_scatter_block_f32 / gemm_u8s8_s32_k4 / wino_gather_q_s8) are null
-// for the same reason — the fused path still runs on NEON hosts, just with
+// (wino_scatter_q4_s8 / gemm_u8s8_s32_k4 / wino_gather_q_s8) are null for
+// the same reason — the fused path still runs on NEON hosts, just with
 // scalar transforms and a scalar k4 GEMM; a UDOT (vdotq_u32 on the
 // offset-binary u8 side) port of gemm_u8s8_s32_k4 is the natural next
 // NEON-specific win. This table cannot be exercised on the x86 CI
@@ -182,11 +182,6 @@ void requant_s32_s8_neon(const std::int32_t* acc, std::int8_t* dst, std::int64_t
   if (i < n) scalar_kernels().requant_s32_s8(acc + i, dst + i, n - i, mult);
 }
 
-void quantize_f32_s8_taps_neon(const float* src, std::int8_t* dst, std::int64_t taps,
-                               std::int64_t per_tap, const float* inv_scales) {
-  quantize_f32_s8_taps_with(quantize_f32_s8_neon, src, dst, taps, per_tap, inv_scales);
-}
-
 void requant_s32_s8_taps_neon(const std::int32_t* acc, std::int8_t* dst, std::int64_t taps,
                               std::int64_t per_tap, const quant::FixedPointMultiplier* mults) {
   requant_s32_s8_taps_with(requant_s32_s8_neon, acc, dst, taps, per_tap, mults);
@@ -200,7 +195,6 @@ const KernelTable* neon_kernel_table() {
     t.name = "neon";
     t.gemm_s8_s32 = gemm_s8_s32_neon;
     t.quantize_f32_s8 = quantize_f32_s8_neon;
-    t.quantize_f32_s8_taps = quantize_f32_s8_taps_neon;
     t.requant_s32_s8 = requant_s32_s8_neon;
     t.requant_s32_s8_taps = requant_s32_s8_taps_neon;
     // gemm_f32_packed_nn, the Winograd transforms and the k4 GEMM stay null:

@@ -73,18 +73,4 @@ inline void requant_s32_s8_taps_with(RequantFn&& requant, const std::int32_t* ac
   }
 }
 
-/// Per-tap quantize driver, same shape as requant_s32_s8_taps_with: `taps`
-/// contiguous blocks of `per_tap` floats, block ab quantized at
-/// inv_scales[ab]. Keeping the tap loop inside the backend TU matters: the
-/// blocked executor's V slabs are tap-major with short rows (one per tile
-/// block), so a per-call dispatch per tap would dominate the sweep.
-template <typename QuantizeFn>
-inline void quantize_f32_s8_taps_with(QuantizeFn&& quantize, const float* src, std::int8_t* dst,
-                                      std::int64_t taps, std::int64_t per_tap,
-                                      const float* inv_scales) {
-  for (std::int64_t ab = 0; ab < taps; ++ab) {
-    quantize(src + ab * per_tap, dst + ab * per_tap, per_tap, inv_scales[ab]);
-  }
-}
-
 }  // namespace wa::backend::simd

@@ -59,11 +59,6 @@ void quantize_f32_s8_scalar(const float* src, std::int8_t* dst, std::int64_t n, 
   }
 }
 
-void quantize_f32_s8_taps_scalar(const float* src, std::int8_t* dst, std::int64_t taps,
-                                 std::int64_t per_tap, const float* inv_scales) {
-  quantize_f32_s8_taps_with(quantize_f32_s8_scalar, src, dst, taps, per_tap, inv_scales);
-}
-
 void requant_s32_s8_scalar(const std::int32_t* acc, std::int8_t* dst, std::int64_t n,
                            quant::FixedPointMultiplier mult) {
   requant_s32_s8_ref(acc, dst, n, mult);
@@ -166,6 +161,35 @@ void wino_scatter_block_f32_scalar(const std::int8_t* plane, std::int64_t height
   }
 }
 
+// The fused entry is the flat path's three steps composed per lane: the
+// scatter above into a tap-major fp32 row, quantize_f32_s8 of each tap's run
+// at its own reciprocal, then the byte interleave into the k4 layout.
+void wino_scatter_q4_s8_scalar(const std::int8_t* const* planes, std::int64_t height,
+                               std::int64_t width, std::int64_t pad, float in_scale,
+                               const float* bt, std::int64_t t, std::int64_t m, std::int64_t tw,
+                               std::int64_t tile0, std::int64_t ntiles, const float* v_inv,
+                               std::int8_t* v_q4, std::int64_t tap_stride) {
+  ScratchArena& arena = ScratchArena::for_thread();
+  ScratchArena::Scope frame(arena);
+  float* v_f = arena.alloc<float>(t * t * ntiles);
+  std::int8_t* q = arena.alloc<std::int8_t>(ntiles);
+  for (std::int64_t lane = 0; lane < 4; ++lane) {
+    if (planes[lane] != nullptr) {
+      wino_scatter_block_f32_scalar(planes[lane], height, width, pad, in_scale, bt, t, m, 0, tw,
+                                    tile0, ntiles, v_f, ntiles);
+    }
+    for (std::int64_t ab = 0; ab < t * t; ++ab) {
+      if (planes[lane] != nullptr) {
+        quantize_f32_s8_scalar(v_f + ab * ntiles, q, ntiles, v_inv[ab]);
+      } else {
+        std::fill(q, q + ntiles, std::int8_t{0});  // pad lane: level 0
+      }
+      std::int8_t* dst = v_q4 + ab * tap_stride + lane;
+      for (std::int64_t idx = 0; idx < ntiles; ++idx) dst[idx * 4] = q[idx];
+    }
+  }
+}
+
 void gemm_u8s8_s32_k4_scalar(std::int64_t m, std::int64_t n, std::int64_t kpad,
                              const std::uint8_t* a, const std::int8_t* b, std::int32_t* c) {
   for (std::int64_t i = 0; i < m; ++i) {
@@ -222,12 +246,12 @@ const KernelTable& scalar_kernels() {
     t.gemm_s8_s32 = gemm_s8_s32_scalar;
     t.gemm_f32_packed_nn = gemm_f32_packed_nn_scalar;
     t.quantize_f32_s8 = quantize_f32_s8_scalar;
-    t.quantize_f32_s8_taps = quantize_f32_s8_taps_scalar;
     t.requant_s32_s8 = requant_s32_s8_scalar;
     t.requant_s32_s8_taps = requant_s32_s8_taps_scalar;
     t.residual_add_s8 = residual_add_s8_scalar;
     t.wino_gather_f32 = wino_gather_f32_scalar;
     t.wino_scatter_block_f32 = wino_scatter_block_f32_scalar;
+    t.wino_scatter_q4_s8 = wino_scatter_q4_s8_scalar;
     t.gemm_u8s8_s32_k4 = gemm_u8s8_s32_k4_scalar;
     t.wino_gather_q_s8 = wino_gather_q_s8_scalar;
     return t;

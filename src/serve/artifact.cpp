@@ -7,7 +7,7 @@
 #include <utility>
 
 #include "tensor/io.hpp"
-#include "winograd/small_mat.hpp"
+#include "winograd/cook_toom.hpp"
 
 namespace wa::serve {
 
@@ -171,10 +171,10 @@ void save_conv(std::ostream& os, const ConvStage& st) {
   save_optional_tensor(os, st.bias);
 }
 
-/// Reads a Winograd stage's transform set. The executors size stack buffers
-/// by wino::kMaxTile, divide the output extent by m and index G, Bᵀ and Aᵀ as
-/// [t, r], [t, t] and [m, t] unchecked, so a checksum-valid artifact whose
-/// set breaks any of those is rejected here, before a forward can run.
+/// Reads a Winograd stage's transform set. A checksum-valid artifact whose
+/// set the kernels cannot run (wino::check_transforms) is rejected here,
+/// before a forward can run, with a runtime_error like every other
+/// malformed field.
 wino::Transforms load_transforms(std::istream& is) {
   wino::Transforms tr;
   tr.m = static_cast<int>(load_pod<std::int32_t>(is));
@@ -183,23 +183,10 @@ wino::Transforms load_transforms(std::istream& is) {
   tr.g_mat = load_tensor(is);
   tr.bt_mat = load_tensor(is);
   tr.at_mat = load_tensor(is);
-  const std::string f = "F(" + std::to_string(tr.m) + ", " + std::to_string(tr.r) + ")";
-  if (tr.m < 1 || tr.r < 1) {
-    throw std::runtime_error("load_pipeline: Winograd transform " + f + " needs m >= 1 and r >= 1");
-  }
-  const std::int64_t t = tr.tile, m = tr.m, r = tr.r;
-  if (t != m + r - 1) {
-    throw std::runtime_error("load_pipeline: Winograd tile " + std::to_string(t) +
-                             " is not m + r - 1 for " + f);
-  }
-  if (t > wino::kMaxTile) {
-    throw std::runtime_error("load_pipeline: Winograd tile " + std::to_string(t) +
-                             " exceeds the supported maximum " + std::to_string(wino::kMaxTile));
-  }
-  if (tr.g_mat.shape() != Shape{t, r} || tr.bt_mat.shape() != Shape{t, t} ||
-      tr.at_mat.shape() != Shape{m, t}) {
-    throw std::runtime_error("load_pipeline: Winograd transform matrices disagree with " + f +
-                             " (G must be [t, r], Bt [t, t], At [m, t])");
+  try {
+    wino::check_transforms(tr, "load_pipeline");
+  } catch (const std::invalid_argument& e) {
+    throw std::runtime_error(e.what());  // a malformed file, not a bad call
   }
   return tr;
 }

@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "winograd/small_mat.hpp"
+
 namespace wa::wino {
 
 std::vector<double> default_points(int n) {
@@ -122,6 +124,29 @@ Transforms to_float(const TransformsD& td) {
   t.bt_mat = mat_to_tensor(td.bt_mat);
   t.at_mat = mat_to_tensor(td.at_mat);
   return t;
+}
+
+void check_transforms(const Transforms& tr, const char* who) {
+  const std::int64_t t = tr.tile, m = tr.m, r = tr.r;
+  const auto fail = [who](const std::string& what) {
+    throw std::invalid_argument(std::string(who) + ": " + what);
+  };
+  const auto f = [&] { return "F(" + std::to_string(m) + ", " + std::to_string(r) + ")"; };
+  const auto is = [](const Tensor& mat, std::int64_t rows, std::int64_t cols) {
+    return mat.dim() == 2 && mat.size(0) == rows && mat.size(1) == cols;
+  };
+  if (m < 1 || r < 1) fail("Winograd transform " + f() + " needs m >= 1 and r >= 1");
+  if (t != m + r - 1) {
+    fail("Winograd tile " + std::to_string(t) + " is not m + r - 1 for " + f());
+  }
+  if (t > kMaxTile) {
+    fail("Winograd tile " + std::to_string(t) + " exceeds the supported maximum " +
+         std::to_string(kMaxTile));
+  }
+  if (!is(tr.g_mat, t, r) || !is(tr.bt_mat, t, t) || !is(tr.at_mat, m, t)) {
+    fail("Winograd transform matrices disagree with " + f() +
+         " (G must be [t, r], Bt [t, t], At [m, t])");
+  }
 }
 
 Transforms make_transforms(int m, int r) {

@@ -60,6 +60,14 @@ Transforms make_transforms(int m, int r, const std::vector<double>& finite_point
 /// Convert a synthesized double triple to FP32 tensors.
 Transforms to_float(const TransformsD& td);
 
+/// Refuse a transform set the tile kernels cannot run: throws
+/// std::invalid_argument, its message prefixed "<who>: ", unless m, r >= 1,
+/// tile == m + r - 1 <= kMaxTile (small_mat.hpp), G is [t, r], Bᵀ [t, t]
+/// and Aᵀ [m, t]. The kernels size their stack tiles by kMaxTile and index
+/// the three matrices unchecked, so every entry point that takes a
+/// Transforms calls this first (the .wam loader too, for file input).
+void check_transforms(const Transforms& tr, const char* who);
+
 /// Multiply polynomials given as coefficient vectors (lowest degree first).
 std::vector<double> poly_mul(const std::vector<double>& a, const std::vector<double>& b);
 

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "backend/bn_fold.hpp"
 #include "backend/conv_kernels.hpp"
@@ -128,6 +131,83 @@ TEST(WinogradTransformWeights, ShapeAndAmortization) {
   const Tensor w = Tensor::randn({8, 4, 3, 3}, rng);
   const Tensor u = winograd_transform_weights(w, tr);
   EXPECT_EQ(u.shape(), (Shape{36, 8, 4}));  // t*t = 36: the 4x memory blow-up of F4
+}
+
+// ---- transform sets the kernels cannot run ---------------------------------
+
+/// A stage cache the call checks accept for `tr`: U sized for tr.tile, every
+/// level offset-binary zero.
+WinogradWeightsS8 cache_for(const wino::Transforms& tr, std::int64_t c, std::int64_t k) {
+  WinogradWeightsS8 w;
+  w.out_channels = k;
+  w.in_channels = c;
+  w.tile = tr.tile;
+  w.scale = 0.02F;
+  w.u_blocked.assign(static_cast<std::size_t>(w.tile * w.tile * k * w.padded_in_channels()), 128);
+  return w;
+}
+
+TEST(WinogradS8, EntryPointsRejectTransformSetsTheKernelsCannotRun) {
+  // Hand-built sets whose cache still matches tr.tile: the kernels would
+  // size tile buffers by kMaxTile and index Bᵀ/Aᵀ as [t, t]/[m, t]
+  // unchecked, so each entry point must refuse them before any kernel runs.
+  std::vector<std::pair<std::string, wino::Transforms>> bad;
+  {
+    wino::Transforms tr;  // F(11, 3): tile 13 > kMaxTile, matrices of the right shapes
+    tr.m = 11;
+    tr.r = 3;
+    tr.tile = 13;
+    tr.g_mat = Tensor::zeros({13, 3});
+    tr.bt_mat = Tensor::zeros({13, 13});
+    tr.at_mat = Tensor::zeros({11, 13});
+    bad.emplace_back("tile 13", tr);
+  }
+  {
+    wino::Transforms tr = wino::make_transforms(2, 3);
+    tr.bt_mat = Tensor::zeros({1, 1});
+    bad.emplace_back("[1, 1] Bt", tr);
+  }
+  {
+    wino::Transforms tr = wino::make_transforms(4, 3);
+    tr.at_mat = Tensor::zeros({1, 1});
+    bad.emplace_back("[1, 1] At", tr);
+  }
+  {
+    wino::Transforms tr = wino::make_transforms(2, 3);
+    tr.tile = 5;  // not m + r - 1
+    tr.bt_mat = Tensor::zeros({5, 5});
+    tr.g_mat = Tensor::zeros({5, 3});
+    tr.at_mat = Tensor::zeros({2, 5});
+    bad.emplace_back("tile != m + r - 1", tr);
+  }
+  Rng rng(17);
+  const std::int64_t c = 5, k = 4;
+  const ConvGeometry g = geo(1, c, 8, 8, k);
+  const QTensor in = quantize_s8(Tensor::randn({1, c, 8, 8}, rng));
+  const Tensor w = Tensor::randn({k, c, 3, 3}, rng);
+  const WinogradStageScales frozen{.weights_transformed = 0.02F,
+                                   .input_transformed = 0.1F,
+                                   .hadamard = 0.05F,
+                                   .output = 0.1F};
+  for (const auto& [name, tr] : bad) {
+    SCOPED_TRACE(name);
+    const WinogradWeightsS8 cache = cache_for(tr, c, k);
+    EXPECT_THROW(winograd_conv_s8_prepared(in, cache, g, tr, frozen), std::invalid_argument);
+    EXPECT_THROW(winograd_conv_s8_flat(in, cache, g, tr, frozen), std::invalid_argument);
+    EXPECT_THROW(prepare_winograd_weights_s8(w, tr), std::invalid_argument);
+    EXPECT_THROW(winograd_transform_weights(w, tr), std::invalid_argument);
+    EXPECT_THROW(winograd_conv_prepared(Tensor::randn({1, c, 8, 8}, rng),
+                                        Tensor::zeros({tr.tile * tr.tile, k, c}), g, tr),
+                 std::invalid_argument);
+  }
+  // The stride-2 entry points take an F(m, 2) set for the polyphase phase.
+  wino::Transforms tr22 = wino::make_transforms(2, 2);
+  StridedWinogradWeightsS8 sw = prepare_strided_winograd_weights_s8(w, tr22);
+  tr22.bt_mat = Tensor::zeros({1, 1});
+  ConvGeometry g2 = g;
+  g2.stride = 2;
+  EXPECT_THROW(strided_winograd_conv_s8_prepared(in, sw, g2, tr22), std::invalid_argument);
+  EXPECT_THROW(prepare_strided_winograd_weights_s8(w, tr22), std::invalid_argument);
 }
 
 // ---- int8 kernels -----------------------------------------------------------

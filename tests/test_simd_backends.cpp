@@ -146,12 +146,12 @@ TEST(SimdRegistry, EveryResolvedEntryIsCallable) {
     EXPECT_NE(t.gemm_s8_s32, nullptr);
     EXPECT_NE(t.gemm_f32_packed_nn, nullptr);
     EXPECT_NE(t.quantize_f32_s8, nullptr);
-    EXPECT_NE(t.quantize_f32_s8_taps, nullptr);
     EXPECT_NE(t.requant_s32_s8, nullptr);
     EXPECT_NE(t.requant_s32_s8_taps, nullptr);
     EXPECT_NE(t.residual_add_s8, nullptr);
     EXPECT_NE(t.wino_gather_f32, nullptr);
     EXPECT_NE(t.wino_scatter_block_f32, nullptr);
+    EXPECT_NE(t.wino_scatter_q4_s8, nullptr);
     EXPECT_NE(t.gemm_u8s8_s32_k4, nullptr);
     EXPECT_NE(t.wino_gather_q_s8, nullptr);
   }
@@ -297,30 +297,6 @@ TEST_P(SimdBackendTest, RequantTapsMatchesScalarAndPerBlockSweeps) {
   EXPECT_EQ(got, blockwise);
 }
 
-TEST_P(SimdBackendTest, QuantizeTapsMatchesScalarAndPerBlockSweeps) {
-  // Same contract for the per-tap quantize entry: equivalent to `taps` calls
-  // of the backend's own flat quantize_f32_s8, and bit-identical to the
-  // scalar reference.
-  Rng rng(99);
-  const std::int64_t taps = 36;     // t² for F(4x4, 3x3)
-  const std::int64_t per_tap = 29;  // odd: exercises each block's vector tail
-  std::vector<float> src(static_cast<std::size_t>(taps * per_tap));
-  for (auto& v : src) v = static_cast<float>((rng.uniform() * 2.0 - 1.0) * 40.0);
-  std::vector<float> inv(static_cast<std::size_t>(taps));
-  for (std::size_t ab = 0; ab < inv.size(); ++ab) {
-    inv[ab] = 1.F / (0.01F + 0.02F * static_cast<float>(ab));  // includes saturating taps
-  }
-  std::vector<std::int8_t> got(src.size(), 7), want(src.size(), -7), blockwise(src.size(), 9);
-  kernels().quantize_f32_s8_taps(src.data(), got.data(), taps, per_tap, inv.data());
-  scalar_kernels().quantize_f32_s8_taps(src.data(), want.data(), taps, per_tap, inv.data());
-  EXPECT_EQ(got, want);
-  for (std::int64_t ab = 0; ab < taps; ++ab) {
-    kernels().quantize_f32_s8(src.data() + ab * per_tap, blockwise.data() + ab * per_tap, per_tap,
-                              inv[static_cast<std::size_t>(ab)]);
-  }
-  EXPECT_EQ(got, blockwise);
-}
-
 TEST_P(SimdBackendTest, WinogradGatherMatchesScalarOnEdgeTilesAndBias) {
   Rng rng(95);
   struct Cfg {
@@ -400,6 +376,108 @@ TEST_P(SimdBackendTest, WinogradScatterBlockMatchesScalarOnTileRanges) {
   }
 }
 
+TEST_P(SimdBackendTest, WinogradScatterQ4MatchesScalarOnTileRanges) {
+  // The blocked executor's fused V producer: one channel quad's input
+  // transform, per-tap quantize and k4 interleave. The vector lanes run
+  // across the quad's channels and across consecutive block tiles, so the
+  // cases cover tile rows 1, 2 and 3 tiles wide and at least 8 wide, blocks
+  // that start mid-row and span rows, a pad lane in each position, and V
+  // values that saturate at ±127.
+  Rng rng(204);
+  struct Cfg {
+    int m, r;
+    std::int64_t hw, pad;
+  };
+  // Tile rows (tw): F2 1/2/3/9, F4 1/2/3/4/9, F6 1/3/9, F4 r=5 2/9; F6 r=5
+  // (t = 10) is wider than the vector kernels take.
+  for (const Cfg cfg : {Cfg{2, 3, 3, 0}, Cfg{2, 3, 4, 1}, Cfg{2, 3, 6, 1}, Cfg{2, 3, 17, 1},
+                        Cfg{4, 3, 4, 1}, Cfg{4, 3, 8, 1}, Cfg{4, 3, 11, 1}, Cfg{4, 3, 13, 2},
+                        Cfg{4, 3, 34, 1}, Cfg{6, 3, 8, 0}, Cfg{6, 3, 15, 1}, Cfg{6, 3, 50, 1},
+                        Cfg{4, 5, 8, 2}, Cfg{4, 5, 36, 2}, Cfg{6, 5, 16, 2}}) {
+    const auto tr = wino::make_transforms(cfg.m, cfg.r);
+    const std::int64_t t = tr.tile, m = tr.m, t2 = t * t;
+    const std::int64_t oh = cfg.hw + 2 * cfg.pad - cfg.r + 1;
+    const std::int64_t th = (oh + m - 1) / m, tw = th;
+    const std::int64_t tiles = th * tw;
+    // Four planes; pads = 0 is a full quad, bit l drops lane l.
+    std::vector<std::vector<std::int8_t>> data;
+    for (int lane = 0; lane < 4; ++lane) data.push_back(random_s8(rng, cfg.hw * cfg.hw));
+    // Splat reciprocals (a per-tensor V scale), distinct per-tap ones, and
+    // ones large enough that most V values clamp at ±127.
+    std::vector<float> splat(static_cast<std::size_t>(t2), 1.F / 0.9F);
+    std::vector<float> taps(static_cast<std::size_t>(t2)), hot(static_cast<std::size_t>(t2));
+    for (std::size_t ab = 0; ab < taps.size(); ++ab) {
+      taps[ab] = 1.F / (0.05F + 0.11F * static_cast<float>(ab));
+      hot[ab] = 40.F + static_cast<float>(ab);
+    }
+    for (const std::int64_t bs : {std::int64_t{1}, std::int64_t{3}, std::int64_t{5}, tiles}) {
+      for (const unsigned pads : {0U, 1U, 2U, 4U, 8U, 7U}) {
+        for (const auto* v_inv : {&splat, &taps, &hot}) {
+          SCOPED_TRACE("m=" + std::to_string(cfg.m) + " r=" + std::to_string(cfg.r) +
+                       " hw=" + std::to_string(cfg.hw) + " pad=" + std::to_string(cfg.pad) +
+                       " block=" + std::to_string(bs) + " pad lanes=" + std::to_string(pads) +
+                       " v_inv=" + (v_inv == &splat ? "splat" : v_inv == &taps ? "taps" : "hot"));
+          const std::int8_t* planes[4];
+          for (unsigned lane = 0; lane < 4; ++lane) {
+            planes[lane] = (pads >> lane & 1U) != 0 ? nullptr : data[lane].data();
+          }
+          for (std::int64_t tile0 = 0; tile0 < tiles; tile0 += bs) {
+            const std::int64_t nt = std::min(bs, tiles - tile0);
+            // Taps sit tap_stride = 4 * nt + 8 bytes apart: the gap bytes
+            // must survive, so neither kernel writes outside its quad.
+            const std::int64_t stride = 4 * nt + 8;
+            std::vector<std::int8_t> got(static_cast<std::size_t>(t2 * stride), 99);
+            std::vector<std::int8_t> want(got);
+            kernels().wino_scatter_q4_s8(planes, cfg.hw, cfg.hw, cfg.pad, 0.043F, tr.bt_mat.raw(),
+                                         t, m, tw, tile0, nt, v_inv->data(), got.data(), stride);
+            scalar_kernels().wino_scatter_q4_s8(planes, cfg.hw, cfg.hw, cfg.pad, 0.043F,
+                                                tr.bt_mat.raw(), t, m, tw, tile0, nt,
+                                                v_inv->data(), want.data(), stride);
+            ASSERT_EQ(got, want) << "tile0=" << tile0;
+          }
+        }
+      }
+    }
+  }
+  {
+    // A learned Bᵀ has no zero entry to skip. All-positive entries at an
+    // infinite input scale also make the zero padding's arithmetic visible:
+    // the scalar kernel's padding is 0, so every V element sums to +inf and
+    // clamps to 127, where a padding of 0 * inf would give NaN and -127. An
+    // infinite reciprocal does the same to a pad lane, which stores 0. The
+    // geometry is F(4, 3) on an 8x8 plane, pad 1: a 2x2 tile grid.
+    const std::int64_t m = 4, t = 6, t2 = t * t, hw = 8, tw = 2, tiles = 4;
+    Tensor bt(Shape{t, t});
+    for (std::int64_t i = 0; i < t2; ++i) {
+      bt.at(i) = 0.25F + 0.5F * static_cast<float>(rng.uniform());
+    }
+    std::vector<std::vector<std::int8_t>> data;
+    for (int lane = 0; lane < 4; ++lane) {
+      data.push_back(random_s8(rng, hw * hw));
+      for (auto& v : data.back()) v = static_cast<std::int8_t>(std::max(1, std::abs(v)));
+    }
+    const float inf = std::numeric_limits<float>::infinity();
+    for (const auto& [in_scale, inv] : {std::pair{0.043F, 1.F / 0.7F}, std::pair{inf, 1.F / 0.7F},
+                                        std::pair{0.043F, inf}}) {
+      const std::vector<float> v_inv(static_cast<std::size_t>(t2), inv);
+      for (const unsigned pads : {0U, 4U}) {
+        SCOPED_TRACE("in_scale=" + std::to_string(in_scale) + " v_inv=" + std::to_string(inv) +
+                     " pad lanes=" + std::to_string(pads));
+        const std::int8_t* planes[4];
+        for (unsigned lane = 0; lane < 4; ++lane) {
+          planes[lane] = (pads >> lane & 1U) != 0 ? nullptr : data[lane].data();
+        }
+        std::vector<std::int8_t> got(static_cast<std::size_t>(t2 * tiles * 4), 99), want(got);
+        kernels().wino_scatter_q4_s8(planes, hw, hw, 1, in_scale, bt.raw(), t, m, tw, 0, tiles,
+                                     v_inv.data(), got.data(), tiles * 4);
+        scalar_kernels().wino_scatter_q4_s8(planes, hw, hw, 1, in_scale, bt.raw(), t, m, tw, 0,
+                                            tiles, v_inv.data(), want.data(), tiles * 4);
+        EXPECT_EQ(got, want);
+      }
+    }
+  }
+}
+
 std::vector<std::uint8_t> random_u8(Rng& rng, std::int64_t n) {
   std::vector<std::uint8_t> v(static_cast<std::size_t>(n));
   for (auto& x : v) x = static_cast<std::uint8_t>(std::lround(rng.uniform() * 255.0));
@@ -445,8 +523,10 @@ TEST_P(SimdBackendTest, WinogradGatherQMatchesScalarOnTileRangesAndBias) {
     int m, r;
     std::int64_t oh;
   };
+  // oh = 8/5 at F4 and 4/3 at F2 are the 2x2 tile grids (clipped or not)
+  // whose vector groups cross tile rows.
   for (const Cfg cfg : {Cfg{2, 3, 8}, Cfg{2, 3, 7}, Cfg{2, 3, 34}, Cfg{4, 3, 16}, Cfg{4, 3, 13},
-                        Cfg{4, 5, 12}}) {
+                        Cfg{4, 5, 12}, Cfg{4, 3, 8}, Cfg{4, 3, 5}, Cfg{2, 3, 4}, Cfg{2, 3, 3}}) {
     const auto tr = wino::make_transforms(cfg.m, cfg.r);
     const std::int64_t t = tr.tile, m = tr.m;
     const std::int64_t th = (cfg.oh + m - 1) / m, tw = th;
@@ -579,10 +659,11 @@ TEST_P(SimdBackendTest, BlockedWinogradIsBitIdenticalToFlatAcrossShapes) {
     int m;
     std::int64_t c, k, hw;
   };
-  // Odd H/W force clipped edge tiles; C = 1/3/5 are not multiples of the
-  // channel block (pad-lane cancellation); C = 8 divides it exactly.
+  // Odd H/W force clipped edge tiles; C = 1/3/5/6/7 are not multiples of
+  // the channel block (pad-lane cancellation); C = 8 divides it exactly.
+  // F4 at 8x8 and F2 at 4x4 are 2x2 tile grids.
   for (const Cfg cfg : {Cfg{2, 1, 4, 7}, Cfg{2, 3, 8, 9}, Cfg{2, 8, 8, 12}, Cfg{4, 5, 8, 9},
-                        Cfg{4, 3, 4, 13}, Cfg{4, 8, 16, 16}}) {
+                        Cfg{4, 3, 4, 13}, Cfg{4, 8, 16, 16}, Cfg{4, 6, 8, 8}, Cfg{2, 7, 8, 4}}) {
     SCOPED_TRACE("m=" + std::to_string(cfg.m) + " c=" + std::to_string(cfg.c) +
                  " k=" + std::to_string(cfg.k) + " hw=" + std::to_string(cfg.hw));
     const auto tr = wino::make_transforms(cfg.m, 3);
@@ -655,7 +736,8 @@ TEST_P(SimdBackendTest, BlockedWinogradIsBitIdenticalAcrossTeamSizes) {
     bool per_tap, masked, with_bias, donate;
   };
   // K = 6/10/36 leave slices of unequal height and threads with no slice;
-  // C = 3/5 per group leave pad lanes; hw = 18 at F2 gives two tile blocks.
+  // C = 3/5 per group leave pad lanes; hw = 18 at F2 gives two tile blocks;
+  // hw = 8 at F4 is a 2x2 tile grid.
   for (const Cfg cfg :
        {Cfg{2, 3, 6, 1, 1, 9, false, false, true, false},
         Cfg{4, 5, 10, 1, 3, 11, true, false, false, true},
@@ -664,7 +746,8 @@ TEST_P(SimdBackendTest, BlockedWinogradIsBitIdenticalAcrossTeamSizes) {
         Cfg{2, 3, 4, 2, 3, 8, false, true, false, true},
         Cfg{4, 5, 6, 4, 1, 12, true, false, true, false},
         Cfg{4, 3, 6, 2, 1, 9, true, true, true, true},
-        Cfg{2, 5, 4, 4, 1, 18, false, false, true, false}}) {
+        Cfg{2, 5, 4, 4, 1, 18, false, false, true, false},
+        Cfg{4, 5, 10, 1, 2, 8, true, false, true, true}}) {
     const std::int64_t K = cfg.kg * cfg.groups, C = cfg.cg * cfg.groups;
     SCOPED_TRACE("m=" + std::to_string(cfg.m) + " C=" + std::to_string(C) +
                  " K=" + std::to_string(K) + " groups=" + std::to_string(cfg.groups) +
