@@ -466,9 +466,9 @@ QTensor winograd_conv_s8_blocked(const QTensor& input, const WinogradWeightsS8& 
     tid = omp_get_thread_num();
 #endif
     // Per-phase timing, only for traced forwards (phase_ns non-null): each
-    // thread's own CPU time, two clock reads per phase per block, added to
+    // thread's own CPU time, one clock read per phase per block, added to
     // the shared counters once at the end.
-    std::int64_t ns_scatter = 0, ns_gemm = 0, ns_requant = 0, ns_gather = 0;
+    std::int64_t ns_scatter = 0, ns_wait = 0, ns_gemm = 0, ns_requant = 0, ns_gather = 0;
     auto t_prev =
         timed ? std::chrono::steady_clock::now() : std::chrono::steady_clock::time_point{};
     const auto phase_mark = [&](std::int64_t& acc) {
@@ -508,7 +508,7 @@ QTensor winograd_conv_s8_blocked(const QTensor& input, const WinogradWeightsS8& 
         // quad) per kernel call, written straight into v_blk's k4 layout
         // (tap ab of the quad at v_blk + ((ab * gs + gi) * cq + cb) * nt * 4).
         // Lanes past the group's last channel are pad lanes (level 0).
-#pragma omp for schedule(static)
+#pragma omp for schedule(static) nowait
         for (std::int64_t pair = 0; pair < gs * cq; ++pair) {
           const std::int64_t gi = pair / cq, cb = pair % cq;
           const std::int8_t* planes[kWinoChannelBlock];
@@ -521,9 +521,12 @@ QTensor winograd_conv_s8_blocked(const QTensor& input, const WinogradWeightsS8& 
                                 tw, tile0, nt, taps.v_inv, v_blk + pair * nt * kWinoChannelBlock,
                                 gs * cpad * nt);
         }
-        // The barrier above (every V quad is in v_blk; every thread is done
-        // with the previous block's M rows) counts as scatter.
         phase_mark(ns_scatter);
+        // The block's one barrier: every V quad is in v_blk, and every thread
+        // is done with the previous block's M rows. A thread's time here is
+        // the wait for the team's slowest scatter.
+#pragma omp barrier
+        phase_mark(ns_wait);
 
         // Hadamard: per tap, one GEMM per slice against the pre-blocked U
         // (group gi's filters are rows [gi*kg, gi*kg+kg) of the tap's U
@@ -543,15 +546,13 @@ QTensor winograd_conv_s8_blocked(const QTensor& input, const WinogradWeightsS8& 
           }
         }
         phase_mark(ns_gemm);
-        if (k_lo == 0 && k_hi == K) {
-          // The whole block (a team of 1): m_acc is tap-major ([t², K, nt]),
-          // so the requant is one sweep, or one K*nt block per tap.
-          if (per_tap) {
-            kt.requant_s32_s8_taps(m_acc, m_q, t2, K * nt, taps.m_mult);
-          } else {
-            kt.requant_s32_s8(m_acc, m_q, t2 * K * nt, taps.m_mult[0]);
-          }
+        if (k_lo == 0 && k_hi == K && !per_tap) {
+          // A per-tensor whole block (a team of 1): m_acc is tap-major
+          // ([t², K, nt]) under one multiplier, so the requant is one sweep.
+          kt.requant_s32_s8(m_acc, m_q, t2 * K * nt, taps.m_mult[0]);
         } else {
+          // Per tap, this thread's [k_lo, k_hi) rows (one K*nt block per tap
+          // when the slice is the whole block).
           for (std::int64_t ab = 0; ab < t2; ++ab) {
             kt.requant_s32_s8(m_acc + (ab * K + k_lo) * nt, m_q + (ab * K + k_lo) * nt,
                               (k_hi - k_lo) * nt, taps.m_mult[ab]);
@@ -571,6 +572,7 @@ QTensor winograd_conv_s8_blocked(const QTensor& input, const WinogradWeightsS8& 
     }
     if (timed) {
       phase_ns->scatter.fetch_add(ns_scatter, std::memory_order_relaxed);
+      phase_ns->wait.fetch_add(ns_wait, std::memory_order_relaxed);
       phase_ns->gemm.fetch_add(ns_gemm, std::memory_order_relaxed);
       phase_ns->requant.fetch_add(ns_requant, std::memory_order_relaxed);
       phase_ns->gather.fetch_add(ns_gather, std::memory_order_relaxed);
@@ -587,9 +589,9 @@ QTensor winograd_conv_s8_blocked(const QTensor& input, const WinogradWeightsS8& 
 }
 
 /// Wall-clock marks at the flat sequence's stage boundaries: its stages run
-/// whole-tensor one after another, so one mark per boundary reports the same
-/// scatter/gemm/requant/gather split the blocked executor does. A null
-/// accumulator (every untraced forward) never reads the clock.
+/// whole-tensor one after another, so one mark per boundary reports the
+/// blocked executor's scatter/gemm/requant/gather split (with no barrier
+/// wait). A null accumulator (every untraced forward) never reads the clock.
 class PhaseClock {
  public:
   explicit PhaseClock(WinoPhaseNs* acc) : acc_(acc) {

@@ -141,18 +141,21 @@ WinogradWeightsS8 prepare_winograd_weights_s8(const Tensor& weights_fp32,
 /// adds its nanoseconds per phase with relaxed atomics (once per call on the
 /// blocked path, once per stage on the flat path), so the totals are
 /// CPU-time aggregates across the OpenMP team, not wall-clock intervals. On
-/// the blocked path a thread's wait at each block's one barrier counts as
-/// scatter.
+/// the blocked path a thread's wait at each block's one barrier, after the
+/// scatter, is its own phase; the flat path has no such barrier and leaves
+/// it 0.
 /// A null accumulator (the default, and every untraced forward) costs
 /// nothing — the executors never read the clock for it.
 struct WinoPhaseNs {
   std::atomic<std::int64_t> scatter{0};  // input transform + V quantize + interleave
+  std::atomic<std::int64_t> wait{0};     // blocked path: the barrier after each block's scatter
   std::atomic<std::int64_t> gemm{0};     // t² Hadamard GEMMs
   std::atomic<std::int64_t> requant{0};  // M int32 -> int8 fixed-point requant
   std::atomic<std::int64_t> gather{0};   // inverse transform + output quantize
   std::int64_t total() const {
-    return scatter.load(std::memory_order_relaxed) + gemm.load(std::memory_order_relaxed) +
-           requant.load(std::memory_order_relaxed) + gather.load(std::memory_order_relaxed);
+    return scatter.load(std::memory_order_relaxed) + wait.load(std::memory_order_relaxed) +
+           gemm.load(std::memory_order_relaxed) + requant.load(std::memory_order_relaxed) +
+           gather.load(std::memory_order_relaxed);
   }
 };
 

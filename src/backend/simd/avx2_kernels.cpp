@@ -296,11 +296,6 @@ void requant_s32_s8_avx2(const std::int32_t* acc, std::int8_t* dst, std::int64_t
   if (i < n) scalar_kernels().requant_s32_s8(acc + i, dst + i, n - i, mult);
 }
 
-void requant_s32_s8_taps_avx2(const std::int32_t* acc, std::int8_t* dst, std::int64_t taps,
-                              std::int64_t per_tap, const quant::FixedPointMultiplier* mults) {
-  requant_s32_s8_taps_with(requant_s32_s8_avx2, acc, dst, taps, per_tap, mults);
-}
-
 // ---- residual join ----------------------------------------------------------
 //
 // 32 int8 pairs per step as four 8-lane int32 vectors. Each branch is the
@@ -1024,7 +1019,6 @@ const KernelTable* avx2_kernel_table() {
     t.gemm_f32_packed_nn = gemm_f32_packed_nn_avx2;
     t.quantize_f32_s8 = quantize_f32_s8_avx2;
     t.requant_s32_s8 = requant_s32_s8_avx2;
-    t.requant_s32_s8_taps = requant_s32_s8_taps_avx2;
     t.residual_add_s8 = residual_add_s8_avx2;
     t.wino_gather_f32 = wino_gather_f32_avx2;
     t.wino_scatter_block_f32 = wino_scatter_block_f32_avx2;

@@ -132,11 +132,6 @@ void requant_s32_s8_avx512(const std::int32_t* acc, std::int8_t* dst, std::int64
   if (i < n) scalar_kernels().requant_s32_s8(acc + i, dst + i, n - i, mult);
 }
 
-void requant_s32_s8_taps_avx512(const std::int32_t* acc, std::int8_t* dst, std::int64_t taps,
-                                std::int64_t per_tap, const quant::FixedPointMultiplier* mults) {
-  requant_s32_s8_taps_with(requant_s32_s8_avx512, acc, dst, taps, per_tap, mults);
-}
-
 // ---- residual join ----------------------------------------------------------
 //
 // 16 int8 pairs per step, widened to int32. Each branch is the identity or
@@ -475,7 +470,6 @@ const KernelTable* avx512_kernel_table() {
     t.gemm_u8s8_s32_k4 = gemm_u8s8_s32_k4_avx512;
     t.quantize_f32_s8 = quantize_f32_s8_avx512;
     t.requant_s32_s8 = requant_s32_s8_avx512;
-    t.requant_s32_s8_taps = requant_s32_s8_taps_avx512;
     t.residual_add_s8 = residual_add_s8_avx512;
     // Everything else inherits the resolved AVX2 entries (kernel_table.cpp
     // fills nulls from avx2 when it is compiled in, else scalar).

@@ -71,9 +71,6 @@ std::vector<Entry>& entries() {
       }
       if (e.resolved.quantize_f32_s8 == nullptr) e.resolved.quantize_f32_s8 = base.quantize_f32_s8;
       if (e.resolved.requant_s32_s8 == nullptr) e.resolved.requant_s32_s8 = base.requant_s32_s8;
-      if (e.resolved.requant_s32_s8_taps == nullptr) {
-        e.resolved.requant_s32_s8_taps = base.requant_s32_s8_taps;
-      }
       if (e.resolved.residual_add_s8 == nullptr) e.resolved.residual_add_s8 = base.residual_add_s8;
       if (e.resolved.wino_gather_f32 == nullptr) e.resolved.wino_gather_f32 = base.wino_gather_f32;
       if (e.resolved.wino_scatter_block_f32 == nullptr) {

@@ -60,17 +60,6 @@ struct KernelTable {
   void (*requant_s32_s8)(const std::int32_t* acc, std::int8_t* dst, std::int64_t n,
                          quant::FixedPointMultiplier mult) = nullptr;
 
-  /// Per-tap (vector-of-ratios) requantization: `taps` contiguous blocks of
-  /// `per_tap` accumulators, block ab requantized with mults[ab]. Exactly
-  /// equivalent to `taps` calls of requant_s32_s8 — the Winograd executors
-  /// lay M out tap-major ([t*t, ...]), so each tap's multiplier is
-  /// loop-invariant over its block and the backend's flat vector loop runs
-  /// unchanged per tap (requant_common.hpp builds this driver once; each
-  /// backend instantiates it with its own flat kernel).
-  void (*requant_s32_s8_taps)(const std::int32_t* acc, std::int8_t* dst, std::int64_t taps,
-                              std::int64_t per_tap,
-                              const quant::FixedPointMultiplier* mults) = nullptr;
-
   /// Residual join of two int8 branches onto one output scale:
   ///   out[i] = clamp(relu(r_a(a[i]) + r_b(b[i])), -127, 127)
   /// where r(v) is v for a null multiplier (the exact ratio-1 identity) and

@@ -182,11 +182,6 @@ void requant_s32_s8_neon(const std::int32_t* acc, std::int8_t* dst, std::int64_t
   if (i < n) scalar_kernels().requant_s32_s8(acc + i, dst + i, n - i, mult);
 }
 
-void requant_s32_s8_taps_neon(const std::int32_t* acc, std::int8_t* dst, std::int64_t taps,
-                              std::int64_t per_tap, const quant::FixedPointMultiplier* mults) {
-  requant_s32_s8_taps_with(requant_s32_s8_neon, acc, dst, taps, per_tap, mults);
-}
-
 }  // namespace
 
 const KernelTable* neon_kernel_table() {
@@ -196,7 +191,6 @@ const KernelTable* neon_kernel_table() {
     t.gemm_s8_s32 = gemm_s8_s32_neon;
     t.quantize_f32_s8 = quantize_f32_s8_neon;
     t.requant_s32_s8 = requant_s32_s8_neon;
-    t.requant_s32_s8_taps = requant_s32_s8_taps_neon;
     // gemm_f32_packed_nn, the Winograd transforms and the k4 GEMM stay null:
     // the registry fills them from the scalar reference.
     return t;

@@ -1,12 +1,9 @@
-// Shared fixed-point requantization logic for the SIMD backends.
-//
-// Before the per-tap refactor, the scalar reference loop's contract plus the
-// vector-path regime guard and rounding-mask derivation were restated in
-// three TUs (scalar/avx2/avx512, and again in neon). They are
-// bit-exactness-critical — a backend that disagrees with the scalar
-// reference on any (acc, mult) pair corrupts logits silently — so the per-tap
-// vector-of-ratios entry point is built here ONCE and instantiated per
-// backend, instead of growing a fourth copy.
+// Shared fixed-point requantization logic for the SIMD backends: the scalar
+// reference loop's contract, the vector-path regime guards and the
+// rounding-mask derivation. They are bit-exactness-critical — a backend that
+// disagrees with the scalar reference on any (acc, mult) pair corrupts
+// logits silently — so each is stated here once instead of in every backend
+// TU (scalar/avx2/avx512/neon).
 #pragma once
 
 #include <cstdint>
@@ -55,22 +52,6 @@ constexpr bool join_vector_regime(const quant::FixedPointMultiplier* mult) {
 constexpr std::int32_t requant_round_mask(int s) {
   return (s == 31) ? std::numeric_limits<std::int32_t>::max()
                    : ((std::int32_t{1} << s) - 1);
-}
-
-/// Per-tap driver: requantize `taps` contiguous blocks of `per_tap`
-/// accumulators, block ab with mults[ab]. The blocked Winograd executor's t^2
-/// tap GEMMs land their int32 accumulators per-tap-contiguous, so each tap's
-/// multiplier is loop-invariant across its whole sweep and the backend's flat
-/// vector kernel applies unchanged per block. Instantiated by each backend
-/// with its own flat kernel so the per-tap entry inherits that backend's
-/// vector path (and its scalar fallback for out-of-regime multipliers).
-template <typename RequantFn>
-inline void requant_s32_s8_taps_with(RequantFn&& requant, const std::int32_t* acc,
-                                     std::int8_t* dst, std::int64_t taps, std::int64_t per_tap,
-                                     const quant::FixedPointMultiplier* mults) {
-  for (std::int64_t ab = 0; ab < taps; ++ab) {
-    requant(acc + ab * per_tap, dst + ab * per_tap, per_tap, mults[ab]);
-  }
 }
 
 }  // namespace wa::backend::simd

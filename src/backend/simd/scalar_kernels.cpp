@@ -64,11 +64,6 @@ void requant_s32_s8_scalar(const std::int32_t* acc, std::int8_t* dst, std::int64
   requant_s32_s8_ref(acc, dst, n, mult);
 }
 
-void requant_s32_s8_taps_scalar(const std::int32_t* acc, std::int8_t* dst, std::int64_t taps,
-                                std::int64_t per_tap, const quant::FixedPointMultiplier* mults) {
-  requant_s32_s8_taps_with(requant_s32_s8_scalar, acc, dst, taps, per_tap, mults);
-}
-
 void residual_add_s8_scalar(const std::int8_t* a, const std::int8_t* b, std::int8_t* out,
                             std::int64_t n, const quant::FixedPointMultiplier* a_mult,
                             const quant::FixedPointMultiplier* b_mult, bool relu) {
@@ -247,7 +242,6 @@ const KernelTable& scalar_kernels() {
     t.gemm_f32_packed_nn = gemm_f32_packed_nn_scalar;
     t.quantize_f32_s8 = quantize_f32_s8_scalar;
     t.requant_s32_s8 = requant_s32_s8_scalar;
-    t.requant_s32_s8_taps = requant_s32_s8_taps_scalar;
     t.residual_add_s8 = residual_add_s8_scalar;
     t.wino_gather_f32 = wino_gather_f32_scalar;
     t.wino_scatter_block_f32 = wino_scatter_block_f32_scalar;

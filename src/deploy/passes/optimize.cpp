@@ -14,9 +14,10 @@ OptimizeReport optimize_pipeline(Int8Pipeline& pipe, const OptimizeOptions& opts
     report.planned_peak_bytes = plan->peak_bytes;
     report.naive_peak_bytes = plan->naive_peak_bytes;
   }
-  // Final wiring re-validation: every rewrite above re-pushed its nodes, but
-  // a cheap end-to-end resolve keeps "passes leave valid graphs" a checked
-  // invariant rather than a convention.
+  // Final wiring check: every rewrite above re-pushed its nodes, which wired
+  // each one; the dead-slot rule, which push cannot apply, runs here so
+  // "passes leave valid graphs" stays a checked invariant rather than a
+  // convention.
   pipe.resolve_wiring();
   return report;
 }

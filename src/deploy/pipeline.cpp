@@ -193,15 +193,15 @@ void RequantStage::prepare() {
 
 namespace {
 
-/// The per-stage wiring rules shared by resolve_wiring and push: resolves
-/// stage i's operands (value indices, -1 none) against the slots published
-/// by the stages before it, and checks that its own output slot is free.
-/// Throws std::invalid_argument labeled with the stage.
+/// The per-stage wiring rules push applies: resolves stage i's operands
+/// (value indices, -1 none) against the slots published by the stages before
+/// it, and checks that its own output slot is free. Throws
+/// std::invalid_argument labeled with the stage.
 std::pair<std::int32_t, std::int32_t> wire_stage(
     const Int8Pipeline::Node& node, std::size_t i, const Int8Pipeline::Node* prev,
     const std::map<std::string, std::int32_t>& slot_value) {
-  // Error labels are built lazily: this resolution runs on every forward
-  // and must stay allocation-lean on the success path.
+  // Error labels are built lazily, so a stage that wires cleanly costs the
+  // load no string.
   const auto where = [&node, i] { return stage_where(node, i); };
   const bool is_join = std::holds_alternative<AddStage>(node.op) ||
                        std::holds_alternative<ConcatStage>(node.op);
@@ -256,11 +256,12 @@ std::pair<std::int32_t, std::int32_t> wire_stage(
 
 void Int8Pipeline::push(Stage s, StageIO io, std::vector<EpilogueOp> epilogue) {
   Node node{std::move(s), std::move(io), std::move(epilogue)};
-  // Graph sanity at load time: the wiring rules run() also applies, checked
-  // for the new stage only against the slot table (minus the dead-slot rule:
-  // a later stage may still read the slot), so loading stays linear in the
-  // stage count.
-  wire_stage(node, nodes_.size(), nodes_.empty() ? nullptr : &nodes_.back(), slots_);
+  // Graph sanity at load time: the new stage alone is wired against the slot
+  // table (every rule but the dead-slot one: a later stage may still read the
+  // slot), so loading stays linear in the stage count and no forward
+  // re-resolves the graph.
+  const auto [in1, in2] =
+      wire_stage(node, nodes_.size(), nodes_.empty() ? nullptr : &nodes_.back(), slots_);
   const std::string published = node.io.output;
   nodes_.push_back(std::move(node));
   try {
@@ -281,6 +282,18 @@ void Int8Pipeline::push(Stage s, StageIO io, std::vector<EpilogueOp> epilogue) {
     nodes_.pop_back();
     throw;
   }
+  // The stage is in: its operands gain a reader, and its output is a new
+  // value with none yet.
+  const auto stage = static_cast<std::int32_t>(nodes_.size() - 1);
+  wiring_.in1.push_back(in1);
+  wiring_.in2.push_back(in2);
+  wiring_.use_count.push_back(0);
+  wiring_.last_use.push_back(-1);
+  for (const std::int32_t v : {in1, in2}) {
+    if (v < 0) continue;
+    ++wiring_.use_count[static_cast<std::size_t>(v)];
+    wiring_.last_use[static_cast<std::size_t>(v)] = stage;
+  }
   // Any attached plan indexes the old schedule; growing the graph voids it.
   plan_.reset();
 }
@@ -288,45 +301,25 @@ void Int8Pipeline::push(Stage s, StageIO io, std::vector<EpilogueOp> epilogue) {
 std::vector<Int8Pipeline::Node> Int8Pipeline::take_nodes() {
   plan_.reset();
   slots_.clear();
+  wiring_ = {};
   std::vector<Node> out;
   out.swap(nodes_);
   return out;
 }
 
 Int8Pipeline::Wiring Int8Pipeline::resolve_wiring(bool reject_dead) const {
-  const std::size_t n = nodes_.size();
-  Wiring w;
-  w.in1.assign(n, -1);
-  w.in2.assign(n, -1);
-  w.use_count.assign(n + 1, 0);
-  w.last_use.assign(n + 1, -1);
-  std::map<std::string, std::int32_t> slot_value;  // published slot -> value index
+  if (reject_dead) reject_dead_slots();
+  return wiring_;
+}
 
-  for (std::size_t i = 0; i < n; ++i) {
-    const Node& node = nodes_[i];
-    const auto [in1, in2] = wire_stage(node, i, i > 0 ? &nodes_[i - 1] : nullptr, slot_value);
-    w.in1[i] = in1;
-    w.in2[i] = in2;
-    if (!node.io.output.empty()) slot_value[node.io.output] = static_cast<std::int32_t>(i + 1);
-
-    for (const std::int32_t v : {w.in1[i], w.in2[i]}) {
-      if (v < 0) continue;
-      ++w.use_count[static_cast<std::size_t>(v)];
-      w.last_use[static_cast<std::size_t>(v)] = static_cast<std::int32_t>(i);
-    }
-  }
-
+void Int8Pipeline::reject_dead_slots() const {
   // Only the final stage may publish without a reader (it is the result).
-  if (reject_dead) {
-    for (std::size_t i = 0; i + 1 < n; ++i) {
-      if (!nodes_[i].io.output.empty() && w.use_count[i + 1] == 0) {
-        throw std::invalid_argument(stage_where(nodes_[i], i) + ": published slot '" +
-                                    nodes_[i].io.output +
-                                    "' is never consumed — dead dataflow");
-      }
+  for (std::size_t i = 0; i + 1 < nodes_.size(); ++i) {
+    if (!nodes_[i].io.output.empty() && wiring_.use_count[i + 1] == 0) {
+      throw std::invalid_argument(stage_where(nodes_[i], i) + ": published slot '" +
+                                  nodes_[i].io.output + "' is never consumed — dead dataflow");
     }
   }
-  return w;
 }
 
 void Int8Pipeline::set_plan(MemoryPlan plan) {
@@ -363,7 +356,8 @@ Tensor Int8Pipeline::run_impl(const Tensor& input, std::vector<StageTiming>* tim
     timings->reserve(n);
   }
 
-  const Wiring w = resolve_wiring();
+  reject_dead_slots();
+  const Wiring& w = wiring_;
   const MemoryPlan* plan =
       plan_.has_value() && plan_->in_place.size() == n ? &*plan_ : nullptr;
 
@@ -642,19 +636,21 @@ Tensor Int8Pipeline::run_impl(const Tensor& input, std::vector<StageTiming>* tim
         auto& tracer = telemetry::Tracer::instance();
         const std::int64_t ts0 = tracer.to_ns(t0);
         tracer.emit({"stage:" + where, "pipeline", trace.id, ts0, dur_ns, {}});
-        // Blocked-Winograd phase breakdown: the accumulators are CPU-time
-        // sums across the OpenMP team, so lay the four sub-spans out
+        // Winograd phase breakdown: the accumulators are CPU-time sums
+        // across the OpenMP team, so lay the five sub-spans out
         // proportionally inside the stage's wall-clock interval and carry
         // the raw nanoseconds in args.
         if (const std::int64_t total = phase_ns.total(); total > 0) {
-          const char* names[4] = {"wino.scatter", "wino.gemm", "wino.requant", "wino.gather"};
-          const std::int64_t ns[4] = {
+          const char* names[5] = {"wino.scatter", "wino.wait", "wino.gemm", "wino.requant",
+                                  "wino.gather"};
+          const std::int64_t ns[5] = {
               phase_ns.scatter.load(std::memory_order_relaxed),
+              phase_ns.wait.load(std::memory_order_relaxed),
               phase_ns.gemm.load(std::memory_order_relaxed),
               phase_ns.requant.load(std::memory_order_relaxed),
               phase_ns.gather.load(std::memory_order_relaxed)};
           std::int64_t cursor = ts0;
-          for (int p = 0; p < 4; ++p) {
+          for (int p = 0; p < 5; ++p) {
             const std::int64_t sub = dur_ns * ns[p] / total;
             tracer.emit({names[p], "kernel", trace.id, cursor, sub,
                          "\"cpu_ns\":" + std::to_string(ns[p])});
@@ -838,6 +834,12 @@ float observer_scale_checked(const quant::RangeObserver& obs, const std::string&
   return obs.scale(kInt8);
 }
 
+/// A compiled stage's wiring; an empty slot name chains to the previous stage.
+StageIO stage_io(std::string label, std::string input = {}, std::string output = {},
+                 std::string input2 = {}) {
+  return {std::move(input), std::move(input2), std::move(output), std::move(label)};
+}
+
 ConvStage compile_conv(nn::Module& layer, const std::string& name, bool relu_after) {
   ConvStage st;
   st.relu_after = relu_after;
@@ -911,6 +913,24 @@ ConvStage compile_conv(nn::Module& layer, const std::string& name, bool relu_aft
   throw std::invalid_argument("compile: unsupported conv layer type at " + name);
 }
 
+/// An fc layer at its input observer's scale. output_scale stays dynamic
+/// (logits requantize from their own range) unless the caller chains it.
+LinearStage compile_linear(nn::Linear& fc, const std::string& name, bool relu) {
+  LinearStage st;
+  st.relu_after = relu;
+  st.input_scale = observer_scale_checked(fc.input_observer(), name);
+  st.weights_q = backend::quantize_s8(fc.weight().value());
+  if (fc.bias().defined()) st.bias = fc.bias().value();
+  return st;
+}
+
+/// The classifier head the CIFAR compilers end with: global average pool,
+/// then fc at a dynamic logits scale.
+void emit_head(Int8Pipeline& pipe, nn::Linear& fc) {
+  pipe.push(AvgPoolStage{}, stage_io("gap"));
+  pipe.push(compile_linear(fc, "fc", /*relu=*/false), stage_io("fc"));
+}
+
 }  // namespace
 
 Int8Pipeline compile_lenet(models::LeNet5& model) {
@@ -940,20 +960,11 @@ Int8Pipeline compile_lenet(models::LeNet5& model) {
     throw std::invalid_argument("compile_lenet: model does not look like LeNet-5");
   }
 
-  auto linear_stage = [](nn::Linear& fc, const std::string& name, bool relu) {
-    LinearStage st;
-    st.relu_after = relu;
-    st.input_scale = observer_scale_checked(fc.input_observer(), name);
-    st.weights_q = backend::quantize_s8(fc.weight().value());
-    if (fc.bias().defined()) st.bias = fc.bias().value();
-    return st;
-  };
-
   ConvStage c1 = compile_conv(*conv1, "conv1", /*relu_after=*/true);
   ConvStage c2 = compile_conv(*conv2, "conv2", /*relu_after=*/true);
-  LinearStage l1 = linear_stage(*fc1, "fc1", true);
-  LinearStage l2 = linear_stage(*fc2, "fc2", true);
-  LinearStage l3 = linear_stage(*fc3, "fc3", false);
+  LinearStage l1 = compile_linear(*fc1, "fc1", true);
+  LinearStage l2 = compile_linear(*fc2, "fc2", true);
+  LinearStage l3 = compile_linear(*fc3, "fc3", false);
 
   // Chain output scales to the consumer's expected input scale so the
   // inter-stage rescale is the identity (what a real compiler emits).
@@ -963,29 +974,29 @@ Int8Pipeline compile_lenet(models::LeNet5& model) {
   l2.output_scale = l3.input_scale;
   // l3 keeps output_scale < 0: logits requantize from their own range.
 
-  auto labelled = [](const char* label) {
-    StageIO io;
-    io.label = label;
-    return io;
-  };
-  pipe.push(std::move(c1), labelled("conv1"));
-  pipe.push(PoolStage{pool1->kernel(), pool1->stride()}, labelled("pool1"));
-  pipe.push(std::move(c2), labelled("conv2"));
-  pipe.push(PoolStage{pool2->kernel(), pool2->stride()}, labelled("pool2"));
-  pipe.push(FlattenStage{}, labelled("flatten"));
-  pipe.push(std::move(l1), labelled("fc1"));
-  pipe.push(std::move(l2), labelled("fc2"));
-  pipe.push(std::move(l3), labelled("fc3"));
+  pipe.push(std::move(c1), stage_io("conv1"));
+  pipe.push(PoolStage{pool1->kernel(), pool1->stride()}, stage_io("pool1"));
+  pipe.push(std::move(c2), stage_io("conv2"));
+  pipe.push(PoolStage{pool2->kernel(), pool2->stride()}, stage_io("pool2"));
+  pipe.push(FlattenStage{}, stage_io("flatten"));
+  pipe.push(std::move(l1), stage_io("fc1"));
+  pipe.push(std::move(l2), stage_io("fc2"));
+  pipe.push(std::move(l3), stage_io("fc3"));
   return pipe;
 }
 
-// ---- compile_resnet18 -------------------------------------------------------
+// ---- residual compilers -----------------------------------------------------
 
 namespace {
 
-quant::RangeObserver& conv_input_observer(nn::Module& m, const std::string& name) {
-  if (auto* c = dynamic_cast<nn::Conv2d*>(&m)) return c->input_observer();
-  if (auto* w = dynamic_cast<core::WinogradAwareConv2d*>(&m)) return w->input_observer();
+/// The scale a block conv (GEMM or Winograd-aware) expects its input at.
+float conv_input_scale(nn::Module& m, const std::string& name) {
+  if (auto* c = dynamic_cast<nn::Conv2d*>(&m)) {
+    return observer_scale_checked(c->input_observer(), name);
+  }
+  if (auto* w = dynamic_cast<core::WinogradAwareConv2d*>(&m)) {
+    return observer_scale_checked(w->input_observer(), name);
+  }
   throw std::invalid_argument("compile: unsupported conv layer type at " + name);
 }
 
@@ -1064,6 +1075,73 @@ void emit_conv_bn(Int8Pipeline& pipe, nn::Module& conv, nn::BatchNorm2d& bn,
   pipe.push(make_bn_stage(bn, y_scale, out_scale, relu), std::move(bio));
 }
 
+/// The running activation between residual blocks: its slot and scale.
+struct Trunk {
+  std::string slot;
+  float scale = 0.F;
+};
+
+/// The residual stem: conv_in + bn_in folded with ReLU at `out_scale`,
+/// published as the first block's input.
+Trunk emit_stem(Int8Pipeline& pipe, nn::Conv2d& conv_in, nn::BatchNorm2d& bn_in,
+                float out_scale) {
+  ConvStage stem = compile_folded_conv(conv_in, bn_in, "conv_in", /*relu_after=*/true, out_scale);
+  pipe.push(std::move(stem), stage_io("conv_in+bn", "", "stem.out"));
+  return {"stem.out", out_scale};
+}
+
+/// One residual block (BasicBlock or ResNeXtBlock) named stage<s>.block<b>:
+/// the skip branch first (identity, pooled, or a 1x1 projection with folded
+/// batch-norm), so the main path can chain into the join implicitly; the main
+/// path's pool when the block downsamples; the model's main path through
+/// emit_main(name, input slot, main scale), which must chain its last stage
+/// out at the main scale; then the level-aligned residual join with ReLU,
+/// published as <name>.out unless the block is the last. Returns the block's
+/// output trunk.
+template <class Block, class EmitMain>
+Trunk emit_residual_block(Int8Pipeline& pipe, Block& b, std::size_t index, bool last,
+                          const Trunk& trunk, EmitMain&& emit_main) {
+  const std::string name =
+      "stage" + std::to_string(index / 2 + 1) + ".block" + std::to_string(index % 2);
+  const float out_scale = observer_scale_checked(b.output_observer(), name + ".out");
+  const float main_scale = observer_scale_checked(b.main_branch_observer(), name + ".main");
+
+  std::string skip_slot = trunk.slot;  // identity skip reads the block input
+  float skip_scale = trunk.scale;
+  if (b.shortcut() != nullptr) {
+    skip_slot = name + ".skip";
+    skip_scale = observer_scale_checked(b.skip_branch_observer(), name + ".skip");
+    std::string conv_input = trunk.slot;
+    if (b.downsample()) {
+      pipe.push(PoolStage{2, 2}, stage_io(name + ".pool_short", trunk.slot));
+      conv_input.clear();  // shortcut conv chains off the pooled skip
+    }
+    ConvStage shortcut = compile_folded_conv(*b.shortcut(), *b.bn_short(), name + ".shortcut",
+                                             /*relu_after=*/false, skip_scale);
+    pipe.push(std::move(shortcut), stage_io(name + ".shortcut+bn", conv_input, skip_slot));
+  } else if (b.downsample()) {
+    // Identity skip across a downsample (impossible in the stock topologies,
+    // where every downsample changes channels, but cheap to support).
+    skip_slot = name + ".skip";
+    pipe.push(PoolStage{2, 2}, stage_io(name + ".pool_short", trunk.slot, skip_slot));
+  }
+
+  std::string main_input = trunk.slot;
+  if (b.downsample()) {
+    pipe.push(PoolStage{2, 2}, stage_io(name + ".pool", trunk.slot));
+    main_input.clear();
+  }
+  emit_main(name, main_input, main_scale);
+
+  AddStage add;
+  add.lhs_scale = main_scale;
+  add.rhs_scale = skip_scale;
+  add.output_scale = out_scale;
+  add.relu_after = true;
+  pipe.push(std::move(add), stage_io(name + ".add", "", last ? "" : name + ".out", skip_slot));
+  return {name + ".out", out_scale};
+}
+
 }  // namespace
 
 Int8Pipeline compile_resnet18(models::ResNet18& model) {
@@ -1072,107 +1150,45 @@ Int8Pipeline compile_resnet18(models::ResNet18& model) {
   const auto& blocks = model.blocks();
   if (blocks.empty()) throw std::invalid_argument("compile_resnet18: model has no blocks");
 
-  // Stem: conv_in + bn_in fold, ReLU, published as the first block's input.
-  const std::string stem_name = "conv_in";
-  ConvStage stem = compile_folded_conv(
-      model.conv_in(), model.bn_in(), stem_name, /*relu_after=*/true,
-      observer_scale_checked(conv_input_observer(blocks[0]->conv1(), "stage1.block0.conv1"),
-                             "stage1.block0.conv1"));
-  std::string x_slot = "stem.out";
-  float x_scale = stem.output_scale;
-  {
-    StageIO io;
-    io.output = x_slot;
-    io.label = stem_name + "+bn";
-    pipe.push(std::move(stem), std::move(io));
-  }
-
+  Trunk x = emit_stem(pipe, model.conv_in(), model.bn_in(),
+                      conv_input_scale(blocks[0]->conv1(), "stage1.block0.conv1"));
   for (std::size_t i = 0; i < blocks.size(); ++i) {
     models::BasicBlock& b = *blocks[i];
-    const std::string name =
-        "stage" + std::to_string(i / 2 + 1) + ".block" + std::to_string(i % 2);
-    const bool last = i + 1 == blocks.size();
-    const float out_scale = observer_scale_checked(b.output_observer(), name + ".out");
-    const float main_scale = observer_scale_checked(b.main_branch_observer(), name + ".main");
-
-    // ---- skip branch first, so the main path can chain implicitly ----
-    std::string skip_slot = x_slot;  // identity skip reads the block input
-    float skip_scale = x_scale;
-    if (b.shortcut() != nullptr) {
-      skip_slot = name + ".skip";
-      skip_scale = observer_scale_checked(b.skip_branch_observer(), name + ".skip");
-      std::string conv_input = x_slot;
-      if (b.downsample()) {
-        StageIO io;
-        io.input = x_slot;
-        io.label = name + ".pool_short";
-        pipe.push(PoolStage{2, 2}, std::move(io));
-        conv_input.clear();  // shortcut conv chains off the pooled skip
-      }
-      StageIO io;
-      io.input = conv_input;
-      io.output = skip_slot;
-      io.label = name + ".shortcut+bn";
-      pipe.push(
-          compile_folded_conv(*b.shortcut(), *b.bn_short(), name + ".shortcut",
-                              /*relu_after=*/false, skip_scale),
-          std::move(io));
-    } else if (b.downsample()) {
-      // Identity skip across a downsample (impossible in the stock topology,
-      // where every downsample changes channels, but cheap to support).
-      skip_slot = name + ".skip";
-      StageIO io;
-      io.input = x_slot;
-      io.output = skip_slot;
-      io.label = name + ".pool_short";
-      pipe.push(PoolStage{2, 2}, std::move(io));
-    }
-
-    // ---- main path: [pool] conv1+bn1+relu, conv2+bn2 ----
-    std::string main_input = x_slot;
-    if (b.downsample()) {
-      StageIO io;
-      io.input = x_slot;
-      io.label = name + ".pool";
-      pipe.push(PoolStage{2, 2}, std::move(io));
-      main_input.clear();
-    }
-    const float conv2_in =
-        observer_scale_checked(conv_input_observer(b.conv2(), name + ".conv2"), name + ".conv2");
-    emit_conv_bn(pipe, b.conv1(), b.bn1(), name + ".conv1", /*relu=*/true, conv2_in, main_input);
-    emit_conv_bn(pipe, b.conv2(), b.bn2(), name + ".conv2", /*relu=*/false, main_scale, "");
-
-    // ---- level-aligned residual join ----
-    AddStage add;
-    add.lhs_scale = main_scale;
-    add.rhs_scale = skip_scale;
-    add.output_scale = out_scale;
-    add.relu_after = true;
-    StageIO io;
-    io.input2 = skip_slot;
-    if (!last) io.output = name + ".out";
-    io.label = name + ".add";
-    pipe.push(std::move(add), std::move(io));
-
-    x_slot = name + ".out";
-    x_scale = out_scale;
+    // Main path: conv1+bn1+relu, conv2+bn2.
+    x = emit_residual_block(
+        pipe, b, i, i + 1 == blocks.size(), x,
+        [&](const std::string& name, const std::string& input, float main_scale) {
+          const float conv2_in = conv_input_scale(b.conv2(), name + ".conv2");
+          emit_conv_bn(pipe, b.conv1(), b.bn1(), name + ".conv1", /*relu=*/true, conv2_in, input);
+          emit_conv_bn(pipe, b.conv2(), b.bn2(), name + ".conv2", /*relu=*/false, main_scale, "");
+        });
   }
+  emit_head(pipe, model.fc());
+  return pipe;
+}
 
-  {
-    StageIO io;
-    io.label = "gap";
-    pipe.push(AvgPoolStage{}, std::move(io));
+Int8Pipeline compile_resnext(models::ResNeXt20& model) {
+  model.set_training(false);
+  Int8Pipeline pipe;
+  const auto& blocks = model.blocks();
+  if (blocks.empty()) throw std::invalid_argument("compile_resnext: model has no blocks");
+
+  Trunk x = emit_stem(pipe, model.conv_in(), model.bn_in(),
+                      conv_input_scale(blocks[0]->reduce(), "stage1.block0.reduce"));
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    models::ResNeXtBlock& b = *blocks[i];
+    // Main path: reduce+bn1+relu, grouped conv3+bn2+relu, expand+bn3.
+    x = emit_residual_block(
+        pipe, b, i, i + 1 == blocks.size(), x,
+        [&](const std::string& name, const std::string& input, float main_scale) {
+          const float conv3_in = conv_input_scale(b.conv3(), name + ".conv3");
+          emit_conv_bn(pipe, b.reduce(), b.bn1(), name + ".reduce", /*relu=*/true, conv3_in, input);
+          const float expand_in = conv_input_scale(b.expand(), name + ".expand");
+          emit_conv_bn(pipe, b.conv3(), b.bn2(), name + ".conv3", /*relu=*/true, expand_in, "");
+          emit_conv_bn(pipe, b.expand(), b.bn3(), name + ".expand", /*relu=*/false, main_scale, "");
+        });
   }
-  LinearStage fc;
-  fc.input_scale = observer_scale_checked(model.fc().input_observer(), "fc");
-  fc.weights_q = backend::quantize_s8(model.fc().weight().value());
-  if (model.fc().bias().defined()) fc.bias = model.fc().bias().value();
-  // fc keeps output_scale < 0: logits requantize from their own range.
-  {
-    StageIO io;
-    io.label = "fc";
-    pipe.push(std::move(fc), std::move(io));
-  }
+  emit_head(pipe, model.fc());
   return pipe;
 }
 
@@ -1185,14 +1201,8 @@ Int8Pipeline compile_squeezenet(models::SqueezeNet& model) {
   if (fires.empty()) throw std::invalid_argument("compile_squeezenet: model has no fire modules");
 
   // Stem: conv_in + bn_in fold, ReLU, chains straight into fire0's squeeze.
-  {
-    ConvStage stem = compile_folded_conv(
-        model.conv_in(), model.bn_in(), "conv_in", /*relu_after=*/true,
-        observer_scale_checked(fires[0]->squeeze().input_observer(), "fire0.squeeze"));
-    StageIO io;
-    io.label = "conv_in+bn";
-    pipe.push(std::move(stem), std::move(io));
-  }
+  emit_conv_bn(pipe, model.conv_in(), model.bn_in(), "conv_in", /*relu=*/true,
+               observer_scale_checked(fires[0]->squeeze().input_observer(), "fire0.squeeze"), "");
 
   const auto& pool_after = model.pool_after();
   for (std::size_t i = 0; i < fires.size(); ++i) {
@@ -1202,25 +1212,14 @@ Int8Pipeline compile_squeezenet(models::SqueezeNet& model) {
     // Squeeze 1x1 + ReLU publishes the module's fan-out slot: both expand
     // branches read it (the second reader rescales onto its own input scale
     // if the two observers disagree).
-    {
-      ConvStage sq = compile_conv(f.squeeze(), name + ".squeeze", /*relu_after=*/true);
-      sq.output_scale = observer_scale_checked(f.expand1().input_observer(), name + ".expand1");
-      StageIO io;
-      io.output = name + ".s";
-      io.label = name + ".squeeze";
-      pipe.push(std::move(sq), std::move(io));
-    }
+    ConvStage sq = compile_conv(f.squeeze(), name + ".squeeze", /*relu_after=*/true);
+    sq.output_scale = observer_scale_checked(f.expand1().input_observer(), name + ".expand1");
+    pipe.push(std::move(sq), stage_io(name + ".squeeze", "", name + ".s"));
 
     const float e1_scale = observer_scale_checked(f.expand1_observer(), name + ".e1");
-    {
-      ConvStage e1 = compile_conv(f.expand1(), name + ".expand1", /*relu_after=*/false);
-      e1.output_scale = e1_scale;
-      StageIO io;
-      io.input = name + ".s";
-      io.output = name + ".e1";
-      io.label = name + ".expand1";
-      pipe.push(std::move(e1), std::move(io));
-    }
+    ConvStage e1 = compile_conv(f.expand1(), name + ".expand1", /*relu_after=*/false);
+    e1.output_scale = e1_scale;
+    pipe.push(std::move(e1), stage_io(name + ".expand1", name + ".s", name + ".e1"));
 
     ConvStage e3 = compile_conv(f.expand3(), name + ".expand3", /*relu_after=*/false);
     if (!nn::is_winograd(e3.algo)) {
@@ -1228,183 +1227,27 @@ Int8Pipeline compile_squeezenet(models::SqueezeNet& model) {
       e3.output_scale = observer_scale_checked(f.expand3_observer(), name + ".e3");
     }
     const float e3_scale = e3.output_scale;
-    {
-      StageIO io;
-      io.input = name + ".s";
-      io.output = name + ".e3";
-      io.label = name + ".expand3";
-      pipe.push(std::move(e3), std::move(io));
-    }
+    pipe.push(std::move(e3), stage_io(name + ".expand3", name + ".s", name + ".e3"));
 
     // Level-aligned channel concat at the concat observer's scale, then the
     // module batch-norm as an integer per-channel affine with fused ReLU.
     const float cat_scale = observer_scale_checked(f.concat_observer(), name + ".concat");
-    {
-      ConcatStage cat;
-      cat.lhs_scale = e1_scale;
-      cat.rhs_scale = e3_scale;
-      cat.output_scale = cat_scale;
-      cat.relu_after = false;  // the bn stage fuses the module's ReLU
-      StageIO io;
-      io.input = name + ".e1";
-      io.input2 = name + ".e3";
-      io.label = name + ".concat";
-      pipe.push(std::move(cat), std::move(io));
-    }
-    {
-      const float out_scale = observer_scale_checked(f.output_observer(), name + ".out");
-      StageIO io;
-      io.label = name + ".bn";
-      pipe.push(make_bn_stage(f.bn(), cat_scale, out_scale, /*relu=*/true), std::move(io));
-    }
+    ConcatStage cat;
+    cat.lhs_scale = e1_scale;
+    cat.rhs_scale = e3_scale;
+    cat.output_scale = cat_scale;
+    cat.relu_after = false;  // the bn stage fuses the module's ReLU
+    pipe.push(std::move(cat), stage_io(name + ".concat", name + ".e1", "", name + ".e3"));
+    const float out_scale = observer_scale_checked(f.output_observer(), name + ".out");
+    pipe.push(make_bn_stage(f.bn(), cat_scale, out_scale, /*relu=*/true), stage_io(name + ".bn"));
 
     if (std::find(pool_after.begin(), pool_after.end(), static_cast<int>(i)) !=
         pool_after.end()) {
-      StageIO io;
-      io.label = name + ".pool";
-      pipe.push(PoolStage{model.pool().kernel(), model.pool().stride()}, std::move(io));
+      pipe.push(PoolStage{model.pool().kernel(), model.pool().stride()}, stage_io(name + ".pool"));
     }
   }
 
-  {
-    StageIO io;
-    io.label = "gap";
-    pipe.push(AvgPoolStage{}, std::move(io));
-  }
-  LinearStage fc;
-  fc.input_scale = observer_scale_checked(model.fc().input_observer(), "fc");
-  fc.weights_q = backend::quantize_s8(model.fc().weight().value());
-  if (model.fc().bias().defined()) fc.bias = model.fc().bias().value();
-  // fc keeps output_scale < 0: logits requantize from their own range.
-  {
-    StageIO io;
-    io.label = "fc";
-    pipe.push(std::move(fc), std::move(io));
-  }
-  return pipe;
-}
-
-// ---- compile_resnext --------------------------------------------------------
-
-Int8Pipeline compile_resnext(models::ResNeXt20& model) {
-  model.set_training(false);
-  Int8Pipeline pipe;
-  const auto& blocks = model.blocks();
-  if (blocks.empty()) throw std::invalid_argument("compile_resnext: model has no blocks");
-
-  // Stem: conv_in + bn_in fold, ReLU, published as the first block's input.
-  ConvStage stem = compile_folded_conv(
-      model.conv_in(), model.bn_in(), "conv_in", /*relu_after=*/true,
-      observer_scale_checked(blocks[0]->reduce().input_observer(), "stage1.block0.reduce"));
-  std::string x_slot = "stem.out";
-  float x_scale = stem.output_scale;
-  {
-    StageIO io;
-    io.output = x_slot;
-    io.label = "conv_in+bn";
-    pipe.push(std::move(stem), std::move(io));
-  }
-
-  for (std::size_t i = 0; i < blocks.size(); ++i) {
-    models::ResNeXtBlock& b = *blocks[i];
-    const std::string name =
-        "stage" + std::to_string(i / 2 + 1) + ".block" + std::to_string(i % 2);
-    const bool last = i + 1 == blocks.size();
-    const float out_scale = observer_scale_checked(b.output_observer(), name + ".out");
-    const float main_scale = observer_scale_checked(b.main_branch_observer(), name + ".main");
-
-    // ---- skip branch first, so the main path can chain implicitly ----
-    std::string skip_slot = x_slot;  // identity skip reads the block input
-    float skip_scale = x_scale;
-    if (b.shortcut() != nullptr) {
-      skip_slot = name + ".skip";
-      skip_scale = observer_scale_checked(b.skip_branch_observer(), name + ".skip");
-      std::string conv_input = x_slot;
-      if (b.downsample()) {
-        StageIO io;
-        io.input = x_slot;
-        io.label = name + ".pool_short";
-        pipe.push(PoolStage{2, 2}, std::move(io));
-        conv_input.clear();  // shortcut conv chains off the pooled skip
-      }
-      StageIO io;
-      io.input = conv_input;
-      io.output = skip_slot;
-      io.label = name + ".shortcut+bn";
-      pipe.push(
-          compile_folded_conv(*b.shortcut(), *b.bn_short(), name + ".shortcut",
-                              /*relu_after=*/false, skip_scale),
-          std::move(io));
-    } else if (b.downsample()) {
-      skip_slot = name + ".skip";
-      StageIO io;
-      io.input = x_slot;
-      io.output = skip_slot;
-      io.label = name + ".pool_short";
-      pipe.push(PoolStage{2, 2}, std::move(io));
-    }
-
-    // ---- main path: [pool] reduce+bn1+relu, grouped conv3+bn2+relu,
-    // expand+bn3 ----
-    std::string main_input = x_slot;
-    if (b.downsample()) {
-      StageIO io;
-      io.input = x_slot;
-      io.label = name + ".pool";
-      pipe.push(PoolStage{2, 2}, std::move(io));
-      main_input.clear();
-    }
-    const float conv3_in =
-        observer_scale_checked(conv_input_observer(b.conv3(), name + ".conv3"), name + ".conv3");
-    {
-      StageIO io;
-      io.input = main_input;
-      io.label = name + ".reduce+bn";
-      pipe.push(compile_folded_conv(b.reduce(), b.bn1(), name + ".reduce",
-                                    /*relu_after=*/true, conv3_in),
-                std::move(io));
-    }
-    const float expand_in = observer_scale_checked(b.expand().input_observer(), name + ".expand");
-    emit_conv_bn(pipe, b.conv3(), b.bn2(), name + ".conv3", /*relu=*/true, expand_in, "");
-    {
-      StageIO io;
-      io.label = name + ".expand+bn";
-      pipe.push(compile_folded_conv(b.expand(), b.bn3(), name + ".expand",
-                                    /*relu_after=*/false, main_scale),
-                std::move(io));
-    }
-
-    // ---- level-aligned residual join ----
-    AddStage add;
-    add.lhs_scale = main_scale;
-    add.rhs_scale = skip_scale;
-    add.output_scale = out_scale;
-    add.relu_after = true;
-    StageIO io;
-    io.input2 = skip_slot;
-    if (!last) io.output = name + ".out";
-    io.label = name + ".add";
-    pipe.push(std::move(add), std::move(io));
-
-    x_slot = name + ".out";
-    x_scale = out_scale;
-  }
-
-  {
-    StageIO io;
-    io.label = "gap";
-    pipe.push(AvgPoolStage{}, std::move(io));
-  }
-  LinearStage fc;
-  fc.input_scale = observer_scale_checked(model.fc().input_observer(), "fc");
-  fc.weights_q = backend::quantize_s8(model.fc().weight().value());
-  if (model.fc().bias().defined()) fc.bias = model.fc().bias().value();
-  // fc keeps output_scale < 0: logits requantize from their own range.
-  {
-    StageIO io;
-    io.label = "fc";
-    pipe.push(std::move(fc), std::move(io));
-  }
+  emit_head(pipe, model.fc());
   return pipe;
 }
 

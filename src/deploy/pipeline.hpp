@@ -29,9 +29,13 @@
 // plan section) and run() honors it; optimized execution is bit-identical
 // to unoptimized execution (locked down by tests/test_pipeline_fuzz.cpp).
 //
-// Two compilers are provided: compile_lenet (sequential, the paper's
-// 5x5-filter model) and compile_resnet18 (residual, the paper's
-// pool-instead-of-stride ResNet-18 — Tables 2-3's workload).
+// Four compilers are provided: compile_lenet (sequential, the paper's
+// 5x5-filter model), compile_squeezenet (fire modules joined by channel
+// concat), and the two residual ones, compile_resnet18 (the paper's
+// pool-instead-of-stride ResNet-18 — Tables 2-3's workload) and
+// compile_resnext (ResNeXt-20's grouped bottlenecks). The residual compilers
+// share one block lowering (stem, skip branch, join, classifier head) and
+// differ only in each block's main path.
 #pragma once
 
 #include <map>
@@ -261,10 +265,10 @@ struct RunStats {
 /// A compiled integer-only network: the deployment-side inference engine.
 ///
 /// push() finalises each stage at load time (weight transform + quantize +
-/// repack happen exactly once); run() then executes the scatter -> batched
-/// GEMM -> gather hot path allocation-free out of per-thread scratch arenas,
-/// resolving slot reads/writes as it walks the schedule and honoring the
-/// memory plan's buffer reuse when one is attached.
+/// repack happen exactly once) and resolves its slot reads/writes; run()
+/// then executes the scatter -> batched GEMM -> gather hot path
+/// allocation-free out of per-thread scratch arenas along that wiring,
+/// honoring the memory plan's buffer reuse when one is attached.
 ///
 /// ## Thread-safety contract (audited for the serving runtime, src/serve)
 ///
@@ -310,11 +314,12 @@ class Int8Pipeline {
   void push(Stage s) { push(std::move(s), StageIO{}); }
   void push(Stage s, StageIO io) { push(std::move(s), std::move(io), {}); }
   /// Full form: the loader and the passes re-push nodes with their fused
-  /// epilogues. The new node alone is checked against the published slots
-  /// with resolve_wiring's rules (minus the dead-slot rule) and its stage
-  /// prepared; if either throws, the pipeline (nodes, slots and plan) is
-  /// left as it was. A successful push invalidates any attached memory plan
-  /// (stage indices shift); re-run the planner afterwards.
+  /// epilogues. The new node alone is wired against the published slots
+  /// (every rule resolve_wiring enforces but the dead-slot one) and its stage
+  /// prepared; if either throws, the pipeline (nodes, wiring and plan) is
+  /// left as it was. A successful push extends the resolved wiring and
+  /// invalidates any attached memory plan (stage indices shift); re-run the
+  /// planner afterwards.
   void push(Stage s, StageIO io, std::vector<EpilogueOp> epilogue);
   std::size_t size() const { return nodes_.size(); }
   const std::vector<Node>& nodes() const { return nodes_; }
@@ -324,17 +329,17 @@ class Int8Pipeline {
   std::vector<Node> take_nodes();
 
   /// Dataflow wiring resolved to value indices: value 0 is the quantized
-  /// pipeline input, value i+1 is stage i's output. Throws
-  /// std::invalid_argument (labeled with the stage) for graphs whose wiring
-  /// is inconsistent — including, when `reject_dead` (the default, what
-  /// run() enforces), published slots no stage ever consumes. The
-  /// dead-stage-elimination pass resolves with reject_dead = false to find
-  /// and remove exactly those stages.
+  /// pipeline input, value i+1 is stage i's output. push() resolves each
+  /// stage as it arrives, so this returns the pipeline's wiring as it
+  /// stands; it throws std::invalid_argument (labeled with the stage) only
+  /// when `reject_dead` (the default, what run() enforces) and a published
+  /// slot has no consumer. The dead-stage-elimination pass resolves with
+  /// reject_dead = false to find and remove exactly those stages.
   struct Wiring {
-    std::vector<std::int32_t> in1;       // per stage: first operand value, -1 none
-    std::vector<std::int32_t> in2;       // per stage: second operand value, -1 none
-    std::vector<std::int32_t> last_use;  // per value: last consuming stage, -1 never
-    std::vector<std::int32_t> use_count; // per value
+    std::vector<std::int32_t> in1;            // per stage: first operand value, -1 none
+    std::vector<std::int32_t> in2;            // per stage: second operand value, -1 none
+    std::vector<std::int32_t> last_use{-1};   // per value: last consuming stage, -1 never
+    std::vector<std::int32_t> use_count{0};   // per value
   };
   Wiring resolve_wiring(bool reject_dead = true) const;
 
@@ -353,9 +358,9 @@ class Int8Pipeline {
   /// non-null it is filled with this run's activation-memory counters.
   ///
   /// A valid `trace` context makes the run emit one `stage:<label>` span per
-  /// stage plus scatter/gemm/requant/gather sub-spans for blocked Winograd
-  /// convs into the telemetry tracer — logits are bit-identical traced or
-  /// not (timing never touches the arithmetic).
+  /// stage plus scatter/wait/gemm/requant/gather sub-spans for stride-1
+  /// Winograd convs into the telemetry tracer — logits are bit-identical
+  /// traced or not (timing never touches the arithmetic).
   Tensor run(const Tensor& input, std::vector<StageTiming>* timings = nullptr,
              RunStats* stats = nullptr, telemetry::TraceContext trace = {}) const;
 
@@ -410,11 +415,16 @@ class Int8Pipeline {
   Tensor run_impl(const Tensor& input, std::vector<StageTiming>* timings,
                   std::vector<float>* out_scales, RunStats* stats,
                   telemetry::TraceContext trace) const;
+  /// Throws for a published slot that no later stage reads.
+  void reject_dead_slots() const;
 
   std::vector<Node> nodes_;
-  /// Published slot -> value index (i + 1 for stage i) over nodes_: push()
-  /// checks a new stage against it and extends it, take_nodes() clears it.
+  /// Published slot -> value index (i + 1 for stage i) over nodes_, and
+  /// nodes_' wiring resolved against it (a default Wiring is the empty
+  /// pipeline's: only the input value, unread): push() checks a new stage
+  /// against the slots and extends both, take_nodes() clears both.
   std::map<std::string, std::int32_t> slots_;
+  Wiring wiring_;
   std::optional<MemoryPlan> plan_;
 };
 
@@ -452,9 +462,9 @@ Int8Pipeline compile_resnet18(models::ResNet18& model);
 /// algorithm the model was built with (im2row or Winograd, per-tap included).
 Int8Pipeline compile_squeezenet(models::SqueezeNet& model);
 
-/// Compile a trained (or calibrated) ResNeXt-20: the compile_resnet18
-/// residual pattern with grouped 3x3 bottleneck convs (cardinality groups
-/// dispatch group-wise through both int8 executors).
+/// Compile a trained (or calibrated) ResNeXt-20: compile_resnet18's block
+/// lowering with a reduce -> grouped 3x3 -> expand main path (cardinality
+/// groups dispatch group-wise through both int8 executors).
 Int8Pipeline compile_resnext(models::ResNeXt20& model);
 
 }  // namespace wa::deploy

@@ -12,10 +12,12 @@
 #include <sstream>
 
 #include "backend/perf_counters.hpp"
+#include "backend/simd/kernel_table.hpp"
 #include "deploy/passes/passes.hpp"
 #include "deploy/pipeline.hpp"
 #include "serve/artifact.hpp"
 #include "tensor/io.hpp"
+#include "test_support.hpp"
 #include "winograd/cook_toom.hpp"
 
 namespace wa::serve {
@@ -319,6 +321,99 @@ TEST(WamArtifact, GoldenHandwiredFixtureSurvivesOptimization) {
   EXPECT_EQ(opt_loaded.plan()->peak_bytes, pipe.plan()->peak_bytes);
   EXPECT_EQ(opt_loaded.plan()->in_place, pipe.plan()->in_place);
   EXPECT_EQ(Tensor::max_abs_diff(opt_loaded.run(input), want), 0.F);
+}
+
+// ---- compiler output pins ---------------------------------------------------
+//
+// What each zoo compiler emits, pinned byte for byte: the stages, their order,
+// labels, slots, scales and prepared weights. The models take integer-generated
+// parameters and run their training-mode forwards on the scalar kernel table,
+// which keeps libm (bar sqrt, which IEEE rounds exactly) and fused multiply-adds
+// out of the path, so the pins hold on any x86-64 host at any team size. They
+// also pin the QAT forward's bits on that table; a change that alters either on
+// purpose re-takes them.
+
+/// Overwrites every named tensor except the Winograd transforms (`*_mat`) from
+/// BitGen{seed} at scale 0.25, batch-norm gamma and running variance at 1 plus
+/// that value (so no variance reaches the compiler negative), runs three
+/// training-mode forwards over BitGen{seed + 1} inputs and hashes the compiled
+/// pipeline's .wam bytes.
+template <class Model>
+std::uint64_t compiled_bytes_hash(Model& net, std::uint64_t seed, const Shape& input,
+                                  Int8Pipeline (*compile)(Model&)) {
+  test_support::BitGen params{seed}, inputs{seed + 1};
+  for (auto& [name, p] : net.named_parameters()) {
+    if (name.ends_with("_mat")) continue;
+    const float base = name.ends_with("gamma") || name.ends_with("running_var") ? 1.F : 0.F;
+    for (float& v : p.value().data()) v = base + params.next(0.25F);
+  }
+  net.set_training(true);
+  for (int i = 0; i < 3; ++i) net.forward(ag::Variable(inputs.tensor(input, 1.F), false));
+  const std::string bytes = saved_bytes(compile(net));
+  return test_support::fnv_bytes(test_support::kFnvOffset, bytes.data(), bytes.size());
+}
+
+TEST(WamArtifact, GoldenCompilerOutputsMatchPinnedHashes) {
+  using nn::ConvAlgo;
+  const Shape cifar{4, 3, 32, 32};
+  const auto lenet = [](ConvAlgo algo) {
+    Rng rng(1);
+    models::LeNetConfig cfg;
+    cfg.algo = algo;
+    cfg.qspec = quant::QuantSpec{8};
+    models::LeNet5 net(cfg, rng);
+    return compiled_bytes_hash(net, 11, {4, 1, 28, 28}, deploy::compile_lenet);
+  };
+  const auto resnet18 = [&](ConvAlgo algo, bool per_tap_flex) {
+    Rng rng(2);
+    models::ResNetConfig cfg;
+    cfg.width_mult = 0.125F;
+    cfg.algo = algo;
+    cfg.qspec = quant::QuantSpec{8};
+    cfg.flex_transforms = per_tap_flex;
+    cfg.tap_group_size = per_tap_flex ? 1 : 0;
+    models::ResNet18 net(cfg, rng);
+    return compiled_bytes_hash(net, 21, cifar, deploy::compile_resnet18);
+  };
+  const auto squeezenet = [&](ConvAlgo algo) {
+    Rng rng(3);
+    models::SqueezeNetConfig cfg;
+    cfg.width_mult = 0.25F;
+    cfg.algo = algo;
+    cfg.qspec = quant::QuantSpec{8};
+    models::SqueezeNet net(cfg, rng);
+    return compiled_bytes_hash(net, 31, cifar, deploy::compile_squeezenet);
+  };
+  const auto resnext = [&](ConvAlgo algo) {
+    Rng rng(4);
+    models::ResNeXtConfig cfg;
+    cfg.width_mult = 0.25F;
+    cfg.algo = algo;
+    cfg.qspec = quant::QuantSpec{8};
+    models::ResNeXt20 net(cfg, rng);
+    return compiled_bytes_hash(net, 41, cifar, deploy::compile_resnext);
+  };
+
+  struct Pin {
+    const char* config;
+    std::uint64_t got, want;
+  };
+  const std::string caller = backend::simd::active_backend();
+  ASSERT_TRUE(backend::simd::set_backend("scalar"));
+  const Pin pins[] = {
+      {"LeNet-5 F2", lenet(ConvAlgo::kWinograd2), 0x967e9e36ebf17912ULL},
+      {"ResNet-18 w0.125 im2row", resnet18(ConvAlgo::kIm2row, false), 0x51d4c35823c9bea0ULL},
+      {"ResNet-18 w0.125 F4 per-tap flex", resnet18(ConvAlgo::kWinograd4, true),
+       0xe1676ed5a8aa5cebULL},
+      {"SqueezeNet w0.25 im2row", squeezenet(ConvAlgo::kIm2row), 0x3b5afe1ea72c5e23ULL},
+      {"SqueezeNet w0.25 F2", squeezenet(ConvAlgo::kWinograd2), 0x0ba5e29f2eb0c111ULL},
+      {"ResNeXt-20 w0.25 im2row", resnext(ConvAlgo::kIm2row), 0xfdb0b233332d0fd8ULL},
+      {"ResNeXt-20 w0.25 F2", resnext(ConvAlgo::kWinograd2), 0xe2e8d3cb35028044ULL},
+  };
+  backend::simd::set_backend(caller);
+  for (const Pin& p : pins) {
+    EXPECT_EQ(p.got, p.want) << p.config << ": 0x" << std::hex << p.got;
+  }
 }
 
 // ---- plan round trip and corrupted-plan rejection ---------------------------

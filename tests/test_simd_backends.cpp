@@ -147,7 +147,6 @@ TEST(SimdRegistry, EveryResolvedEntryIsCallable) {
     EXPECT_NE(t.gemm_f32_packed_nn, nullptr);
     EXPECT_NE(t.quantize_f32_s8, nullptr);
     EXPECT_NE(t.requant_s32_s8, nullptr);
-    EXPECT_NE(t.requant_s32_s8_taps, nullptr);
     EXPECT_NE(t.residual_add_s8, nullptr);
     EXPECT_NE(t.wino_gather_f32, nullptr);
     EXPECT_NE(t.wino_scatter_block_f32, nullptr);
@@ -265,36 +264,6 @@ TEST_P(SimdBackendTest, RequantMatchesScalarAcrossShiftRegimesAndRails) {
                                     static_cast<std::int64_t>(acc.size()), mult);
     EXPECT_EQ(got, want);
   }
-}
-
-TEST_P(SimdBackendTest, RequantTapsMatchesScalarAndPerBlockSweeps) {
-  // The per-tap entry point (one fixed-point multiplier per t² tap block):
-  // every backend must match the scalar reference AND its own flat kernel
-  // applied block by block — the vector table is just a loop of the flat
-  // requant over contiguous blocks.
-  Rng rng(98);
-  const std::int64_t taps = 16;      // t² for F(2x2, 3x3)
-  const std::int64_t per_tap = 133;  // odd: exercises each block's vector tail
-  std::vector<std::int32_t> acc(static_cast<std::size_t>(taps * per_tap));
-  for (auto& v : acc) {
-    v = static_cast<std::int32_t>(std::lround((rng.uniform() * 2.0 - 1.0) * 2147483000.0));
-  }
-  std::vector<quant::FixedPointMultiplier> mults(static_cast<std::size_t>(taps));
-  for (std::size_t ab = 0; ab < mults.size(); ++ab) {
-    // Spread the ratios across the vector regime and both scalar-fallback
-    // regimes so adjacent blocks take different code paths.
-    const double ratio = (ab % 5 == 0) ? 1e-10 : (ab % 5 == 1) ? 1.5 : 0.03 * (1.0 + ab);
-    mults[ab] = quant::quantize_multiplier(ratio);
-  }
-  std::vector<std::int8_t> got(acc.size(), 7), want(acc.size(), -7), blockwise(acc.size(), 9);
-  kernels().requant_s32_s8_taps(acc.data(), got.data(), taps, per_tap, mults.data());
-  scalar_kernels().requant_s32_s8_taps(acc.data(), want.data(), taps, per_tap, mults.data());
-  EXPECT_EQ(got, want);
-  for (std::int64_t ab = 0; ab < taps; ++ab) {
-    kernels().requant_s32_s8(acc.data() + ab * per_tap, blockwise.data() + ab * per_tap, per_tap,
-                             mults[static_cast<std::size_t>(ab)]);
-  }
-  EXPECT_EQ(got, blockwise);
 }
 
 TEST_P(SimdBackendTest, WinogradGatherMatchesScalarOnEdgeTilesAndBias) {

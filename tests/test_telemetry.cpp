@@ -23,6 +23,7 @@
 #include "serve/server.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
+#include "test_support.hpp"
 
 namespace wa::telemetry {
 namespace {
@@ -349,6 +350,19 @@ deploy::Int8Pipeline wino_pipeline(Rng& rng) {
   return pipe;
 }
 
+/// wino_pipeline's conv over an [batch, 3, 8, 8] input.
+backend::ConvGeometry wino_geometry(std::int64_t batch) {
+  backend::ConvGeometry g;
+  g.batch = batch;
+  g.in_channels = 3;
+  g.height = 8;
+  g.width = 8;
+  g.out_channels = 8;
+  g.kernel = 3;
+  g.pad = 1;
+  return g;
+}
+
 TEST(TracingEndToEnd, ServerRequestNestsQueueCoalesceDispatchStages) {
   TelemetryGuard guard;
   auto& tracer = Tracer::instance();
@@ -375,7 +389,7 @@ TEST(TracingEndToEnd, ServerRequestNestsQueueCoalesceDispatchStages) {
   const std::int64_t req_end = request->ts_ns + request->dur_ns;
 
   bool saw_queue = false, saw_coalesce = false, saw_dispatch = false, saw_stage = false,
-       saw_wino = false;
+       saw_wino = false, saw_wait = false;
   for (const Span& s : spans) {
     if (s.tid != tid) continue;
     // Every span of the trace nests inside the request interval.
@@ -386,12 +400,14 @@ TEST(TracingEndToEnd, ServerRequestNestsQueueCoalesceDispatchStages) {
     saw_dispatch = saw_dispatch || s.name == "dispatch";
     saw_stage = saw_stage || s.name.rfind("stage:", 0) == 0;
     saw_wino = saw_wino || s.name.rfind("wino.", 0) == 0;
+    saw_wait = saw_wait || s.name == "wino.wait";
   }
   EXPECT_TRUE(saw_queue);
   EXPECT_TRUE(saw_coalesce);
   EXPECT_TRUE(saw_dispatch);
   EXPECT_TRUE(saw_stage);
   EXPECT_TRUE(saw_wino);
+  EXPECT_TRUE(saw_wait);
 
   // The request span and the server's measured latency are the same
   // interval (acceptance bar: within 5%).
@@ -409,14 +425,7 @@ TEST(TracingEndToEnd, LogitsBitIdenticalTracedOrNotAcrossBackends) {
   // The pipeline's one Winograd stage, for direct calls of the flat sequence.
   const auto& st = std::get<deploy::ConvStage>(pipe.nodes().front().op);
   const backend::QTensor qx = backend::quantize_s8(x, st.input_scale);
-  backend::ConvGeometry g;
-  g.batch = 2;
-  g.in_channels = 3;
-  g.height = 8;
-  g.width = 8;
-  g.out_channels = 8;
-  g.kernel = 3;
-  g.pad = 1;
+  const backend::ConvGeometry g = wino_geometry(2);
 
   const std::string active = backend::simd::active_backend();
   for (const auto& b : backend::simd::available_backends()) {
@@ -435,8 +444,26 @@ TEST(TracingEndToEnd, LogitsBitIdenticalTracedOrNotAcrossBackends) {
     EXPECT_EQ(flat_plain.data, flat_traced.data) << "backend " << b << " (flat)";
     EXPECT_EQ(flat_plain.scale, flat_traced.scale) << "backend " << b << " (flat)";
     EXPECT_GT(phase_ns.total(), 0) << "backend " << b << " (flat)";
+    EXPECT_EQ(phase_ns.wait.load(), 0) << "backend " << b << ": the flat sequence has no barrier";
   }
   backend::simd::set_backend(active);
+}
+
+TEST(TracingEndToEnd, BlockedWinogradTimesItsBarrierWaitApartFromScatter) {
+  // Under a team of 2 each thread reads the clock on both sides of a tile
+  // block's barrier, so the wait is a phase of its own, never scatter.
+  Rng rng(19);
+  const deploy::Int8Pipeline pipe = wino_pipeline(rng);
+  const auto& st = std::get<deploy::ConvStage>(pipe.nodes().front().op);
+  const backend::QTensor qx =
+      backend::quantize_s8(Tensor::randn({2, 3, 8, 8}, rng), st.input_scale);
+  const test_support::TeamSizeScope team(2);
+  backend::WinoPhaseNs phase_ns;
+  backend::winograd_conv_s8_prepared(qx, st.wino_cache, wino_geometry(2), st.transforms,
+                                     st.stage_scales, nullptr, nullptr, &phase_ns);
+  EXPECT_GT(phase_ns.wait.load(), 0);
+  EXPECT_GT(phase_ns.scatter.load(), 0);
+  EXPECT_GT(phase_ns.gemm.load(), 0);
 }
 
 TEST(TracingEndToEnd, HammerTracedClientsVsSnapshotReaders) {
