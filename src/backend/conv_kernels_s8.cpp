@@ -150,21 +150,24 @@ QTensor im2row_conv_s8_prepared(const QTensor& input, const Im2rowWeightsS8& wei
 
   // Requantize to int8 with a fixed-point multiplier. A bias, when present,
   // joins the accumulators as int32 levels at the accumulator scale
-  // (Jacob et al. 2018: bias is quantized at s_in * s_w).
+  // (Jacob et al. 2018: bias is quantized at s_in * s_w), rounded once per
+  // output channel.
   const float acc_scale = input.scale * weights.scale;
   if (bias != nullptr && !bias->empty()) {
     if (bias->numel() != g.out_channels) {
       throw std::invalid_argument("im2row_conv_s8: bias/channel mismatch");
     }
-    for (std::int64_t gi = 0; gi < gs; ++gi) {
-      std::int32_t* gacc = acc + gi * rows * kg;
+    std::vector<std::int32_t> bias_q(static_cast<std::size_t>(g.out_channels));
+    for (std::int64_t k = 0; k < g.out_channels; ++k) {
+      bias_q[static_cast<std::size_t>(k)] =
+          static_cast<std::int32_t>(std::nearbyint(bias->at(k) / acc_scale));
+    }
+    // acc row r of the [g][rows, K/g] layout belongs to group r / rows.
 #pragma omp parallel for schedule(static)
-      for (std::int64_t row = 0; row < rows; ++row) {
-        std::int32_t* arow = gacc + row * kg;
-        for (std::int64_t k = 0; k < kg; ++k) {
-          arow[k] += static_cast<std::int32_t>(std::nearbyint(bias->at(gi * kg + k) / acc_scale));
-        }
-      }
+    for (std::int64_t r = 0; r < gs * rows; ++r) {
+      std::int32_t* arow = acc + r * kg;
+      const std::int32_t* brow = bias_q.data() + (r / rows) * kg;
+      for (std::int64_t k = 0; k < kg; ++k) arow[k] += brow[k];
     }
   }
   float oscale = out_scale;
@@ -178,7 +181,8 @@ QTensor im2row_conv_s8_prepared(const QTensor& input, const Im2rowWeightsS8& wei
   // Requantize the accumulators flat (the dispatched fixed-point loop), then
   // transpose the int8 result per group [rows, K/g] -> [N, K, oh, ow]. Two
   // passes move a quarter of the bytes the old fused int32 transpose-requant
-  // touched.
+  // touched. The transpose gives each thread whole (n, k) output planes, so
+  // no two threads write the same cache line of a small plane.
   const auto& kt = simd::kernels();
   std::int8_t* q8 = arena.alloc<std::int8_t>(rows * g.out_channels);
   parallel_flat(rows * g.out_channels, [&](std::int64_t begin, std::int64_t len) {
@@ -191,20 +195,13 @@ QTensor im2row_conv_s8_prepared(const QTensor& input, const Im2rowWeightsS8& wei
   // The input was fully consumed by the patch lowering above, so a donated
   // buffer aliasing it is safe to take over here.
   out.data = take_output_storage(reuse_storage, rows * g.out_channels);
-  for (std::int64_t gi = 0; gi < gs; ++gi) {
-    const std::int8_t* gq8 = q8 + gi * rows * kg;
-#pragma omp parallel for collapse(2) schedule(static)
-    for (std::int64_t n = 0; n < g.batch; ++n) {
-      for (std::int64_t i = 0; i < oh; ++i) {
-        for (std::int64_t j = 0; j < ow; ++j) {
-          const std::int8_t* src = gq8 + ((n * oh + i) * ow + j) * kg;
-          for (std::int64_t k = 0; k < kg; ++k) {
-            out.data[static_cast<std::size_t>(
-                ((n * g.out_channels + gi * kg + k) * oh + i) * ow + j)] = src[k];
-          }
-        }
-      }
-    }
+  const std::int64_t plane = oh * ow;
+#pragma omp parallel for schedule(static)
+  for (std::int64_t p = 0; p < g.batch * g.out_channels; ++p) {
+    const std::int64_t n = p / g.out_channels, kc = p % g.out_channels;
+    const std::int8_t* src = q8 + ((kc / kg) * rows + n * plane) * kg + kc % kg;
+    std::int8_t* dst = out.data.data() + p * plane;
+    for (std::int64_t s = 0; s < plane; ++s) dst[s] = src[s * kg];
   }
   return out;
 }

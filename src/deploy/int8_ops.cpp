@@ -14,6 +14,30 @@ namespace wa::deploy {
 
 using backend::QTensor;
 
+namespace {
+
+template <typename T>
+std::int8_t sat8(T q) {
+  return static_cast<std::int8_t>(q > 127 ? 127 : (q < -127 ? -127 : q));
+}
+
+}  // namespace
+
+void apply_level_map_s8(const std::int8_t* src, std::int8_t* dst, std::int64_t n,
+                        const LevelMapS8& map, bool relu) {
+  const std::int8_t* at = map.data() + 128;
+  if (relu) {
+    for (std::int64_t i = 0; i < n; ++i) dst[i] = std::max<std::int8_t>(at[src[i]], 0);
+  } else {
+    for (std::int64_t i = 0; i < n; ++i) dst[i] = at[src[i]];
+  }
+}
+
+LevelMapS8 requant_level_map(quant::FixedPointMultiplier mult, bool identity) {
+  return make_level_map(
+      [&](int x) { return sat8(identity ? x : quant::apply_multiplier(x, mult)); });
+}
+
 QTensor relu_s8(QTensor x) {
   for (auto& v : x.data) v = std::max<std::int8_t>(v, 0);
   return x;
@@ -109,11 +133,15 @@ QTensor linear_s8_prepared(const QTensor& x, const LinearWeightsS8& weights, con
   const float acc_scale = x.scale * weights.scale;
   if (!bias.empty()) {
     if (bias.numel() != o) throw std::invalid_argument("linear_s8_prepared: bias/output mismatch");
+    // One int32 bias level per output, at the accumulator scale.
+    std::vector<std::int32_t> bias_q(static_cast<std::size_t>(o));
+    for (std::int64_t oo = 0; oo < o; ++oo) {
+      bias_q[static_cast<std::size_t>(oo)] =
+          static_cast<std::int32_t>(std::nearbyint(bias.at(oo) / acc_scale));
+    }
     for (std::int64_t ni = 0; ni < n; ++ni) {
       std::int32_t* row = acc.data() + ni * o;
-      for (std::int64_t oo = 0; oo < o; ++oo) {
-        row[oo] += static_cast<std::int32_t>(std::nearbyint(bias.at(oo) / acc_scale));
-      }
+      for (std::int64_t oo = 0; oo < o; ++oo) row[oo] += bias_q[static_cast<std::size_t>(oo)];
     }
   }
 
@@ -142,7 +170,10 @@ RequantRatio make_requant_ratio(float from_scale, float to_scale) {
   RequantRatio r;
   const double ratio = static_cast<double>(from_scale) / static_cast<double>(to_scale);
   r.identity = std::fabs(ratio - 1.0) < 1e-9;
-  if (!r.identity) r.mult = quant::quantize_multiplier(ratio);
+  if (!r.identity) {
+    r.mult = quant::quantize_multiplier(ratio);
+    r.levels = requant_level_map(r.mult, false);
+  }
   return r;
 }
 
@@ -200,32 +231,36 @@ QTensor concat_s8(const QTensor& lhs, const QTensor& rhs, const RequantRatio& lh
   out.shape = Shape{n, c1 + c2, lhs.shape[2], lhs.shape[3]};
   out.scale = out_scale;
   out.data.resize(static_cast<std::size_t>(n * (c1 + c2) * hw));
-  // Each branch lands level-aligned in its channel range via the shared
-  // single-operand remap (a + 0 with the zero ratio identity would change
+  // Each branch lands level-aligned in its channel range through its
+  // ratio's requant map (a + 0 with the zero ratio identity would change
   // the clamp path — reuse requant semantics directly instead).
-  const auto remap_rows = [&](const std::int8_t* src, std::int8_t* dst, std::int64_t count,
-                              const RequantRatio& ratio) {
-    for (std::int64_t i = 0; i < count; ++i) {
-      std::int32_t q = apply_ratio(src[i], ratio);
-      if (relu && q < 0) q = 0;
-      dst[i] = static_cast<std::int8_t>(q > 127 ? 127 : (q < -127 ? -127 : q));
-    }
-  };
 #pragma omp parallel for schedule(static) if (n > 1)
   for (std::int64_t b = 0; b < n; ++b) {
-    remap_rows(lhs.data.data() + b * c1 * hw, out.data.data() + b * (c1 + c2) * hw, c1 * hw,
-               lhs_ratio);
-    remap_rows(rhs.data.data() + b * c2 * hw, out.data.data() + (b * (c1 + c2) + c1) * hw,
-               c2 * hw, rhs_ratio);
+    apply_level_map_s8(lhs.data.data() + b * c1 * hw, out.data.data() + b * (c1 + c2) * hw,
+                       c1 * hw, lhs_ratio.levels, relu);
+    apply_level_map_s8(rhs.data.data() + b * c2 * hw,
+                       out.data.data() + (b * (c1 + c2) + c1) * hw, c2 * hw,
+                       rhs_ratio.levels, relu);
   }
   return out;
 }
 
+QTensor rescale_s8(QTensor x, float target_scale) {
+  if (target_scale <= 0.F || std::fabs(x.scale - target_scale) < 1e-12F) return x;
+  const float ratio = x.scale / target_scale;
+  const LevelMapS8 map = make_level_map([ratio](int v) {
+    const float q = std::nearbyint(static_cast<float>(v) * ratio);
+    return static_cast<std::int8_t>(std::min(127.F, std::max(-127.F, q)));
+  });
+  apply_level_map_s8(x.data.data(), x.data.data(), static_cast<std::int64_t>(x.data.size()),
+                     map, false);
+  x.scale = target_scale;
+  return x;
+}
+
 void requant_s8_(QTensor& x, const RequantRatio& ratio, float out_scale) {
-  for (auto& v : x.data) {
-    const std::int32_t q = apply_ratio(v, ratio);
-    v = static_cast<std::int8_t>(q > 127 ? 127 : (q < -127 ? -127 : q));
-  }
+  apply_level_map_s8(x.data.data(), x.data.data(), static_cast<std::int64_t>(x.data.size()),
+                     ratio.levels, false);
   x.scale = out_scale;
 }
 
@@ -245,6 +280,12 @@ ChannelAffineS8 prepare_channel_affine_s8(const Tensor& scale, const Tensor& bia
   p.bias_q.resize(static_cast<std::size_t>(c));
   for (std::int64_t k = 0; k < c; ++k) {
     const auto i = static_cast<std::size_t>(k);
+    if (!std::isfinite(scale.at(k)) || !std::isfinite(bias.at(k))) {
+      // A NaN scale would become m0 = 0 and a NaN bias llround(NaN); the
+      // level maps would bake either into every level of the channel.
+      throw std::invalid_argument("prepare_channel_affine_s8: channel " + std::to_string(k) +
+                                  " has a non-finite scale or bias");
+    }
     const double ratio = static_cast<double>(scale.at(k)) * in_scale / out_scale;
     const double mag = std::fabs(ratio);
     std::int64_t m = 0;
@@ -271,32 +312,37 @@ ChannelAffineS8 prepare_channel_affine_s8(const Tensor& scale, const Tensor& bia
     const double b = static_cast<double>(bias.at(k)) / out_scale * std::ldexp(1.0, e);
     p.bias_q[i] = std::llround(std::min(1e17, std::max(-1e17, b)));
   }
+  fill_affine_levels(p);
   return p;
+}
+
+void fill_affine_levels(ChannelAffineS8& p) {
+  p.levels.resize(p.m0.size());
+  for (std::size_t k = 0; k < p.m0.size(); ++k) {
+    const std::int64_t m = p.m0[k];
+    const int e = p.exp[k];
+    const std::int64_t bq = p.bias_q[k];
+    const std::int64_t half = e == 0 ? 0 : std::int64_t{1} << (e - 1);
+    p.levels[k] = make_level_map([&](int x) {
+      const std::int64_t v = m * x + bq;
+      // Round half away from zero, one single rounding for the whole affine.
+      return sat8(e == 0 ? v : (v >= 0 ? v + half : v - half) / (std::int64_t{1} << e));
+    });
+  }
 }
 
 namespace {
 
-/// Shared affine kernel; `dst` may alias `src` (pure per-element map).
+/// Shared affine kernel: each (sample, channel) plane through its channel's
+/// level map; `dst` may alias `src`.
 void channel_affine_rows_s8(const std::int8_t* src, std::int8_t* dst, std::int64_t n,
                             std::int64_t c, std::int64_t hw, const ChannelAffineS8& p,
                             bool relu) {
 #pragma omp parallel for collapse(2) schedule(static) if (n * c >= 16)
   for (std::int64_t ni = 0; ni < n; ++ni) {
     for (std::int64_t ci = 0; ci < c; ++ci) {
-      const auto k = static_cast<std::size_t>(ci);
-      const std::int64_t m = p.m0[k];
-      const int e = p.exp[k];
-      const std::int64_t bq = p.bias_q[k];
-      const std::int64_t half = e == 0 ? 0 : std::int64_t{1} << (e - 1);
-      const std::int8_t* s = src + (ni * c + ci) * hw;
-      std::int8_t* d = dst + (ni * c + ci) * hw;
-      for (std::int64_t i = 0; i < hw; ++i) {
-        const std::int64_t v = m * s[i] + bq;
-        // Round half away from zero, one single rounding for the whole affine.
-        std::int64_t q = e == 0 ? v : (v >= 0 ? v + half : v - half) / (std::int64_t{1} << e);
-        if (relu && q < 0) q = 0;
-        d[i] = static_cast<std::int8_t>(q > 127 ? 127 : (q < -127 ? -127 : q));
-      }
+      const std::int64_t at = (ni * c + ci) * hw;
+      apply_level_map_s8(src + at, dst + at, hw, p.levels[static_cast<std::size_t>(ci)], relu);
     }
   }
 }
@@ -308,6 +354,9 @@ void check_affine_shapes(const QTensor& x, const ChannelAffineS8& p) {
   if (x.shape[1] != static_cast<std::int64_t>(p.m0.size())) {
     throw std::invalid_argument("channel_affine_s8: input has " + std::to_string(x.shape[1]) +
                                 " channels, affine has " + std::to_string(p.m0.size()));
+  }
+  if (p.levels.size() != p.m0.size()) {
+    throw std::invalid_argument("channel_affine_s8: the affine's level maps were never filled");
   }
 }
 

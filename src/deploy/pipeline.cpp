@@ -16,18 +16,6 @@ using backend::QTensor;
 
 namespace {
 
-/// Remap int8 levels from one scale to another (identity when they match).
-QTensor rescale_s8(QTensor x, float target_scale) {
-  if (target_scale <= 0.F || std::fabs(x.scale - target_scale) < 1e-12F) return x;
-  const float ratio = x.scale / target_scale;
-  for (auto& v : x.data) {
-    const float q = std::nearbyint(static_cast<float>(v) * ratio);
-    v = static_cast<std::int8_t>(std::min(127.F, std::max(-127.F, q)));
-  }
-  x.scale = target_scale;
-  return x;
-}
-
 std::string stage_type_name(const Stage& s) {
   return std::visit(
       [](const auto& st) -> std::string {
@@ -46,8 +34,10 @@ std::string stage_type_name(const Stage& s) {
       s);
 }
 
-void expect(bool cond, const std::string& where, const std::string& msg) {
-  if (!cond) throw std::invalid_argument(where + ": " + msg);
+/// Callers build `where` and `msg` only once a check has failed, so a
+/// forward that passes every check allocates no label or message.
+[[noreturn]] void fail(const std::string& where, const std::string& msg) {
+  throw std::invalid_argument(where + ": " + msg);
 }
 
 backend::ConvGeometry conv_geometry(const ConvStage& st, const Shape& in_shape) {
@@ -64,20 +54,25 @@ backend::ConvGeometry conv_geometry(const ConvStage& st, const Shape& in_shape) 
   return g;
 }
 
-void check_conv_input(const ConvStage& st, const QTensor& x, const std::string& where) {
+/// `where` is a callable that builds the stage label.
+template <typename Where>
+void check_conv_input(const ConvStage& st, const QTensor& x, const Where& where) {
   // Validate the activation against the stage BEFORE building the geometry:
   // a mis-assembled pipeline (e.g. a conv fed a flattened [N, F] tensor)
   // must fail loudly here, not read past the end of the shape array.
-  expect(x.shape.size() == 4, where,
-         "convolution expects a 4-d [N,C,H,W] activation, got " + to_string(x.shape));
-  expect(x.shape[1] == st.in_channels, where,
-         "activation has " + std::to_string(x.shape[1]) + " channels, stage expects " +
-             std::to_string(st.in_channels));
+  if (x.shape.size() != 4) {
+    fail(where(), "convolution expects a 4-d [N,C,H,W] activation, got " + to_string(x.shape));
+  }
+  if (x.shape[1] != st.in_channels) {
+    fail(where(), "activation has " + std::to_string(x.shape[1]) + " channels, stage expects " +
+                      std::to_string(st.in_channels));
+  }
   const std::int64_t oh = (x.shape[2] + 2 * st.pad - st.kernel) / st.stride + 1;
   const std::int64_t ow = (x.shape[3] + 2 * st.pad - st.kernel) / st.stride + 1;
-  expect(oh >= 1 && ow >= 1, where,
-         "activation " + to_string(x.shape) + " is smaller than the " +
-             std::to_string(st.kernel) + "x" + std::to_string(st.kernel) + " kernel");
+  if (oh < 1 || ow < 1) {
+    fail(where(), "activation " + to_string(x.shape) + " is smaller than the " +
+                      std::to_string(st.kernel) + "x" + std::to_string(st.kernel) + " kernel");
+  }
 }
 
 }  // namespace
@@ -400,7 +395,9 @@ Tensor Int8Pipeline::run_impl(const Tensor& input, std::vector<StageTiming>* tim
   const bool timed = timings != nullptr || trace.valid();
   for (std::size_t i = 0; i < n; ++i) {
     const Node& node = nodes_[i];
-    const std::string where = stage_where(node, i);
+    // The label is built only where it is read: a failed check, a timing or
+    // a trace span.
+    const auto where = [&node, i] { return stage_where(node, i); };
     const auto t0 =
         timed ? std::chrono::steady_clock::now() : std::chrono::steady_clock::time_point{};
 
@@ -499,8 +496,9 @@ Tensor Int8Pipeline::run_impl(const Tensor& input, std::vector<StageTiming>* tim
             if (st.relu_after) out = relu_s8(std::move(out));
           } else if constexpr (std::is_same_v<T, PoolStage>) {
             const QTensor* x = acquire(v1, owned1, -1.F, held1);
-            expect(x->shape.size() == 4, where,
-                   "max-pool expects [N,C,H,W], got " + to_string(x->shape));
+            if (x->shape.size() != 4) {
+              fail(where(), "max-pool expects [N,C,H,W], got " + to_string(x->shape));
+            }
             out = max_pool_s8(*x, st.kernel, st.stride);
           } else if constexpr (std::is_same_v<T, FlattenStage>) {
             const QTensor* x = acquire(v1, owned1, -1.F, held1);
@@ -513,26 +511,32 @@ Tensor Int8Pipeline::run_impl(const Tensor& input, std::vector<StageTiming>* tim
             }
           } else if constexpr (std::is_same_v<T, AvgPoolStage>) {
             const QTensor* x = acquire(v1, owned1, -1.F, held1);
-            expect(x->shape.size() == 4, where,
-                   "avg-pool expects [N,C,H,W], got " + to_string(x->shape));
+            if (x->shape.size() != 4) {
+              fail(where(), "avg-pool expects [N,C,H,W], got " + to_string(x->shape));
+            }
             out = global_avg_pool_s8(*x);
           } else if constexpr (std::is_same_v<T, LinearStage>) {
             const QTensor* x = acquire(v1, owned1, st.input_scale, held1);
-            expect(x->shape.size() == 2, where,
-                   "linear expects a 2-d [N, F] activation, got " + to_string(x->shape) +
-                       " (flatten or avg-pool first)");
-            expect(x->shape[1] == st.packed.in_features, where,
-                   "activation has " + std::to_string(x->shape[1]) +
-                       " features, stage expects " + std::to_string(st.packed.in_features));
+            if (x->shape.size() != 2) {
+              fail(where(), "linear expects a 2-d [N, F] activation, got " + to_string(x->shape) +
+                                " (flatten or avg-pool first)");
+            }
+            if (x->shape[1] != st.packed.in_features) {
+              fail(where(), "activation has " + std::to_string(x->shape[1]) +
+                                " features, stage expects " +
+                                std::to_string(st.packed.in_features));
+            }
             out = linear_s8_prepared(*x, st.packed, st.bias, st.output_scale);
             if (st.relu_after) out = relu_s8(std::move(out));
           } else if constexpr (std::is_same_v<T, BnStage>) {
             const QTensor* x = acquire(v1, owned1, st.input_scale, held1);
-            expect(x->shape.size() == 4 || x->shape.size() == 2, where,
-                   "batch-norm expects [N,C,H,W] or [N,C], got " + to_string(x->shape));
-            expect(x->shape[1] == st.scale.numel(), where,
-                   "activation has " + std::to_string(x->shape[1]) +
-                       " channels, batch-norm has " + std::to_string(st.scale.numel()));
+            if (x->shape.size() != 4 && x->shape.size() != 2) {
+              fail(where(), "batch-norm expects [N,C,H,W] or [N,C], got " + to_string(x->shape));
+            }
+            if (x->shape[1] != st.scale.numel()) {
+              fail(where(), "activation has " + std::to_string(x->shape[1]) +
+                                " channels, batch-norm has " + std::to_string(st.scale.numel()));
+            }
             if (mark == 1 && x == &held1 && owned1) {
               channel_affine_s8_(held1, st.affine, st.relu_after);
               out = std::move(held1);
@@ -543,9 +547,10 @@ Tensor Int8Pipeline::run_impl(const Tensor& input, std::vector<StageTiming>* tim
             }
           } else if constexpr (std::is_same_v<T, AddStage>) {
             const auto [lhs, rhs] = acquire_join(st.lhs_scale, st.rhs_scale);
-            expect(lhs->shape == rhs->shape, where,
-                   "skip-add branch shapes " + to_string(lhs->shape) + " vs " +
-                       to_string(rhs->shape) + " do not match");
+            if (lhs->shape != rhs->shape) {
+              fail(where(), "skip-add branch shapes " + to_string(lhs->shape) + " vs " +
+                                to_string(rhs->shape) + " do not match");
+            }
             if (mark == 1 && lhs == &held1 && owned1 && !same_operand) {
               add_s8_into(held1, *rhs, st.lhs_ratio, st.rhs_ratio, st.output_scale,
                           st.relu_after);
@@ -566,14 +571,15 @@ Tensor Int8Pipeline::run_impl(const Tensor& input, std::vector<StageTiming>* tim
             // Never in place: the output is strictly larger than either
             // operand, so the planner marks it 0 unconditionally.
             const auto [lhs, rhs] = acquire_join(st.lhs_scale, st.rhs_scale);
-            expect(lhs->shape.size() == 4 && rhs->shape.size() == 4, where,
-                   "concat expects 4-d [N,C,H,W] operands, got " + to_string(lhs->shape) +
-                       " and " + to_string(rhs->shape));
-            expect(lhs->shape[0] == rhs->shape[0] && lhs->shape[2] == rhs->shape[2] &&
-                       lhs->shape[3] == rhs->shape[3],
-                   where,
-                   "concat branch shapes " + to_string(lhs->shape) + " vs " +
-                       to_string(rhs->shape) + " disagree outside the channel axis");
+            if (lhs->shape.size() != 4 || rhs->shape.size() != 4) {
+              fail(where(), "concat expects 4-d [N,C,H,W] operands, got " +
+                                to_string(lhs->shape) + " and " + to_string(rhs->shape));
+            }
+            if (lhs->shape[0] != rhs->shape[0] || lhs->shape[2] != rhs->shape[2] ||
+                lhs->shape[3] != rhs->shape[3]) {
+              fail(where(), "concat branch shapes " + to_string(lhs->shape) + " vs " +
+                                to_string(rhs->shape) + " disagree outside the channel axis");
+            }
             out = concat_s8(*lhs, *rhs, st.lhs_ratio, st.rhs_ratio, st.output_scale,
                             st.relu_after);
           } else if constexpr (std::is_same_v<T, ReluStage>) {
@@ -615,11 +621,15 @@ Tensor Int8Pipeline::run_impl(const Tensor& input, std::vector<StageTiming>* tim
           requant_s8_(out, ep.ratio, ep.out_scale);
           break;
         case EpilogueOp::Kind::kAffine:
-          expect(out.shape.size() == 4 || out.shape.size() == 2, where,
+          if (out.shape.size() != 4 && out.shape.size() != 2) {
+            fail(where(),
                  "fused batch-norm expects [N,C,H,W] or [N,C], got " + to_string(out.shape));
-          expect(out.shape[1] == static_cast<std::int64_t>(ep.affine.m0.size()), where,
-                 "activation has " + std::to_string(out.shape[1]) +
-                     " channels, fused batch-norm has " + std::to_string(ep.affine.m0.size()));
+          }
+          if (out.shape[1] != static_cast<std::int64_t>(ep.affine.m0.size())) {
+            fail(where(), "activation has " + std::to_string(out.shape[1]) +
+                              " channels, fused batch-norm has " +
+                              std::to_string(ep.affine.m0.size()));
+          }
           channel_affine_s8_(out, ep.affine, ep.relu);
           break;
       }
@@ -629,13 +639,14 @@ Tensor Int8Pipeline::run_impl(const Tensor& input, std::vector<StageTiming>* tim
       const auto t1 = std::chrono::steady_clock::now();
       const auto dur_ns =
           std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count();
+      const std::string label = where();
       if (timings != nullptr) {
-        timings->push_back({where, static_cast<double>(dur_ns) / 1e6});
+        timings->push_back({label, static_cast<double>(dur_ns) / 1e6});
       }
       if (trace.valid()) {
         auto& tracer = telemetry::Tracer::instance();
         const std::int64_t ts0 = tracer.to_ns(t0);
-        tracer.emit({"stage:" + where, "pipeline", trace.id, ts0, dur_ns, {}});
+        tracer.emit({"stage:" + label, "pipeline", trace.id, ts0, dur_ns, {}});
         // Winograd phase breakdown: the accumulators are CPU-time sums
         // across the OpenMP team, so lay the five sub-spans out
         // proportionally inside the stage's wall-clock interval and carry
@@ -1001,12 +1012,14 @@ float conv_input_scale(nn::Module& m, const std::string& name) {
 }
 
 /// Per-channel batch-norm coefficients in real units: A = gamma * inv_std,
-/// B = beta - A * mean.
-void bn_coefficients(nn::BatchNorm2d& bn, Tensor* a, Tensor* b) {
+/// B = beta - A * mean. Throws std::invalid_argument naming `layer` on
+/// statistics backend::check_batchnorm_stats rejects.
+void bn_coefficients(nn::BatchNorm2d& bn, const std::string& layer, Tensor* a, Tensor* b) {
   const Tensor& var = bn.running_var();
   const Tensor& mean = bn.running_mean();
   const Tensor gamma = bn.gamma().value();
   const Tensor beta = bn.beta().value();
+  backend::check_batchnorm_stats(gamma, beta, mean, var, bn.eps(), layer);
   const std::int64_t c = var.numel();
   *a = Tensor(Shape{c});
   *b = Tensor(Shape{c});
@@ -1034,19 +1047,21 @@ ConvStage compile_folded_conv(nn::Conv2d& conv, nn::BatchNorm2d& bn, const std::
   st.input_scale = observer_scale_checked(conv.input_observer(), name);
   const backend::FoldedConv folded = backend::fold_batchnorm(
       conv.weight().value(), conv.bias().defined() ? conv.bias().value() : Tensor(),
-      bn.gamma().value(), bn.beta().value(), bn.running_mean(), bn.running_var(), bn.eps());
+      bn.gamma().value(), bn.beta().value(), bn.running_mean(), bn.running_var(), bn.eps(),
+      name + ".bn");
   st.weights_q = backend::quantize_s8(folded.weights);
   st.bias = folded.bias;
   st.output_scale = out_scale;
   return st;
 }
 
-BnStage make_bn_stage(nn::BatchNorm2d& bn, float in_scale, float out_scale, bool relu) {
+BnStage make_bn_stage(nn::BatchNorm2d& bn, const std::string& layer, float in_scale,
+                      float out_scale, bool relu) {
   BnStage st;
   st.input_scale = in_scale;
   st.output_scale = out_scale;
   st.relu_after = relu;
-  bn_coefficients(bn, &st.scale, &st.bias);
+  bn_coefficients(bn, layer, &st.scale, &st.bias);
   return st;
 }
 
@@ -1072,7 +1087,7 @@ void emit_conv_bn(Int8Pipeline& pipe, nn::Module& conv, nn::BatchNorm2d& bn,
   pipe.push(std::move(st), std::move(cio));
   StageIO bio;
   bio.label = name + ".bn";
-  pipe.push(make_bn_stage(bn, y_scale, out_scale, relu), std::move(bio));
+  pipe.push(make_bn_stage(bn, name + ".bn", y_scale, out_scale, relu), std::move(bio));
 }
 
 /// The running activation between residual blocks: its slot and scale.
@@ -1239,7 +1254,8 @@ Int8Pipeline compile_squeezenet(models::SqueezeNet& model) {
     cat.relu_after = false;  // the bn stage fuses the module's ReLU
     pipe.push(std::move(cat), stage_io(name + ".concat", name + ".e1", "", name + ".e3"));
     const float out_scale = observer_scale_checked(f.output_observer(), name + ".out");
-    pipe.push(make_bn_stage(f.bn(), cat_scale, out_scale, /*relu=*/true), stage_io(name + ".bn"));
+    pipe.push(make_bn_stage(f.bn(), name + ".bn", cat_scale, out_scale, /*relu=*/true),
+              stage_io(name + ".bn"));
 
     if (std::find(pool_after.begin(), pool_after.end(), static_cast<int>(i)) !=
         pool_after.end()) {

@@ -74,13 +74,14 @@ deploy::RequantRatio load_ratio(std::istream& is) {
   r.mult.m0 = load_pod<std::int32_t>(is);
   r.mult.shift = static_cast<int>(load_pod<std::int32_t>(is));
   r.identity = load_pod<std::uint8_t>(is) != 0;
+  r.levels = deploy::requant_level_map(r.mult, r.identity);
   return r;
 }
 
-/// The integer-affine kernel computes 1 << (exp - 1) and scales the bias by
-/// 2^exp; prepare_channel_affine_s8 only ever emits exp in [0, 46]. A
-/// checksum-valid artifact whose affine escaped that range would reach
-/// shift UB at the first forward, so reject it at load instead.
+/// The affine's level maps are filled by computing 1 << (exp - 1) and
+/// scaling the bias by 2^exp; prepare_channel_affine_s8 only ever emits exp
+/// in [0, 46]. A checksum-valid artifact whose affine escaped that range
+/// would reach shift UB while its maps are filled, so reject it first.
 void check_affine_tables(const deploy::ChannelAffineS8& a, const char* what) {
   const std::size_t c = a.m0.size();
   if (c == 0 || a.exp.size() != c || a.bias_q.size() != c) {
@@ -426,6 +427,7 @@ BnStage load_bn(std::istream& is) {
   st.affine.bias_q = load_vector<std::int64_t>(is);
   st.affine.out_scale = load_pod<float>(is);
   check_affine_tables(st.affine, "bn affine");
+  deploy::fill_affine_levels(st.affine);
   if (st.scale.numel() != static_cast<std::int64_t>(st.affine.m0.size()) ||
       st.bias.numel() != static_cast<std::int64_t>(st.affine.m0.size())) {
     throw std::runtime_error("load_pipeline: bn affine channel counts disagree");
@@ -612,6 +614,7 @@ std::vector<EpilogueOp> load_epilogue(std::istream& is) {
         ep.relu = load_pod<std::uint8_t>(is) != 0;
         ep.out_scale = load_pod<float>(is);
         check_affine_tables(ep.affine, "fused affine");
+        deploy::fill_affine_levels(ep.affine);
         break;
     }
     eps.push_back(std::move(ep));

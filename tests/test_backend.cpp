@@ -391,6 +391,32 @@ TEST(BnFold, ShapeMismatchThrows) {
   EXPECT_THROW(fold_batchnorm(w, bad, ok, ok, ok, ok), std::invalid_argument);
 }
 
+TEST(BnFold, RejectsImpossibleStatisticsNamingTheLayer) {
+  // 1/sqrt(var + eps) is NaN for var + eps <= 0 and a NaN or infinite
+  // statistic poisons the fold, so both throw instead of folding garbage.
+  Rng rng(13);
+  const Tensor w = Tensor::randn({3, 1, 3, 3}, rng);
+  const Tensor ok = Tensor::ones({3});
+  const Tensor negative_var = Tensor({3}, {1.F, -0.5F, 1.F});
+  try {
+    fold_batchnorm(w, Tensor(), ok, ok, ok, negative_var, 1e-5F, "block0.conv1.bn");
+    ADD_FAILURE() << "a negative running variance folded";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("block0.conv1.bn"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("channel 1"), std::string::npos) << e.what();
+  }
+  // var + eps == 0 exactly, then each statistic non-finite in turn.
+  EXPECT_THROW(fold_batchnorm(w, Tensor(), ok, ok, ok, Tensor({3}, {1.F, 0.F, 1.F}), 0.F),
+               std::invalid_argument);
+  const Tensor nan = Tensor({3}, {1.F, 1.F, std::nanf("")});
+  const Tensor inf = Tensor({3}, {1.F, INFINITY, 1.F});
+  EXPECT_THROW(fold_batchnorm(w, Tensor(), nan, ok, ok, ok), std::invalid_argument);
+  EXPECT_THROW(fold_batchnorm(w, Tensor(), ok, inf, ok, ok), std::invalid_argument);
+  EXPECT_THROW(fold_batchnorm(w, Tensor(), ok, ok, nan, ok), std::invalid_argument);
+  EXPECT_THROW(fold_batchnorm(w, Tensor(), ok, ok, ok, inf), std::invalid_argument);
+  EXPECT_NO_THROW(fold_batchnorm(w, Tensor(), ok, ok, ok, Tensor({3}, {1.F, 0.F, 1.F})));
+}
+
 TEST(StridedWinogradS8, RejectsRectWeightsOfTheWrongSize) {
   // A hand-built cache whose u00 is valid but whose rect-phase weights are
   // 8 bytes instead of [5*C, K]: the kernel must refuse it before its GEMM

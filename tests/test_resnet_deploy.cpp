@@ -115,6 +115,17 @@ TEST(ChannelAffineS8, CollapsedChannelIsBiasOnly) {
   EXPECT_EQ(y.data, (std::vector<std::int8_t>{5, 5}));
 }
 
+TEST(ChannelAffineS8, RejectsNonFiniteScaleOrBias) {
+  // A NaN scale would become m0 = 0 and a NaN bias llround(NaN), and the
+  // level maps would bake either into every level of the channel.
+  const Tensor ok = Tensor(Shape{2}, {1.F, 0.5F});
+  EXPECT_THROW(prepare_channel_affine_s8(Tensor(Shape{2}, {1.F, std::nanf("")}), ok, 1.F, 1.F),
+               std::invalid_argument);
+  EXPECT_THROW(prepare_channel_affine_s8(ok, Tensor(Shape{2}, {INFINITY, 0.F}), 1.F, 1.F),
+               std::invalid_argument);
+  EXPECT_NO_THROW(prepare_channel_affine_s8(ok, ok, 1.F, 1.F));
+}
+
 // ---- graph wiring and stage-input validation --------------------------------
 
 ConvStage im2row_stage(Rng& rng, std::int64_t in_ch, std::int64_t out_ch, float in_scale,
@@ -347,6 +358,40 @@ TEST(ResNetDeploy, CompileRejectsUncalibratedModel) {
   cfg.qspec = quant::QuantSpec{8};
   models::ResNet18 net(cfg, rng);  // never saw a batch: observers cold
   EXPECT_THROW(compile_resnet18(net), std::invalid_argument);
+}
+
+TEST(ResNetDeploy, CompileRejectsImpossibleBatchNormStatistics) {
+  // A checkpoint can carry a negative running variance. The compiler must
+  // refuse it, naming the layer, on both batch-norm lowerings: the fold into
+  // a GEMM conv (the stem here) and the integer affine after a Winograd conv.
+  for (const nn::ConvAlgo algo : {nn::ConvAlgo::kIm2row, nn::ConvAlgo::kWinograd2}) {
+    SCOPED_TRACE(nn::is_winograd(algo) ? "F2" : "im2row");
+    Rng rng(16);
+    models::ResNetConfig cfg;
+    cfg.width_mult = 0.125F;
+    cfg.algo = algo;
+    cfg.qspec = quant::QuantSpec{8};
+    models::ResNet18 net(cfg, rng);
+    net.set_training(true);
+    for (int i = 0; i < 2; ++i) {
+      net.forward(ag::Variable(Tensor::randn({2, 3, 32, 32}, rng), false));
+    }
+    net.set_training(false);
+    ASSERT_NO_THROW(compile_resnet18(net));
+
+    nn::BatchNorm2d& bn = nn::is_winograd(algo) ? net.blocks()[0]->bn1() : net.bn_in();
+    const std::string layer = nn::is_winograd(algo) ? ".conv1.bn" : "conv_in.bn";
+    for (auto& [name, v] : net.named_parameters()) {
+      if (v.value().raw() == bn.running_var().raw()) v.value().data()[1] = -0.25F;
+    }
+    ASSERT_LT(bn.running_var().at(1), 0.F);
+    try {
+      compile_resnet18(net);
+      ADD_FAILURE() << "a negative running variance compiled";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(layer), std::string::npos) << e.what();
+    }
+  }
 }
 
 TEST(ResNetDeploy, Im2rowPipelineAgreesWithQatModel) {
